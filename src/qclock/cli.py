@@ -4,8 +4,8 @@ Subcommands: probs, fisher, estimate, sweep, compare, recurrence. Tables go
 to stdout or, with --out, to CSV/JSON files; every file-writing run also
 drops a JSON run manifest next to its first output (``<out>.manifest.json``)
 recording the resolved configuration, seed, tool version, timestamps, and
-output paths. Re-running the manifest's argv reproduces the data files byte
-for byte.
+output paths; sweep and compare manifests also name the RNG stream layout.
+Re-running the manifest's argv reproduces the data files byte for byte.
 
 Exit status: 0 on success, 2 on usage or configuration errors, 3 when a
 computation aborts on numeric degeneracy (counts or times at which the
@@ -36,6 +36,7 @@ from .fisher import (
     quantum_fisher,
 )
 from .montecarlo import (
+    STREAM_LAYOUT,
     ConfigError,
     ErrorCurve,
     EstimatorKind,
@@ -126,7 +127,15 @@ def _emit_table(args, header, rows) -> list[str]:
     return [args.out] if args.out else []
 
 
-def _write_manifest(command: str, argv: list[str], config: dict, seed, outputs: list[str], started: str) -> None:
+def _write_manifest(
+    command: str,
+    argv: list[str],
+    config: dict,
+    seed,
+    outputs: list[str],
+    started: str,
+    stream_layout: str | None = None,
+) -> None:
     if not outputs:
         return
     payload = {
@@ -139,6 +148,8 @@ def _write_manifest(command: str, argv: list[str], config: dict, seed, outputs: 
         "finished": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
     }
+    if stream_layout is not None:
+        payload["stream_layout"] = stream_layout
     path = outputs[0] + ".manifest.json"
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -172,6 +183,8 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"t-grid must be 'start:stop:steps' with numeric fields, got {spec!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"t-grid bounds must be finite, got {spec!r}")
     if steps < 1:
         raise ConfigError("t-grid needs at least one step")
     if steps == 1:
@@ -181,6 +194,8 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
 
 def _times(args) -> tuple[float, ...]:
     if args.t is not None:
+        if not math.isfinite(args.t):
+            raise ConfigError(f"--t must be finite, got {args.t!r}")
         return (args.t,)
     return _parse_grid(args.t_grid)
 
@@ -399,6 +414,7 @@ def cmd_sweep(args, argv) -> int:
         seeds[0] if len(seeds) == 1 else seeds,
         outputs,
         started,
+        STREAM_LAYOUT,
     )
     return 0
 
@@ -422,7 +438,7 @@ def cmd_compare(args, argv) -> int:
         "t_grid": args.t_grid,
         "trials": args.trials,
     }
-    _write_manifest("compare", argv, config, args.seed, outputs, started)
+    _write_manifest("compare", argv, config, args.seed, outputs, started, STREAM_LAYOUT)
     return 0
 
 

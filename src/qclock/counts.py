@@ -1,8 +1,11 @@
 """Measurement count tallies consumed by the estimators.
 
 Each clock design has its own tally shape. Tallies are plain frozen
-dataclasses so they can key dictionaries (exact count-space enumeration)
-and cross thread boundaries safely.
+dataclasses so they can key dictionaries (exact count-space enumeration).
+Each exposes ``tallies``, its counts in a fixed order: one-qubit
+(k_minus, k_plus), two-qubit (fast_minus, fast_plus, slow_minus,
+slow_plus), GHZ (k_odd, k_even). A Monte-Carlo cell stores its trials as
+rows of an integer array in the same order.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ class OneQubitCounts:
     def k_plus(self) -> int:
         return self.n - self.k_minus
 
+    @property
+    def tallies(self) -> tuple[int, int]:
+        return (self.k_minus, self.k_plus)
+
 
 @dataclass(frozen=True)
 class TwoQubitCounts:
@@ -58,6 +65,10 @@ class TwoQubitCounts:
     @property
     def n(self) -> int:
         return self.fast_minus + self.fast_plus + self.slow_minus + self.slow_plus
+
+    @property
+    def tallies(self) -> tuple[int, int, int, int]:
+        return (self.fast_minus, self.fast_plus, self.slow_minus, self.slow_plus)
 
     @property
     def coarse_plus(self) -> int:
@@ -90,6 +101,10 @@ class GhzCounts:
     @property
     def k_even(self) -> int:
         return self.n - self.k_odd
+
+    @property
+    def tallies(self) -> tuple[int, int]:
+        return (self.k_odd, self.k_even)
 
 
 CountVector = Union[OneQubitCounts, TwoQubitCounts, GhzCounts]

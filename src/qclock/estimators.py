@@ -14,12 +14,22 @@ window where the clock's statistics identify t uniquely:
 
 ``mle_numeric`` maximizes the log-likelihood on a grid plus golden-section
 refinement and is the reference the closed forms are checked against.
+
+Each estimator has a ``*_batch`` kernel that applies it to every row of an
+integer tally array (one count vector per row, in the ``tallies`` order of
+counts.py), as a Monte-Carlo cell holds its trials. A kernel returns
+``(t_hat, valid)``: t_hat is NaN on the rows where the scalar estimator
+raises DegenerateCountsError, and valid is False there and wherever the
+scalar report is flagged invalid. The scalar functions stay the path for a
+single count vector and the reference the kernels are tested against.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +40,10 @@ from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts, redu
 # Grid resolution and convergence target for the numeric maximizer.
 GRID_POINTS = 2001
 REFINE_TOL = 1e-10
+# Rows per block in mle_numeric_batch's grid stage. A block's
+# (rows x GRID_POINTS) log-likelihood table is 0.5 MB at 32 rows; a whole
+# cell in one block would scale the peak memory with the trial count.
+BLOCK_ROWS = 32
 
 
 class Branch(enum.Enum):
@@ -101,12 +115,17 @@ def mle_ghz(counts: GhzCounts, omega: float, n_entangled: int) -> EstimateReport
     return EstimateReport(t_hat, Branch.GHZ_WINDOW, (0.0, math.pi / eff))
 
 
+def is_harmonic(omega: float, Omega: float) -> bool:
+    """Whether Omega = 2 omega, as the closed two-qubit forms require."""
+    return abs(Omega - 2.0 * omega) <= 1e-9 * Omega
+
+
 def _check_harmonic(omega: float, Omega: float) -> tuple[float, float]:
     omega = float(omega)
     Omega = float(Omega)
     if omega <= 0.0 or Omega <= 0.0:
         raise ValueError("frequencies must be positive")
-    if abs(Omega - 2.0 * omega) > 1e-9 * Omega:
+    if not is_harmonic(omega, Omega):
         raise ValueError(
             f"closed-form two-qubit estimators require Omega = 2 omega, "
             f"got omega={omega}, Omega={Omega}"
@@ -232,12 +251,42 @@ def two_qubit_score(
     return float(total) if np.isscalar(t) or t_arr.ndim == 0 else total
 
 
-def _xlogy(k: int, p: np.ndarray) -> np.ndarray:
-    # k log p with the conventions k = 0 -> 0 and p = 0, k > 0 -> -inf.
-    if k == 0:
-        return np.zeros_like(p)
-    with np.errstate(divide="ignore"):
-        return k * np.log(p)
+def _xlogy(k, p):
+    # k log p with the conventions k = 0 -> 0 and p = 0, k > 0 -> -inf. k is
+    # an int, or an array of whole-number tallies that broadcasts against p.
+    # The caller silences numpy's divide and invalid warnings.
+    if isinstance(k, int):
+        return k * np.log(p) if k else np.zeros_like(p)
+    return np.where(k > 0, k * np.log(p), 0.0)
+
+
+def _outcome_probs(model: ClockModel, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Probability of one outcome behind each tally, in tally order. A GHZ
+    # parity class holds 2^(n-1) equally likely outcomes. np.square, not
+    # ** 2, which on a 0-d array calls pow() and can differ in the last bit
+    # from the same time inside an array.
+    if isinstance(model, OneQubitClock):
+        p_minus = model.chi * np.square(np.sin(0.5 * model.omega * t))
+        return (p_minus, 1.0 - p_minus)
+    if isinstance(model, TwoQubitClock):
+        fast = np.square(np.sin(0.5 * model.Omega * t))
+        slow = np.square(np.sin(0.5 * model.omega * t))
+        return (0.5 * fast, 0.5 * (1.0 - fast), 0.5 * slow, 0.5 * (1.0 - slow))
+    if isinstance(model, GhzClock):
+        scale = 2.0 ** (model.n_entangled - 1)
+        p_odd = np.square(np.sin(0.5 * model.n_entangled * model.omega * t))
+        return (p_odd / scale, (1.0 - p_odd) / scale)
+    raise TypeError(f"unsupported model type: {type(model).__name__}")
+
+
+def _tally_log_likelihood(tallies, probs):
+    # sum_j k_j log p_j, summed in tally order so that a row of a tally array
+    # and the same counts as a count vector give bit-identical values.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return functools.reduce(operator.add, map(_xlogy, tallies, probs))
+
+
+_COUNTS_OF = {OneQubitClock: OneQubitCounts, TwoQubitClock: TwoQubitCounts, GhzClock: GhzCounts}
 
 
 def log_likelihood(model: ClockModel, counts: CountVector, t):
@@ -248,29 +297,9 @@ def log_likelihood(model: ClockModel, counts: CountVector, t):
     probability gives -inf.
     """
     t_arr = np.asarray(t, dtype=float)
-    if isinstance(model, OneQubitClock):
-        _require(counts, OneQubitCounts, "log_likelihood[one-qubit]")
-        p_minus = model.chi * np.sin(0.5 * model.omega * t_arr) ** 2
-        total = _xlogy(counts.k_minus, p_minus) + _xlogy(counts.k_plus, 1.0 - p_minus)
-    elif isinstance(model, TwoQubitClock):
-        _require(counts, TwoQubitCounts, "log_likelihood[two-qubit]")
-        fast = np.sin(0.5 * model.Omega * t_arr) ** 2
-        slow = np.sin(0.5 * model.omega * t_arr) ** 2
-        total = (
-            _xlogy(counts.fast_minus, 0.5 * fast)
-            + _xlogy(counts.fast_plus, 0.5 * (1.0 - fast))
-            + _xlogy(counts.slow_minus, 0.5 * slow)
-            + _xlogy(counts.slow_plus, 0.5 * (1.0 - slow))
-        )
-    elif isinstance(model, GhzClock):
-        _require(counts, GhzCounts, "log_likelihood[ghz]")
-        scale = 2.0 ** (model.n_entangled - 1)
-        p_odd = np.sin(0.5 * model.n_entangled * model.omega * t_arr) ** 2
-        total = _xlogy(counts.k_odd, p_odd / scale) + _xlogy(
-            counts.k_even, (1.0 - p_odd) / scale
-        )
-    else:
-        raise TypeError(f"unsupported model type: {type(model).__name__}")
+    probs = _outcome_probs(model, t_arr)
+    _require(counts, _COUNTS_OF[type(model)], "log_likelihood")
+    total = _tally_log_likelihood(counts.tallies, probs)
     return float(total) if np.isscalar(t) or t_arr.ndim == 0 else total
 
 
@@ -344,3 +373,158 @@ def mle_numeric(
         REFINE_TOL * max(1.0, abs(hi)),
     )
     return EstimateReport(t_hat, branch, (lo, hi))
+
+
+def _reduce_rows(counts) -> np.ndarray:
+    # reduce_counts on every row: divide each row by the gcd of its tallies.
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2:
+        raise ValueError(f"expected a 2-D tally array, got shape {counts.shape}")
+    g = np.gcd.reduce(counts, axis=1)
+    return counts // np.maximum(g, 1)[:, np.newaxis]
+
+
+def mle_one_qubit_batch(counts, omega: float, chi: float = 1.0):
+    """``mle_one_qubit`` on every row of a (k_minus, k_plus) tally array."""
+    clock = OneQubitClock(omega=omega, chi=chi)
+    if clock.chi == 0.0:
+        raise ValueError("chi = 0 statistics carry no time dependence")
+    k_minus, k_plus = _reduce_rows(counts).T
+    # n = 0 gives ratio NaN, so t_hat NaN and valid False.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = k_minus / ((k_minus + k_plus) * clock.chi)
+    t_hat = 2.0 / clock.omega * np.arcsin(np.sqrt(np.minimum(1.0, ratio)))
+    return t_hat, ratio <= 1.0
+
+
+def mle_ghz_batch(counts, omega: float, n_entangled: int):
+    """``mle_ghz`` on every row of a (k_odd, k_even) tally array."""
+    clock = GhzClock(omega=omega, n_entangled=n_entangled)
+    k_odd, k_even = _reduce_rows(counts).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fraction = k_odd / (k_odd + k_even)
+    eff = clock.n_entangled * clock.omega
+    return 2.0 / eff * np.arcsin(np.sqrt(fraction)), ~np.isnan(fraction)
+
+
+def coarse_estimator_batch(counts, omega: float = 0.5):
+    """``coarse_estimator`` on every row of a two-qubit tally array."""
+    omega = float(omega)
+    if omega <= 0.0:
+        raise ValueError("omega must be positive")
+    _, _, km, kp = _reduce_rows(counts).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hat = np.where(kp == 0, math.pi / omega, 2.0 / omega * np.arctan(np.sqrt(km / kp)))
+    valid = kp + km > 0
+    t_hat[~valid] = np.nan
+    return t_hat, valid
+
+
+def combined_estimator_batch(counts, omega: float = 0.5, Omega: float = 1.0):
+    """``combined_estimator`` on every row of a two-qubit tally array.
+
+    The quartic roots of ``mle_two_qubit_roots`` on whole columns, with the
+    coarse estimate picking the half of the window for each row.
+    """
+    omega, Omega = _check_harmonic(omega, Omega)
+    coarse, valid = coarse_estimator_batch(counts, omega)
+    k1, k2, k3, k4 = _reduce_rows(counts).T
+    lead = k1 + k4
+    valid &= lead > 0
+    a_coef = 2 * k1 + 4 * k2 + k3 + k4
+    root = np.sqrt(((k4 - k3) ** 2 + 8 * (k4 + k3 + 2 * k1) * k2 + 16 * k2 * k2).astype(float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_minus_sq = (a_coef - root) / (2.0 * lead)
+        u_plus_sq = (a_coef + root) / (2.0 * lead)
+    t1 = 2.0 / omega * np.arctan(np.sqrt(np.maximum(u_minus_sq, 0.0)))
+    t3 = 2.0 / omega * np.arctan(np.sqrt(u_plus_sq))
+    t_hat = np.where(coarse <= 0.5 * math.pi / omega, t1, t3)
+    t_hat[~valid] = np.nan
+    return t_hat, valid
+
+
+def _golden_section_max_batch(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    # _golden_section_max on every row at once: f(rows, x) evaluates row
+    # rows[i] at x[i]. Each row takes exactly the scalar search's steps, so
+    # the arithmetic and the result are the same as one search per row.
+    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
+    invphi2 = 1.0 - invphi
+    a, b = lo.copy(), hi.copy()
+    h = b - a
+    c = a + invphi2 * h
+    d = a + invphi * h
+    every = np.arange(len(a))
+    fc = f(every, c)
+    fd = f(every, d)
+    rows = every[h > tol]
+    while rows.size:
+        left = fc[rows] >= fd[rows]
+        lft, rgt = rows[left], rows[~left]
+        b[lft], d[lft], fd[lft] = d[lft], c[lft], fc[lft]
+        a[rgt], c[rgt], fc[rgt] = c[rgt], d[rgt], fd[rgt]
+        h[rows] = b[rows] - a[rows]
+        c[lft] = a[lft] + invphi2 * h[lft]
+        d[rgt] = a[rgt] + invphi * h[rgt]
+        value = f(rows, np.where(left, c[rows], d[rows]))
+        fc[lft] = value[left]
+        fd[rgt] = value[~left]
+        rows = rows[h[rows] > tol]
+    return 0.5 * (a + b)
+
+
+def mle_numeric_batch(model: ClockModel, counts):
+    """``mle_numeric`` over the model's full window on every row of a tally array.
+
+    Rows are reduced by their gcd and the log-likelihood is summed in the
+    scalar path's order, so each row's estimate and validity equal
+    ``mle_numeric``'s on the same counts. The grid stage runs over blocks
+    of BLOCK_ROWS rows, which bounds its memory; the golden-section
+    refinement then runs on all rows together.
+    """
+    # Float tallies multiply as the scalar path's ints do, without a cast per use.
+    counts = _reduce_rows(counts).astype(float)
+    rows, n_tallies = counts.shape
+    lo, hi = 0.0, float(model.window_top)
+    ts = np.linspace(lo, hi, GRID_POINTS)
+    with np.errstate(divide="ignore"):
+        log_probs = [np.log(p) for p in _outcome_probs(model, ts)]
+    # Grid times where an outcome is impossible: there a positive tally gives
+    # -inf and a zero tally 0, so the table is summed over finite logs and the
+    # -inf entries are set afterwards.
+    impossible = [np.flatnonzero(np.isneginf(lp)) for lp in log_probs]
+    log_probs = [np.where(np.isneginf(lp), 0.0, lp) for lp in log_probs]
+    table = np.empty((min(rows, BLOCK_ROWS), GRID_POINTS))
+    term = np.empty_like(table)
+    t_hat = np.full(rows, 0.5 * (lo + hi))
+    valid = np.zeros(rows, dtype=bool)
+    a = np.empty(rows)
+    b = np.empty(rows)
+    for start in range(0, rows, BLOCK_ROWS):
+        block = counts[start : start + BLOCK_ROWS]
+        m = len(block)
+        ll = table[:m]
+        np.multiply(block[:, :1], log_probs[0], out=ll)
+        for j in range(1, n_tallies):
+            ll += np.multiply(block[:, j : j + 1], log_probs[j], out=term[:m])
+        for j, cols in enumerate(impossible):
+            ll[np.ix_(block[:, j] > 0, cols)] = -np.inf
+        i = np.argmax(ll, axis=1)
+        ll_max = ll[np.arange(m), i]
+        ll_min = np.minimum.reduce(ll, axis=1, where=ll > -np.inf, initial=np.inf)
+        # No finite value, or a flat likelihood: the midpoint, flagged invalid.
+        valid[start : start + m] = (ll_max > -np.inf) & ~(
+            ll_max - ll_min <= 1e-12 * np.maximum(1.0, np.abs(ll_max))
+        )
+        a[start : start + m] = ts[np.maximum(i - 1, 0)]
+        b[start : start + m] = ts[np.minimum(i + 1, GRID_POINTS - 1)]
+    fit = np.flatnonzero(valid)
+    if fit.size:
+        tallies = counts[fit].T
+
+        def f(rows, x):
+            return _tally_log_likelihood(tuple(tallies[:, rows]), _outcome_probs(model, x))
+
+        t_hat[fit] = _golden_section_max_batch(
+            f, a[fit], b[fit], REFINE_TOL * max(1.0, abs(hi))
+        )
+    return t_hat, valid

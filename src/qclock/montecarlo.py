@@ -3,23 +3,24 @@
 Produces the error/bias curves behind the estimator benchmarks: repeated
 count sampling at each grid time, estimation, and summary statistics
 (mean, standard error, bias, the matching Cramer-Rao bound, and how many
-trials produced a usable estimate). Every trial draws from its own RNG
-stream derived from (master seed, grid index, trial index), so results are
-a pure function of the configuration and seed: worker count and scheduling
-order cannot change a single bit of the output.
+trials produced a usable estimate). Each grid cell draws all of its trials
+from its own RNG stream, derived from (master seed, grid index) by spawn
+key (``STREAM_LAYOUT``), in one generator call, and estimates them as one
+tally array with the batched kernels of estimators.py. Results are a pure
+function of the configuration and seed, and a cell's numbers do not depend
+on the other grid times.
 
 ``mean_estimator_curve`` switches to exact enumeration of the count space
 when it is small enough, replacing sampling noise with the true estimator
-expectation. ``compare_resources`` runs the three designs side by side at
-an equal total qubit budget.
+expectation; it and ``apply_estimator`` estimate one count vector at a
+time. ``compare_resources`` runs the three designs side by side at an
+equal total qubit budget.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +32,26 @@ from .clocks import (
     TwoQubitClock,
     n_probe_count_distribution,
 )
-from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts
+from .counts import CountVector, GhzCounts
 from .estimators import (
     DegenerateCountsError,
     EstimateReport,
     coarse_estimator,
+    coarse_estimator_batch,
     combined_estimator,
+    combined_estimator_batch,
+    is_harmonic,
     mle_ghz,
+    mle_ghz_batch,
     mle_numeric,
+    mle_numeric_batch,
     mle_one_qubit,
+    mle_one_qubit_batch,
 )
 from .fisher import DegenerateTimeError, classical_fisher
 
-# Environment override for the default worker count.
-THREADS_ENV = "QCLOCK_THREADS"
+# How a sweep's random numbers are laid out, as stamped into run manifests.
+STREAM_LAYOUT = "per-cell SeedSequence(seed, spawn_key=(t_index,))"
 
 # Count spaces with n_probes at or below this are enumerated exactly in
 # mean_estimator_curve; the multinomial case then holds at most C(15,3) = 455
@@ -61,10 +68,6 @@ class EstimatorKind(enum.Enum):
 
 class ConfigError(ValueError):
     """The experiment configuration is internally inconsistent."""
-
-
-def _is_harmonic(model: TwoQubitClock) -> bool:
-    return abs(model.Omega - 2.0 * model.omega) <= 1e-9 * model.Omega
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,8 @@ class ExperimentConfig:
         grid = tuple(float(t) for t in self.t_grid)
         if not grid:
             raise ConfigError("t_grid must not be empty")
+        if not all(math.isfinite(t) for t in grid):
+            raise ConfigError(f"t_grid must hold finite times, got {grid!r}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("t_grid must be strictly increasing")
         top = self.model.window_top
@@ -104,7 +109,7 @@ class ExperimentConfig:
         if (
             kind in (EstimatorKind.CLOSED_FORM, EstimatorKind.COMBINED)
             and isinstance(self.model, TwoQubitClock)
-            and not _is_harmonic(self.model)
+            and not is_harmonic(self.model.omega, self.model.Omega)
         ):
             raise ConfigError(
                 "closed-form two-qubit estimation requires Omega = 2 omega; "
@@ -190,42 +195,38 @@ class ResourceComparison:
         ]
 
 
-def trial_rng(seed: int, t_index: int, trial_index: int) -> np.random.Generator:
-    """Independent RNG stream for one (grid point, trial) cell.
+def cell_rng(seed: int, t_index: int) -> np.random.Generator:
+    """The RNG stream of one grid cell, which all of the cell's trials share.
 
-    Streams are derived by spawn key rather than by sequential draws, so any
-    subset of cells can be computed in any order with identical results.
+    Streams are derived by spawn key rather than by sequential draws, so a
+    cell gives the same numbers whichever other cells are computed.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(t_index, trial_index))
-    )
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t_index,)))
 
 
 def sample_counts(
-    model: ClockModel, n_probes: int, t: float, rng: np.random.Generator
-) -> CountVector:
-    """Draw the outcome tallies of n_probes independent probes at time t."""
+    model: ClockModel, n_probes: int, t: float, rng: np.random.Generator, trials: int
+) -> np.ndarray:
+    """Outcome tallies of `trials` runs of n_probes independent probes at time t.
+
+    Returns an integer array of shape (trials, k), one row per trial in the
+    model's ``tallies`` order, drawn with a single generator call.
+    """
     if n_probes < 1:
         raise ValueError("n_probes must be at least 1")
     if isinstance(model, OneQubitClock):
-        p_minus = model.distribution(t)["-"]
-        return OneQubitCounts(n_probes, int(rng.binomial(n_probes, p_minus)))
-    if isinstance(model, TwoQubitClock):
+        k = rng.binomial(n_probes, model.distribution(t)["-"], size=trials)
+    elif isinstance(model, TwoQubitClock):
         dist = model.distribution(t)
-        pvals = np.array([dist[label] for label in model.outcome_labels])
-        pvals = np.clip(pvals, 0.0, 1.0)
-        draw = rng.multinomial(n_probes, pvals / pvals.sum())
-        return TwoQubitCounts(
-            fast_minus=int(draw[3]),
-            fast_plus=int(draw[2]),
-            slow_minus=int(draw[1]),
-            slow_plus=int(draw[0]),
-        )
-    if isinstance(model, GhzClock):
+        pvals = np.clip([dist[label] for label in ("1-", "1+", "0-", "0+")], 0.0, 1.0)
+        return rng.multinomial(n_probes, pvals / pvals.sum(), size=trials)
+    elif isinstance(model, GhzClock):
         # Only the parity of '-' signs is informative; its tally is binomial.
         p_odd = math.sin(0.5 * model.n_entangled * model.omega * t) ** 2
-        return GhzCounts(n_probes, int(rng.binomial(n_probes, min(p_odd, 1.0))))
-    raise ValueError(f"unsupported model type: {type(model).__name__}")
+        k = rng.binomial(n_probes, min(p_odd, 1.0), size=trials)
+    else:
+        raise ValueError(f"unsupported model type: {type(model).__name__}")
+    return np.column_stack((k, n_probes - k))
 
 
 def apply_estimator(
@@ -244,6 +245,27 @@ def apply_estimator(
     return mle_ghz(counts, model.omega, model.n_entangled)
 
 
+def apply_estimator_batch(
+    model: ClockModel, counts: np.ndarray, kind: EstimatorKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_estimator`` on every row of a tally array: (t_hat, valid).
+
+    t_hat is NaN on rows where apply_estimator raises DegenerateCountsError;
+    valid is False there and on rows whose report is flagged invalid.
+    """
+    if kind is EstimatorKind.NUMERIC:
+        return mle_numeric_batch(model, counts)
+    if kind is EstimatorKind.COMBINED:
+        return combined_estimator_batch(counts, model.omega, model.Omega)
+    if kind is EstimatorKind.COARSE:
+        return coarse_estimator_batch(counts, model.omega)
+    if isinstance(model, OneQubitClock):
+        return mle_one_qubit_batch(counts, model.omega, model.chi)
+    if isinstance(model, TwoQubitClock):
+        return combined_estimator_batch(counts, model.omega, model.Omega)
+    return mle_ghz_batch(counts, model.omega, model.n_entangled)
+
+
 def _crb_or_nan(model: ClockModel, t: float, n_probes: int) -> float:
     try:
         return classical_fisher(model, t).crb(n_probes)
@@ -251,54 +273,39 @@ def _crb_or_nan(model: ClockModel, t: float, n_probes: int) -> float:
         return math.nan
 
 
-def _summarize(t: float, estimates: list[float], crb: float) -> ErrorCurvePoint:
+def _summarize(t: float, estimates: np.ndarray, crb: float) -> ErrorCurvePoint:
     n_valid = len(estimates)
     if n_valid == 0:
         return ErrorCurvePoint(t, math.nan, math.nan, math.nan, crb, 0)
-    arr = np.asarray(estimates)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=0))
+    mean = float(estimates.mean())
+    std = float(estimates.std(ddof=0))
     return ErrorCurvePoint(t, mean, std, mean - t, crb, n_valid)
 
 
-def _sampled_point(config: ExperimentConfig, index: int, t: float) -> ErrorCurvePoint:
-    estimates = []
-    for j in range(config.trials):
-        rng = trial_rng(config.seed, index, j)
-        counts = sample_counts(config.model, config.n_probes, t, rng)
-        try:
-            report = apply_estimator(config.model, counts, config.estimator)
-        except DegenerateCountsError:
-            continue
-        if report.valid:
-            estimates.append(report.t_hat)
-    return _summarize(t, estimates, _crb_or_nan(config.model, t, config.n_probes))
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(THREADS_ENV, "1"))
-    if workers < 1:
-        raise ValueError("worker count must be at least 1")
-    return workers
-
-
-def _map_grid(fn, config: ExperimentConfig, workers: int | None) -> tuple:
-    workers = _resolve_workers(workers)
-    items = list(enumerate(config.t_grid))
-    if workers == 1 or len(items) == 1:
-        return tuple(fn(config, i, t) for i, t in items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return tuple(pool.map(lambda it: fn(config, it[0], it[1]), items))
-
-
-def error_curve(config: ExperimentConfig, workers: int | None = None) -> ErrorCurve:
+def error_curve(config: ExperimentConfig) -> ErrorCurve:
     """Sampled estimator statistics over the configured time grid.
 
-    Trials whose estimator raised on degenerate counts or returned an
-    invalid report are excluded from the moments and from n_valid.
+    Each cell draws its trials from its own stream (``cell_rng``); the
+    trials of all cells are then estimated as one tally array, since the
+    estimate of a row depends on that row alone. Trials whose estimator
+    raised on degenerate counts or returned an invalid report are excluded
+    from the moments and from n_valid.
     """
-    return ErrorCurve(points=_map_grid(_sampled_point, config, workers))
+    model, grid = config.model, config.t_grid
+    counts = np.concatenate(
+        [
+            sample_counts(model, config.n_probes, t, cell_rng(config.seed, i), config.trials)
+            for i, t in enumerate(grid)
+        ]
+    )
+    t_hat, valid = apply_estimator_batch(model, counts, config.estimator)
+    shape = (len(grid), config.trials)
+    return ErrorCurve(
+        points=tuple(
+            _summarize(t, estimates[ok], _crb_or_nan(model, t, config.n_probes))
+            for t, estimates, ok in zip(grid, t_hat.reshape(shape), valid.reshape(shape))
+        )
+    )
 
 
 def _ghz_count_distribution(model: GhzClock, n_probes: int, t: float):
@@ -310,7 +317,7 @@ def _ghz_count_distribution(model: GhzClock, n_probes: int, t: float):
         yield GhzCounts(n_probes, k), weight
 
 
-def _exact_point(config: ExperimentConfig, index: int, t: float) -> ErrorCurvePoint:
+def _exact_point(config: ExperimentConfig, t: float) -> ErrorCurvePoint:
     if isinstance(config.model, GhzClock):
         pairs = _ghz_count_distribution(config.model, config.n_probes, t)
     else:
@@ -340,9 +347,7 @@ def _exact_point(config: ExperimentConfig, index: int, t: float) -> ErrorCurvePo
     return ErrorCurvePoint(t, mean, math.sqrt(var), mean - t, crb, n_valid)
 
 
-def mean_estimator_curve(
-    config: ExperimentConfig, workers: int | None = None
-) -> ErrorCurve:
+def mean_estimator_curve(config: ExperimentConfig) -> ErrorCurve:
     """Estimator expectation over the grid, exactly where enumerable.
 
     For n_probes <= MAX_EXACT_PROBES the count space is enumerated and the
@@ -351,8 +356,8 @@ def mean_estimator_curve(
     back to the sampled curve.
     """
     if config.n_probes <= MAX_EXACT_PROBES:
-        return ErrorCurve(points=_map_grid(_exact_point, config, workers))
-    return error_curve(config, workers)
+        return ErrorCurve(points=tuple(_exact_point(config, t) for t in config.t_grid))
+    return error_curve(config)
 
 
 def compare_resources(
@@ -362,7 +367,6 @@ def compare_resources(
     t_grid,
     trials: int,
     seed: int,
-    workers: int | None = None,
 ) -> ResourceComparison:
     """Measured precision of the three designs at an equal qubit budget.
 
@@ -376,13 +380,15 @@ def compare_resources(
     if not isinstance(budget_qubits, int) or budget_qubits < 2 or budget_qubits % 2:
         raise ConfigError(f"budget_qubits must be an even integer >= 2, got {budget_qubits!r}")
     grid = tuple(float(t) for t in t_grid)
+    if not all(math.isfinite(t) for t in grid):
+        raise ConfigError(f"t_grid must hold finite times, got {grid!r}")
     models: list[tuple[ClockModel, int, EstimatorKind]] = [
         (OneQubitClock(omega=omega), budget_qubits, EstimatorKind.CLOSED_FORM),
         (
             TwoQubitClock(omega=omega, Omega=Omega),
             budget_qubits // 2,
             EstimatorKind.COMBINED
-            if _is_harmonic(TwoQubitClock(omega=omega, Omega=Omega))
+            if is_harmonic(omega, Omega)
             else EstimatorKind.NUMERIC,
         ),
         (GhzClock(omega=omega, n_entangled=2), budget_qubits // 2, EstimatorKind.CLOSED_FORM),
@@ -401,7 +407,7 @@ def compare_resources(
                 seed=seed,
                 estimator=kind,
             )
-            curve = error_curve(config, workers)
+            curve = error_curve(config)
             for point in curve.points:
                 lookup[point.t] = (point.std_error, point.crb)
         columns.append(lookup)

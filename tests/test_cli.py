@@ -15,6 +15,7 @@ import pytest
 
 from qclock import TwoQubitCounts, combined_estimator
 from qclock.cli import main
+from qclock.montecarlo import STREAM_LAYOUT
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +207,8 @@ class TestCompare:
         assert manifest["argv"] == argv
         assert manifest["seed"] == 77
         assert manifest["outputs"] == [str(out_file)]
+        assert manifest["stream_layout"] == STREAM_LAYOUT
+        assert STREAM_LAYOUT == "per-cell SeedSequence(seed, spawn_key=(t_index,))"
 
     def test_odd_budget_exit_two(self, capsys):
         code, _, err = run_cli(
@@ -251,6 +254,7 @@ class TestSweep:
         section = manifest["config"]["sections"]["run-a"]
         assert section["estimator"] == "closed-form"
         assert section["curve"] == "error"
+        assert manifest["stream_layout"] == STREAM_LAYOUT
 
     def test_manifest_replay_is_byte_identical(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, self.basic_section(tmp_path))
@@ -328,6 +332,16 @@ class TestUsageErrors:
         )
         assert code == 2
         assert err
+
+    def test_non_finite_times_exit_two(self, capsys):
+        for argv in (
+            ("probs", "--model", "one-qubit", "--t", "nan"),
+            ("fisher", "--model", "two-qubit", "--t-grid", "0:inf:3"),
+            ("compare", "--budget", "4", "--t-grid", "nan:1:1", "--trials", "5"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert not out and "finite" in err
 
     def test_no_manifest_for_stdout_runs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -2,7 +2,8 @@
 
 mle_numeric (grid scan plus golden-section refinement) is the oracle for
 every closed form: the one-qubit and parity inversions, the coarse
-slow-sector estimate, and the two-branch quartic roots.
+slow-sector estimate, and the two-branch quartic roots. The batched kernels
+are checked against the scalar estimators on whole count spaces.
 """
 
 import math
@@ -28,6 +29,13 @@ from qclock import (
     mle_two_qubit_roots,
     two_qubit_distribution,
     two_qubit_score,
+)
+from qclock.estimators import (
+    coarse_estimator_batch,
+    combined_estimator_batch,
+    mle_ghz_batch,
+    mle_numeric_batch,
+    mle_one_qubit_batch,
 )
 
 TWO_QUBIT = TwoQubitClock(omega=0.5, Omega=1.0)
@@ -332,3 +340,137 @@ def test_two_qubit_score_accepts_arrays():
     assert values.shape == ts.shape
     for i, t in enumerate(ts):
         assert values[i] == pytest.approx(two_qubit_score(counts, float(t)))
+
+
+def count_space(n: int, k: int) -> np.ndarray:
+    """Every row of k non-negative tallies that sums to n."""
+    axes = np.meshgrid(*[np.arange(n + 1)] * (k - 1), indexing="ij")
+    head = np.stack(axes, axis=-1).reshape(-1, k - 1)
+    head = head[head.sum(axis=1) <= n]
+    return np.column_stack([head, n - head.sum(axis=1)])
+
+
+def count_spaces(k: int, ns) -> np.ndarray:
+    return np.concatenate([count_space(n, k) for n in ns])
+
+
+def as_counts(model, row):
+    if isinstance(model, OneQubitClock):
+        return OneQubitCounts(int(row.sum()), int(row[0]))
+    if isinstance(model, GhzClock):
+        return GhzCounts(int(row.sum()), int(row[0]))
+    return TwoQubitCounts(*map(int, row))
+
+
+def kernel_mismatches(model, rows, batch, scalar, close):
+    """Rows where a kernel's (t_hat, valid) disagrees with the scalar report.
+
+    A row on which the scalar estimator raises DegenerateCountsError must
+    come back as t_hat NaN and invalid.
+    """
+    bad = []
+    for row, t, ok in zip(rows, *batch):
+        try:
+            report = scalar(as_counts(model, row))
+        except DegenerateCountsError:
+            if not (math.isnan(t) and not ok):
+                bad.append((tuple(row), t, "degenerate"))
+            continue
+        if math.isnan(t) or bool(ok) != report.valid or not close(model, row, t, report.t_hat):
+            bad.append((tuple(row), t, report.t_hat, bool(ok), report.valid))
+    return bad
+
+
+def closed_form_close(model, row, got, expected):
+    return abs(got - expected) <= 1e-12
+
+
+def numeric_close(model, row, got, expected):
+    # Within 1e-6, or at least as likely: the likelihood can be flat near
+    # the window edges.
+    if abs(got - expected) <= 1e-6:
+        return True
+    counts = as_counts(model, row)
+    ll_got = log_likelihood(model, counts, got)
+    ll_expected = log_likelihood(model, counts, expected)
+    return ll_got >= ll_expected - 1e-9 * max(1.0, abs(ll_expected))
+
+
+ONE_QUBIT_PARTIAL = (OneQubitClock(omega=1.0, chi=0.3), OneQubitClock(omega=1.3, chi=0.75))
+GHZ_CLOCKS = (GhzClock(omega=1.0, n_entangled=2), GhzClock(omega=0.7, n_entangled=3))
+
+
+@pytest.mark.parametrize(
+    "model, rows, kernel, scalar",
+    [
+        (
+            TWO_QUBIT,
+            count_spaces(4, range(1, 33)),
+            lambda m, rows: combined_estimator_batch(rows, m.omega, m.Omega),
+            lambda m, c: combined_estimator(c, m.omega, m.Omega),
+        ),
+        (
+            TWO_QUBIT,
+            count_spaces(4, range(1, 33)),
+            lambda m, rows: coarse_estimator_batch(rows, m.omega),
+            lambda m, c: coarse_estimator(c, m.omega),
+        ),
+        *[
+            (
+                model,
+                count_spaces(2, range(0, 33)),
+                lambda m, rows: mle_one_qubit_batch(rows, m.omega, m.chi),
+                lambda m, c: mle_one_qubit(c, m.omega, m.chi),
+            )
+            for model in ONE_QUBIT_PARTIAL
+        ],
+        *[
+            (
+                model,
+                count_spaces(2, range(0, 33)),
+                lambda m, rows: mle_ghz_batch(rows, m.omega, m.n_entangled),
+                lambda m, c: mle_ghz(c, m.omega, m.n_entangled),
+            )
+            for model in GHZ_CLOCKS
+        ],
+    ],
+    ids=["combined", "coarse", "one-qubit-chi0.3", "one-qubit-chi0.75", "ghz2", "ghz3"],
+)
+def test_closed_form_kernels_match_scalar_on_count_spaces(model, rows, kernel, scalar):
+    # Degenerate rows are part of each space: n = 0, no slow-sector events,
+    # k1 = k4 = 0, and (for chi < 1) clipped fractions flagged invalid.
+    bad = kernel_mismatches(
+        model, rows, kernel(model, rows), lambda c: scalar(model, c), closed_form_close
+    )
+    assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
+
+
+@pytest.mark.parametrize(
+    "model, rows",
+    [
+        (TwoQubitClock(omega=0.5, Omega=1.3), count_space(32, 4)),
+        (TWO_QUBIT, count_spaces(4, range(1, 9))),
+        *[(model, count_spaces(2, range(1, 33))) for model in ONE_QUBIT_PARTIAL],
+        (OneQubitClock(omega=1.0, chi=0.0), count_spaces(2, range(0, 5))),
+        *[(model, count_spaces(2, range(1, 33))) for model in GHZ_CLOCKS],
+    ],
+    ids=["two-qubit-2.6", "two-qubit-harmonic", "one-qubit-chi0.3", "one-qubit-chi0.75",
+         "one-qubit-chi0", "ghz2", "ghz3"],
+)
+def test_numeric_kernel_matches_mle_numeric_on_count_spaces(model, rows):
+    bad = kernel_mismatches(
+        model, rows, mle_numeric_batch(model, rows), lambda c: mle_numeric(model, c), numeric_close
+    )
+    assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
+
+
+def test_kernels_reject_what_the_scalar_estimators_reject():
+    rows = np.array([[1, 2, 3, 4]])
+    with pytest.raises(ValueError):
+        combined_estimator_batch(rows, 0.5, 1.3)
+    with pytest.raises(ValueError):
+        coarse_estimator_batch(rows, 0.0)
+    with pytest.raises(ValueError):
+        mle_one_qubit_batch(np.array([[1, 2]]), 1.0, chi=0.0)
+    with pytest.raises(ValueError):
+        mle_numeric_batch(TWO_QUBIT, np.array([1, 2, 3, 4]))

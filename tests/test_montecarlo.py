@@ -2,7 +2,8 @@
 
 The oracles here are the binomial/multinomial laws themselves (frequency
 checks at large n), hand-enumerated expectations for the exact curves, and
-the requirement that every result is a pure function of (config, seed).
+the requirement that every result is a pure function of (config, seed) in
+which each grid cell depends on its own index and time alone.
 """
 
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from qclock import (
     ConfigError,
+    DegenerateCountsError,
     ErrorCurve,
     EstimatorKind,
     ExperimentConfig,
@@ -22,13 +24,16 @@ from qclock import (
     ResourceComparison,
     TwoQubitClock,
     TwoQubitCounts,
+    apply_estimator,
+    apply_estimator_batch,
+    cell_rng,
     compare_resources,
     error_curve,
     mean_estimator_curve,
     sample_counts,
-    trial_rng,
 )
-from qclock.montecarlo import MAX_EXACT_PROBES, THREADS_ENV
+from qclock import estimators
+from qclock.montecarlo import MAX_EXACT_PROBES
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -43,47 +48,45 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-class TestTrialRng:
+class TestCellRng:
     def test_reproducible_per_cell(self):
-        a = trial_rng(5, 2, 7).integers(10**9)
-        b = trial_rng(5, 2, 7).integers(10**9)
+        a = cell_rng(5, 2).integers(10**9)
+        b = cell_rng(5, 2).integers(10**9)
         assert a == b
 
     def test_cells_are_distinct_streams(self):
-        draws = {
-            trial_rng(5, i, j).integers(10**12)
-            for i in range(4)
-            for j in range(4)
-        }
+        draws = {cell_rng(5, i).integers(10**12) for i in range(16)}
         assert len(draws) == 16
 
     def test_seed_changes_stream(self):
-        assert trial_rng(1, 0, 0).integers(10**12) != trial_rng(2, 0, 0).integers(10**12)
+        assert cell_rng(1, 0).integers(10**12) != cell_rng(2, 0).integers(10**12)
 
 
 class TestSampleCounts:
     def test_one_qubit_endpoints(self):
         model = OneQubitClock(omega=1.0)
         rng = np.random.default_rng(0)
-        zero = sample_counts(model, 40, 0.0, rng)
-        assert zero == OneQubitCounts(40, 0)
-        full = sample_counts(model, 40, math.pi, rng)
-        assert full == OneQubitCounts(40, 40)
+        zero = sample_counts(model, 40, 0.0, rng, 5)
+        assert zero.tolist() == [[*OneQubitCounts(40, 0).tallies]] * 5
+        full = sample_counts(model, 40, math.pi, rng, 5)
+        assert full.tolist() == [[*OneQubitCounts(40, 40).tallies]] * 5
 
     def test_one_qubit_frequency(self):
         model = OneQubitClock(omega=1.0)
         n = 100_000
-        counts = sample_counts(model, n, 1.0, np.random.default_rng(3))
+        (k_minus, k_plus), = sample_counts(model, n, 1.0, np.random.default_rng(3), 1)
         p = math.sin(0.5) ** 2
         sigma = math.sqrt(p * (1.0 - p) / n)
-        assert abs(counts.k_minus / n - p) < 4.0 * sigma
+        assert k_minus + k_plus == n
+        assert abs(k_minus / n - p) < 4.0 * sigma
 
     def test_two_qubit_label_mapping(self):
-        # Tally fields must track their sector probabilities, not just sum to n.
+        # Tally columns must track their sector probabilities, not just sum to n.
         model = TwoQubitClock(omega=0.5, Omega=1.0)
         n = 100_000
         t = 1.3
-        counts = sample_counts(model, n, t, np.random.default_rng(4))
+        (row,) = sample_counts(model, n, t, np.random.default_rng(4), 1)
+        counts = TwoQubitCounts(*map(int, row))
         expected = {
             counts.slow_plus: 0.5 * math.cos(0.25 * t) ** 2,
             counts.slow_minus: 0.5 * math.sin(0.25 * t) ** 2,
@@ -98,17 +101,49 @@ class TestSampleCounts:
     def test_ghz_parity_endpoint_and_frequency(self):
         model = GhzClock(omega=1.0, n_entangled=2)
         rng = np.random.default_rng(5)
-        peak = sample_counts(model, 30, math.pi / 2.0, rng)
-        assert peak == GhzCounts(30, 30)
+        peak = sample_counts(model, 30, math.pi / 2.0, rng, 5)
+        assert peak.tolist() == [[*GhzCounts(30, 30).tallies]] * 5
         n = 100_000
-        counts = sample_counts(model, n, 0.6, np.random.default_rng(6))
+        (k_odd, k_even), = sample_counts(model, n, 0.6, np.random.default_rng(6), 1)
         p = math.sin(0.6) ** 2
         sigma = math.sqrt(p * (1.0 - p) / n)
-        assert abs(counts.k_odd / n - p) < 4.0 * sigma
+        assert k_odd + k_even == n
+        assert abs(k_odd / n - p) < 4.0 * sigma
 
     def test_rejects_nonpositive_probe_count(self):
         with pytest.raises(ValueError):
-            sample_counts(OneQubitClock(omega=1.0), 0, 1.0, np.random.default_rng(0))
+            sample_counts(OneQubitClock(omega=1.0), 0, 1.0, np.random.default_rng(0), 3)
+
+
+def test_batch_dispatch_matches_apply_estimator():
+    # Every model and estimator pairing the configs accept, on count rows
+    # that include degenerate and clipped ones.
+    cases = (
+        (OneQubitClock(omega=1.0, chi=0.6), EstimatorKind.CLOSED_FORM),
+        (OneQubitClock(omega=1.0, chi=0.6), EstimatorKind.NUMERIC),
+        (GhzClock(omega=1.0, n_entangled=3), EstimatorKind.CLOSED_FORM),
+        (TwoQubitClock(omega=0.5, Omega=1.0), EstimatorKind.CLOSED_FORM),
+        (TwoQubitClock(omega=0.5, Omega=1.0), EstimatorKind.COMBINED),
+        (TwoQubitClock(omega=0.5, Omega=1.0), EstimatorKind.COARSE),
+        (TwoQubitClock(omega=0.5, Omega=1.3), EstimatorKind.NUMERIC),
+    )
+    for model, kind in cases:
+        if isinstance(model, TwoQubitClock):
+            rows = np.array([[0, 3, 0, 0], [0, 1, 2, 0], [2, 1, 0, 3], [1, 1, 1, 1], [4, 0, 2, 2]])
+            vectors = [TwoQubitCounts(*map(int, row)) for row in rows]
+        else:
+            rows = np.array([[0, 4], [1, 3], [3, 1], [4, 0]])
+            kind_of = OneQubitCounts if isinstance(model, OneQubitClock) else GhzCounts
+            vectors = [kind_of(4, int(row[0])) for row in rows]
+        t_hat, valid = apply_estimator_batch(model, rows, kind)
+        for counts, t, ok in zip(vectors, t_hat, valid):
+            try:
+                report = apply_estimator(model, counts, kind)
+            except DegenerateCountsError:
+                assert math.isnan(t) and not ok
+                continue
+            assert ok == report.valid
+            assert t == pytest.approx(report.t_hat, abs=1e-12)
 
 
 class TestExperimentConfig:
@@ -129,6 +164,13 @@ class TestExperimentConfig:
 
     def test_rejects_bad_grid(self):
         for grid in ((), (1.0, 1.0), (2.0, 1.0), (-0.1, 1.0), (1.0, 3.3)):
+            with pytest.raises(ConfigError):
+                small_config(t_grid=grid)
+
+    def test_rejects_non_finite_times(self):
+        # Every comparison with NaN is false, so the ordering and window
+        # checks alone would let these through.
+        for grid in ((math.nan,), (0.5, math.nan), (0.5, math.inf)):
             with pytest.raises(ConfigError):
                 small_config(t_grid=grid)
 
@@ -159,20 +201,80 @@ class TestDeterminism:
         cfg = small_config()
         assert error_curve(cfg) == error_curve(cfg)
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = small_config()
-        serial = error_curve(cfg, workers=1)
-        assert error_curve(cfg, workers=3) == serial
+    def test_grid_prefix_reproduces_cells(self):
+        full = error_curve(small_config())
+        prefix = error_curve(small_config(t_grid=(0.8, 1.4)))
+        assert prefix.points == full.points[:2]
 
-    def test_threads_env_resolves_workers(self, monkeypatch):
-        cfg = small_config()
-        serial = error_curve(cfg, workers=1)
-        monkeypatch.setenv(THREADS_ENV, "2")
-        assert error_curve(cfg) == serial
+    def test_changing_one_time_leaves_other_cells(self):
+        base = error_curve(small_config()).points
+        moved = error_curve(small_config(t_grid=(0.8, 1.5, 2.0))).points
+        assert moved[0] == base[0] and moved[2] == base[2]
+        assert moved[1] != base[1]
 
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError):
-            error_curve(small_config(), workers=0)
+    def test_numeric_blocks_do_not_change_estimates(self, monkeypatch):
+        # Every count vector of 32 pairs: with this many rows, some grid
+        # maxima sit within rounding of a tie, so rounding that depended on
+        # the block a row falls in would move their estimates.
+        model = TwoQubitClock(omega=0.5, Omega=1.3)
+        rows = np.array(
+            [
+                (a, b, c, 32 - a - b - c)
+                for a in range(33)
+                for b in range(33 - a)
+                for c in range(33 - a - b)
+            ]
+        )
+        cfg = small_config(
+            model=model,
+            n_probes=32,
+            t_grid=(0.9, 3.0, 5.5),
+            trials=45,
+            estimator=EstimatorKind.NUMERIC,
+        )
+        runs = []
+        for block_rows in (1, 7, estimators.BLOCK_ROWS, 10_000):
+            monkeypatch.setattr(estimators, "BLOCK_ROWS", block_rows)
+            t_hat, valid = estimators.mle_numeric_batch(model, rows)
+            runs.append((t_hat.tobytes(), valid.tobytes(), error_curve(cfg)))
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_one_generator_call_per_cell(self, monkeypatch):
+        # The whole cell comes from one generator and one draw: no per-trial
+        # generator is left in the path.
+        made = []
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    self.calls += 1
+                    return method(*args, **kwargs)
+
+                return counted
+
+        real = np.random.default_rng
+
+        def counting_default_rng(*args, **kwargs):
+            made.append(CountingRng(real(*args, **kwargs)))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        for model, grid in (
+            (OneQubitClock(omega=1.0), (0.8, 1.4, 2.0)),
+            (TwoQubitClock(omega=0.5, Omega=1.0), (0.8, 1.4, 2.0)),
+            (GhzClock(omega=1.0, n_entangled=2), (0.4, 1.0)),
+        ):
+            made.clear()
+            estimator = EstimatorKind.CLOSED_FORM
+            if isinstance(model, TwoQubitClock):
+                estimator = EstimatorKind.COMBINED
+            error_curve(small_config(model=model, t_grid=grid, estimator=estimator))
+            assert [rng.calls for rng in made] == [1] * len(grid)
 
     def test_single_trial_has_zero_spread(self):
         cfg = small_config(trials=1)
@@ -395,3 +497,10 @@ class TestCompareResources:
         for budget in (41, 0, -2, True, 2.0):
             with pytest.raises(ConfigError):
                 compare_resources(budget, 1.0, 2.0, (1.0,), trials=5, seed=1)
+
+    def test_rejects_non_finite_times(self):
+        # Each design keeps only the grid times inside its window; a NaN time
+        # must be rejected, not dropped from every column.
+        for grid in ((math.nan,), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ConfigError):
+                compare_resources(4, 1.0, 2.0, grid, trials=5, seed=1)
