@@ -357,21 +357,44 @@ def n_probe_count_distribution(
     raise ValueError(f"unsupported model type: {type(model).__name__}")
 
 
-def _distribution_infidelity(
-    model: ClockModel, base: OutcomeDistribution, t: float
-) -> float:
-    # 1 - classical (Bhattacharyya) fidelity between the outcome statistics
-    # at time t and at time 0; invariant under global and per-sector phases,
-    # which is what the readout can actually resolve.
-    now = model.distribution(t)
-    overlap = 0.0
-    for label, p0 in base.probs.items():
-        if p0 > 0.0:
-            overlap += math.sqrt(p0 * now[label])
-    return 1.0 - overlap * overlap
+def _outcome_probs(model: ClockModel, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Probability of one outcome behind each tally, in tally order. A GHZ
+    # parity class holds 2^(n-1) equally likely outcomes. np.square, not
+    # ** 2, which on a 0-d array calls pow() and can differ in the last bit
+    # from the same time inside an array.
+    if isinstance(model, OneQubitClock):
+        p_minus = model.chi * np.square(np.sin(0.5 * model.omega * t))
+        return (p_minus, 1.0 - p_minus)
+    if isinstance(model, TwoQubitClock):
+        fast = np.square(np.sin(0.5 * model.Omega * t))
+        slow = np.square(np.sin(0.5 * model.omega * t))
+        return (0.5 * fast, 0.5 * (1.0 - fast), 0.5 * slow, 0.5 * (1.0 - slow))
+    if isinstance(model, GhzClock):
+        scale = 2.0 ** (model.n_entangled - 1)
+        p_odd = np.square(np.sin(0.5 * model.n_entangled * model.omega * t))
+        return (p_odd / scale, (1.0 - p_odd) / scale)
+    raise TypeError(f"unsupported model type: {type(model).__name__}")
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
+def _infidelity(model: ClockModel):
+    # t -> 1 - classical (Bhattacharyya) fidelity between the outcome
+    # statistics at time t and at time 0, for scalar or array t, summed over
+    # the classes of _outcome_probs with their outcome counts m; invariant
+    # under global and per-sector phases, which the readout cannot resolve.
+    ghz = isinstance(model, GhzClock)
+    sizes = (2 ** (model.n_entangled - 1),) * 2 if ghz else (1,) * len(model.outcome_labels)
+    base = _outcome_probs(model, 0.0)
+
+    def infid(t):
+        now = _outcome_probs(model, t)
+        overlap = sum(m * np.sqrt(p0 * p) for m, p0, p in zip(sizes, base, now))
+        return 1.0 - overlap * overlap
+
+    return infid
+
+
+def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
+    # Golden-section search for a maximum of a unimodal f on [lo, hi].
     invphi = 0.5 * (math.sqrt(5.0) - 1.0)
     invphi2 = 1.0 - invphi
     a, b = lo, hi
@@ -381,7 +404,7 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     fc = f(c)
     fd = f(d)
     while h > tol:
-        if fc <= fd:
+        if fc >= fd:
             b, d, fd = d, c, fc
             h = b - a
             c = a + invphi2 * h
@@ -394,6 +417,10 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+# Grid steps recurrence_time evaluates per array call.
+BLOCK_STEPS = 4096
+
+
 def recurrence_time(
     model: ClockModel,
     epsilon: float = 1e-6,
@@ -402,27 +429,26 @@ def recurrence_time(
 ) -> float | None:
     """First time the outcome statistics return within epsilon of their start.
 
-    Scans t = dt, 2 dt, ... after the infidelity has first exceeded epsilon.
-    A return can be much narrower than the scan step (the epsilon-ball has
-    width of order sqrt(epsilon)), so every local infidelity minimum on the
-    grid is refined continuously; the first refined dip dropping below
-    epsilon is accepted and the epsilon-crossing is located by bisection to
-    dt/100 resolution. Returns None if no recurrence is found by t_max
-    (including the degenerate case of a clock whose statistics never become
-    epsilon-distinguishable, e.g. chi = 0).
+    Scans t = k dt for k = 1, 2, ... while t <= t_max, after the infidelity
+    has first exceeded epsilon. A return can be much narrower than the scan
+    step (the epsilon-ball has width of order sqrt(epsilon)), so each grid
+    minimum is refined by golden-section search; the first refined dip
+    below epsilon, or the first grid point below it, is accepted and the
+    epsilon-crossing located by bisection to dt/100 resolution. The grid is
+    evaluated in arrays of BLOCK_STEPS steps, with the last two points
+    carried across blocks, so memory does not grow with t_max. Returns None
+    if no recurrence is found by t_max (including a clock whose statistics
+    never become epsilon-distinguishable, e.g. chi = 0).
     """
     epsilon = float(epsilon)
     t_max = float(t_max)
     dt = float(dt)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if dt <= 0.0 or t_max <= dt:
-        raise ValueError("require 0 < dt < t_max")
+    if not 0.0 < dt < t_max < math.inf:  # NaN fails every comparison
+        raise ValueError(f"require 0 < dt < t_max, both finite; got dt={dt!r}, t_max={t_max!r}")
 
-    base = model.distribution(0.0)
-
-    def infid(t: float) -> float:
-        return _distribution_infidelity(model, base, t)
+    infid = _infidelity(model)
 
     def crossing(lo: float, hi: float) -> float:
         # infid(lo) >= epsilon, infid(hi) < epsilon
@@ -432,27 +458,36 @@ def recurrence_time(
                 hi = mid
             else:
                 lo = mid
-        return hi
+        return float(hi)
 
-    departed = False
-    history: list[tuple[float, float]] = []
-    k = 1
-    while (t := k * dt) <= t_max:
-        value = infid(t)
-        if not departed:
-            if value >= epsilon:
-                departed = True
-        else:
-            if value < epsilon:
-                return crossing(history[-1][0], t)
-            if len(history) >= 2 and history[-2][1] >= epsilon:
-                (t0, v0), (t1, v1) = history[-2], history[-1]
-                if v1 <= v0 and v1 <= value:
-                    t_star = _golden_min(infid, t0, t, dt / 1000.0)
-                    if infid(t_star) < epsilon:
-                        return crossing(t0, t_star)
-        history.append((t, value))
-        if len(history) > 2:
-            history.pop(0)
-        k += 1
-    return None
+    # ts, vs: the last two steps of the earlier blocks, then this block's
+    # steps k0, k0 + 1, ..., so index i holds step k0 - first + i.
+    ts = vs = np.empty(0)
+    departed = None  # first step with infidelity >= epsilon
+    k0 = 1
+    while True:
+        block = np.arange(k0, k0 + BLOCK_STEPS) * dt
+        block = block[block <= t_max]
+        first = len(ts)
+        ts = np.concatenate((ts, block))
+        vs = np.concatenate((vs, infid(block)))
+        if departed is None and (vs[first:] >= epsilon).any():
+            departed = k0 + int(np.argmax(vs[first:] >= epsilon))
+        if departed is not None:
+            d = departed - (k0 - first)
+            start = max(first, d + 1)
+            below = start + np.flatnonzero(vs[start:] < epsilon)
+            stop = below[0] if below.size else len(vs)
+            # Steps d..stop-1 are all >= epsilon: a grid minimum at i - 1
+            # is a candidate when its left neighbour i - 2 is among them.
+            steps = np.arange(max(first, d + 2), stop)
+            for i in steps[(vs[steps - 1] <= vs[steps - 2]) & (vs[steps - 1] <= vs[steps])]:
+                t_star = _golden_section_max(lambda t: -infid(t), ts[i - 2], ts[i], dt / 1000.0)
+                if infid(t_star) < epsilon:
+                    return crossing(ts[i - 2], t_star)
+            if below.size:
+                return crossing(ts[stop - 1], ts[stop])
+        if len(block) < BLOCK_STEPS:
+            return None
+        ts, vs = ts[-2:], vs[-2:]
+        k0 += BLOCK_STEPS

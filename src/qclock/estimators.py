@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocks import ClockModel, GhzClock, OneQubitClock, TwoQubitClock
+from .clocks import _golden_section_max, _outcome_probs
 from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts, reduce_counts
 
 # Grid resolution and convergence target for the numeric maximizer.
@@ -260,25 +261,6 @@ def _xlogy(k, p):
     return np.where(k > 0, k * np.log(p), 0.0)
 
 
-def _outcome_probs(model: ClockModel, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Probability of one outcome behind each tally, in tally order. A GHZ
-    # parity class holds 2^(n-1) equally likely outcomes. np.square, not
-    # ** 2, which on a 0-d array calls pow() and can differ in the last bit
-    # from the same time inside an array.
-    if isinstance(model, OneQubitClock):
-        p_minus = model.chi * np.square(np.sin(0.5 * model.omega * t))
-        return (p_minus, 1.0 - p_minus)
-    if isinstance(model, TwoQubitClock):
-        fast = np.square(np.sin(0.5 * model.Omega * t))
-        slow = np.square(np.sin(0.5 * model.omega * t))
-        return (0.5 * fast, 0.5 * (1.0 - fast), 0.5 * slow, 0.5 * (1.0 - slow))
-    if isinstance(model, GhzClock):
-        scale = 2.0 ** (model.n_entangled - 1)
-        p_odd = np.square(np.sin(0.5 * model.n_entangled * model.omega * t))
-        return (p_odd / scale, (1.0 - p_odd) / scale)
-    raise TypeError(f"unsupported model type: {type(model).__name__}")
-
-
 def _tally_log_likelihood(tallies, probs):
     # sum_j k_j log p_j, summed in tally order so that a row of a tally array
     # and the same counts as a count vector give bit-identical values.
@@ -301,30 +283,6 @@ def log_likelihood(model: ClockModel, counts: CountVector, t):
     _require(counts, _COUNTS_OF[type(model)], "log_likelihood")
     total = _tally_log_likelihood(counts.tallies, probs)
     return float(total) if np.isscalar(t) or t_arr.ndim == 0 else total
-
-
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    # Golden-section search for a maximum of a unimodal f on [lo, hi].
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    invphi2 = 1.0 - invphi
-    a, b = lo, hi
-    h = b - a
-    c = a + invphi2 * h
-    d = a + invphi * h
-    fc = f(c)
-    fd = f(d)
-    while h > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + invphi2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + invphi * h
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def mle_numeric(

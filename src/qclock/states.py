@@ -9,6 +9,7 @@ operations return new objects and are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +114,8 @@ def evolve(state: PureState, hamiltonian: DiagonalHamiltonian, t: float) -> Pure
     """Evolve a state for time t: amplitudes pick up phases exp(-i E_k t)."""
     if state.dim != hamiltonian.dim:
         raise ValueError("state and Hamiltonian dimensions differ")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     phases = np.exp(-1j * hamiltonian.energies * float(t))
     return PureState(phases * state.amplitudes, state.basis_labels)
 
@@ -175,9 +178,12 @@ class OutcomeDistribution:
     probs: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError(f"time must be finite, got {self.t!r}")
         total = 0.0
         for label, p in self.probs.items():
-            if p < -ATOL or p > 1.0 + ATOL:
+            # Written so that NaN fails it too.
+            if not -ATOL <= p <= 1.0 + ATOL:
                 raise ValueError(f"probability of outcome {label!r} out of [0, 1]: {p!r}")
             total += p
         if abs(total - 1.0) > ATOL:

@@ -181,6 +181,17 @@ class TestRecurrence:
         assert code == 0
         assert json.loads(out)["recurrence_time"] is None
 
+    def test_non_finite_arguments_exit_two(self, capsys):
+        for flags in (
+            ("--t-max", "nan"),
+            ("--t-max", "inf", "--chi", "0"),
+            ("--t-max=-inf",),
+            ("--epsilon", "nan"),
+        ):
+            code, out, err = run_cli(capsys, "recurrence", "--model", "one-qubit", *flags)
+            assert code == 2, flags
+            assert not out and err
+
 
 class TestCompare:
     def test_budget_table_and_manifest(self, capsys, tmp_path):

@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from qclock import clocks
 from qclock import (
     GhzClock,
     OneQubitClock,
@@ -161,6 +162,15 @@ def test_formula_pipeline_equivalence():
             assert abs(closed[label] - pipeline[label]) < 1e-10
 
 
+def test_distributions_reject_non_finite_time():
+    for model in ALL_MODELS:
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                model.distribution(t)
+            with pytest.raises(ValueError, match="finite"):
+                evolved_distribution(model, t)
+
+
 def test_normalization_over_doubled_recurrence_window():
     for model in ALL_MODELS:
         rt = recurrence_time(model, epsilon=1e-6, t_max=100.0)
@@ -269,6 +279,148 @@ def test_recurrence_validation():
         recurrence_time(model, dt=0.0)
     with pytest.raises(ValueError):
         recurrence_time(model, t_max=0.005, dt=0.01)
+    nan, inf = float("nan"), float("inf")
+    for kwargs in (
+        {"epsilon": nan},
+        {"epsilon": inf},
+        {"t_max": nan},
+        {"t_max": inf},
+        {"t_max": -inf},
+        {"dt": nan},
+        {"dt": inf},
+    ):
+        with pytest.raises(ValueError):
+            recurrence_time(model, **kwargs)
+    # An infinite horizon on a clock that never departs would scan forever.
+    with pytest.raises(ValueError, match="finite"):
+        recurrence_time(OneQubitClock(omega=1.0, chi=0.0), t_max=inf)
+
+
+def _scalar_infidelity(model, base, t):
+    # 1 - Bhattacharyya fidelity from the labelled distributions, one
+    # outcome at a time.
+    now = model.distribution(t)
+    overlap = 0.0
+    for label, p0 in base.probs.items():
+        if p0 > 0.0:
+            overlap += math.sqrt(p0 * now[label])
+    return 1.0 - overlap * overlap
+
+
+def _scalar_golden_min(f, lo, hi, tol):
+    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
+    invphi2 = 1.0 - invphi
+    a, b = lo, hi
+    h = b - a
+    c = a + invphi2 * h
+    d = a + invphi * h
+    fc = f(c)
+    fd = f(d)
+    while h > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + invphi2 * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + invphi * h
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _scalar_recurrence_time(model, epsilon=1e-6, t_max=100.0, dt=0.01):
+    # Reference scan: one grid step at a time, each local minimum refined
+    # as soon as it is seen. The block scan must make the same decisions.
+    base = model.distribution(0.0)
+
+    def infid(t):
+        return _scalar_infidelity(model, base, t)
+
+    def crossing(lo, hi):
+        while hi - lo > dt / 100.0:
+            mid = 0.5 * (lo + hi)
+            if infid(mid) < epsilon:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    departed = False
+    history = []
+    k = 1
+    while (t := k * dt) <= t_max:
+        value = infid(t)
+        if not departed:
+            if value >= epsilon:
+                departed = True
+        else:
+            if value < epsilon:
+                return crossing(history[-1][0], t)
+            if len(history) >= 2 and history[-2][1] >= epsilon:
+                (t0, v0), (t1, v1) = history[-2], history[-1]
+                if v1 <= v0 and v1 <= value:
+                    t_star = _scalar_golden_min(infid, t0, t, dt / 1000.0)
+                    if infid(t_star) < epsilon:
+                        return crossing(t0, t_star)
+        history.append((t, value))
+        if len(history) > 2:
+            history.pop(0)
+        k += 1
+    return None
+
+
+def _recurrence_battery():
+    # Seeded random models of all three designs; two-qubit ratios are
+    # arbitrary, with every fourth one harmonic (Omega = 2 omega).
+    rng = np.random.default_rng(31)
+    models = []
+    for j in range(20):
+        models.append(
+            OneQubitClock(omega=float(rng.uniform(0.2, 3.0)), chi=float(rng.uniform(0.05, 1.0)))
+        )
+        omega = float(rng.uniform(0.2, 2.0))
+        Omega = 2.0 * omega if j % 4 == 0 else float(rng.uniform(0.1, 4.0))
+        models.append(TwoQubitClock(omega=omega, Omega=Omega))
+        models.append(
+            GhzClock(omega=float(rng.uniform(0.2, 2.0)), n_entangled=int(rng.integers(2, 9)))
+        )
+    # The scans of the analysis workload in bench/ (its chi is drawn from [0.3, 1]).
+    return models + [
+        OneQubitClock(omega=1.0, chi=0.3),
+        OneQubitClock(omega=1.0),
+        TwoQubitClock(omega=0.5, Omega=1.0),
+        TwoQubitClock(omega=0.5, Omega=1.3),
+        GhzClock(omega=1.0, n_entangled=3),
+    ]
+
+
+@pytest.fixture(scope="module")
+def recurrence_oracle():
+    models = _recurrence_battery()
+    cases = [(model, 1e-6, t_max) for model in models for t_max in (100.0, 20.0, 5.0)]
+    # A large epsilon departs late, often after a block boundary, and can
+    # leave grid minima below epsilon before departure.
+    cases += [(model, epsilon, 20.0) for model in models[:21] for epsilon in (0.1, 0.5)]
+    return [(*case, _scalar_recurrence_time(*case)) for case in cases]
+
+
+@pytest.mark.parametrize("block_steps", (1, 2, 7, None))
+def test_block_scan_matches_scalar_scan(recurrence_oracle, block_steps, monkeypatch):
+    if block_steps is not None:
+        monkeypatch.setattr(clocks, "BLOCK_STEPS", block_steps)
+    assert len({repr(case[0]) for case in recurrence_oracle}) >= 60
+    assert any(case[-1] is None for case in recurrence_oracle)
+    assert any(case[-1] is not None for case in recurrence_oracle)
+    for model, epsilon, t_max, expected in recurrence_oracle:
+        got = recurrence_time(model, epsilon=epsilon, t_max=t_max)
+        assert got == expected, (model, epsilon, t_max)
+
+
+def test_block_scan_horizon_is_not_allocated():
+    model = OneQubitClock(omega=1.0)
+    assert recurrence_time(model, t_max=1e12) == recurrence_time(model, t_max=100.0)
 
 
 def test_one_qubit_count_distribution_binomial():

@@ -181,6 +181,17 @@ def test_crb_values():
     assert crb(GhzClock(omega=1.0, n_entangled=2), 0.5, 100) == pytest.approx(0.05, rel=1e-8)
 
 
+def test_rejects_non_finite_time():
+    for model in (OneQubitClock(omega=1.0), TwoQubitClock(omega=0.5, Omega=1.3)):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                classical_fisher(model, t)
+            with pytest.raises(ValueError, match="finite"):
+                quantum_fisher(model, t)
+            with pytest.raises(ValueError):
+                crb(model, t, 10)
+
+
 def test_crb_validates_probe_count():
     report = classical_fisher(OneQubitClock(omega=1.0), 1.0)
     with pytest.raises(ValueError):

@@ -161,3 +161,18 @@ def test_outcome_distribution_validation():
         OutcomeDistribution(0.0, {"+": 0.5, "-": 0.6})
     with pytest.raises(ValueError):
         OutcomeDistribution(0.0, {"+": 1.2, "-": -0.2})
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            OutcomeDistribution(t, {"+": 0.25, "-": 0.75})
+    with pytest.raises(ValueError):
+        OutcomeDistribution(0.0, {"+": float("nan"), "-": 0.75})
+    with pytest.raises(ValueError):
+        OutcomeDistribution(0.0, {"+": float("nan"), "-": float("nan")})
+
+
+def test_evolve_rejects_non_finite_time():
+    state = PureState(np.full(2, 2.0**-0.5))
+    hamiltonian = DiagonalHamiltonian(np.array([-0.5, 0.5]))
+    for t in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(state, hamiltonian, t)
