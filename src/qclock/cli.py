@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -28,7 +29,6 @@ import numpy as np
 from . import __version__
 from .clocks import ClockModel, GhzClock, OneQubitClock, TwoQubitClock, recurrence_time
 from .estimators import DegenerateCountsError
-from .counts import GhzCounts, OneQubitCounts, TwoQubitCounts
 from .fisher import (
     DegenerateTimeError,
     classical_fisher,
@@ -158,21 +158,47 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _build_model(args) -> ClockModel:
-    if args.model == "one-qubit":
-        return OneQubitClock(omega=args.omega, chi=args.chi)
-    if args.model == "two-qubit":
-        Omega = args.Omega if args.Omega is not None else 2.0 * args.omega
-        return TwoQubitClock(omega=args.omega, Omega=Omega)
-    return GhzClock(omega=args.omega, n_entangled=args.n)
+def _model(kind: str, value) -> ClockModel:
+    # The model of `kind`, each parameter read as value(key, cast, default)
+    # under its flag and config key name.
+    omega = value("omega", float, 1.0)
+    if kind == "one-qubit":
+        return OneQubitClock(omega=omega, chi=value("chi", float, 1.0))
+    if kind == "two-qubit":
+        return TwoQubitClock(omega=omega, Omega=value("Omega", float, 2.0 * omega))
+    return GhzClock(omega=omega, n_entangled=value("n", int, 2))
+
+
+def _build_model(args, kind: str | None = None) -> ClockModel:
+    # A flag the subcommand lacks, or --Omega left out, takes the default.
+    def value(key, cast, default):
+        given = getattr(args, key, None)
+        return default if given is None else given
+
+    return _model(kind or args.model, value)
+
+
+# Flag and config key of a model field, where the two names differ.
+_FIELD_KEYS = {"n_entangled": "n"}
 
 
 def _model_config(model: ClockModel) -> dict:
-    if isinstance(model, OneQubitClock):
-        return {"model": "one-qubit", "omega": model.omega, "chi": model.chi}
-    if isinstance(model, TwoQubitClock):
-        return {"model": "two-qubit", "omega": model.omega, "Omega": model.Omega}
-    return {"model": "ghz", "omega": model.omega, "n": model.n_entangled}
+    config = {"model": model.kind}
+    for field in dataclasses.fields(model):
+        config[_FIELD_KEYS.get(field.name, field.name)] = getattr(model, field.name)
+    return config
+
+
+def _grid(start: float, stop: float, steps: int, where: str) -> tuple[float, ...]:
+    # `steps` evenly spaced times from start to stop; `where` names the
+    # grid's source in errors.
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"{where} bounds must be finite, got {start!r} and {stop!r}")
+    if steps < 1:
+        raise ConfigError(f"{where} needs at least one step, got {steps}")
+    if steps == 1:
+        return (start,)
+    return tuple(float(t) for t in np.linspace(start, stop, steps))
 
 
 def _parse_grid(spec: str) -> tuple[float, ...]:
@@ -183,13 +209,7 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"t-grid must be 'start:stop:steps' with numeric fields, got {spec!r}")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"t-grid bounds must be finite, got {spec!r}")
-    if steps < 1:
-        raise ConfigError("t-grid needs at least one step")
-    if steps == 1:
-        return (start,)
-    return tuple(float(t) for t in np.linspace(start, stop, steps))
+    return _grid(start, stop, steps, "t-grid")
 
 
 def _times(args) -> tuple[float, ...]:
@@ -200,27 +220,17 @@ def _times(args) -> tuple[float, ...]:
     return _parse_grid(args.t_grid)
 
 
-def _parse_counts(args):
+def _parse_counts(args, model: ClockModel):
     try:
         tallies = [int(part) for part in args.counts.split(",")]
     except ValueError:
         raise ConfigError(f"counts must be comma-separated integers, got {args.counts!r}")
-    if args.model == "one-qubit":
-        if len(tallies) != 2:
-            raise ConfigError("one-qubit counts are 'k_plus,k_minus'")
-        return OneQubitCounts(n=tallies[0] + tallies[1], k_minus=tallies[1])
-    if args.model == "two-qubit":
-        if len(tallies) != 4:
-            raise ConfigError("two-qubit counts are 'k_0plus,k_0minus,k_1plus,k_1minus'")
-        return TwoQubitCounts(
-            slow_plus=tallies[0],
-            slow_minus=tallies[1],
-            fast_plus=tallies[2],
-            fast_minus=tallies[3],
+    if len(tallies) != len(model.class_sizes):
+        raise ConfigError(
+            f"{model.kind} counts are {len(model.class_sizes)} tallies, got {args.counts!r}"
         )
-    if len(tallies) != 2:
-        raise ConfigError("ghz counts are 'k_even,k_odd'")
-    return GhzCounts(n=tallies[0] + tallies[1], k_odd=tallies[1])
+    # The flag lists the tallies in the reverse of their tally order.
+    return model.counts_type.from_tallies(tallies[::-1])
 
 
 def cmd_probs(args, argv) -> int:
@@ -239,9 +249,9 @@ def cmd_probs(args, argv) -> int:
 
 
 def _analytic_fisher(model: ClockModel, t: float) -> float:
-    if isinstance(model, OneQubitClock):
+    if model.kind == "one-qubit":
         return fisher_one_qubit_analytic(model.chi, model.omega, t).value
-    if isinstance(model, TwoQubitClock):
+    if model.kind == "two-qubit":
         return 0.5 * (model.omega**2 + model.Omega**2)
     return (model.n_entangled * model.omega) ** 2
 
@@ -277,7 +287,7 @@ def cmd_fisher(args, argv) -> int:
 def cmd_estimate(args, argv) -> int:
     started = _now()
     model = _build_model(args)
-    counts = _parse_counts(args)
+    counts = _parse_counts(args, model)
     report = apply_estimator(model, counts, EstimatorKind(args.estimator))
     payload = {
         **_model_config(model),
@@ -317,18 +327,7 @@ def _sweep_section(section) -> tuple[ExperimentConfig, str, str, str, dict]:
     kind = _config_value(section, "model", str, required=True)
     if kind not in ("one-qubit", "two-qubit", "ghz"):
         raise ConfigError(f"invalid value for 'model' in section [{section.name}]: {kind!r}")
-    omega = _config_value(section, "omega", float, default=1.0)
-    if kind == "one-qubit":
-        model: ClockModel = OneQubitClock(
-            omega=omega, chi=_config_value(section, "chi", float, default=1.0)
-        )
-    elif kind == "two-qubit":
-        model = TwoQubitClock(
-            omega=omega,
-            Omega=_config_value(section, "Omega", float, default=2.0 * omega),
-        )
-    else:
-        model = GhzClock(omega=omega, n_entangled=_config_value(section, "n", int, default=2))
+    model = _model(kind, lambda key, cast, default: _config_value(section, key, cast, default))
     estimator = _config_value(section, "estimator", str, default="closed-form")
     try:
         estimator_kind = EstimatorKind(estimator)
@@ -345,17 +344,10 @@ def _sweep_section(section) -> tuple[ExperimentConfig, str, str, str, dict]:
     t_start = _config_value(section, "t_start", float, required=True)
     t_stop = _config_value(section, "t_stop", float, required=True)
     t_steps = _config_value(section, "t_steps", int, required=True)
-    if t_steps < 1:
-        raise ConfigError(f"invalid value for 't_steps' in section [{section.name}]: {t_steps}")
-    grid = (
-        (t_start,)
-        if t_steps == 1
-        else tuple(float(t) for t in np.linspace(t_start, t_stop, t_steps))
-    )
     config = ExperimentConfig(
         model=model,
         n_probes=_config_value(section, "probes", int, required=True),
-        t_grid=grid,
+        t_grid=_grid(t_start, t_stop, t_steps, f"time grid of section [{section.name}]"),
         trials=_config_value(section, "trials", int, required=True),
         seed=_config_value(section, "seed", int, required=True),
         estimator=estimator_kind,
@@ -422,10 +414,11 @@ def cmd_sweep(args, argv) -> int:
 def cmd_compare(args, argv) -> int:
     started = _now()
     grid = _parse_grid(args.t_grid)
+    pair = _build_model(args, "two-qubit")
     table = compare_resources(
         budget_qubits=args.budget,
-        omega=args.omega,
-        Omega=args.Omega if args.Omega is not None else 2.0 * args.omega,
+        omega=pair.omega,
+        Omega=pair.Omega,
         t_grid=grid,
         trials=args.trials,
         seed=args.seed,
@@ -433,8 +426,8 @@ def cmd_compare(args, argv) -> int:
     outputs = _emit_table(args, table.COLUMNS, table.as_rows())
     config = {
         "budget": args.budget,
-        "omega": args.omega,
-        "Omega": args.Omega if args.Omega is not None else 2.0 * args.omega,
+        "omega": pair.omega,
+        "Omega": pair.Omega,
         "t_grid": args.t_grid,
         "trials": args.trials,
     }

@@ -16,15 +16,29 @@ eigenbasis, and a fixed projective readout. Three designs are covered:
   Only the parity of '-' outcomes is informative and it oscillates at the
   amplified frequency n*omega.
 
-Closed-form distributions are the fast path; ``evolved_distribution``
-computes the same thing through explicit state evolution and projection and
-exists so tests can cross-check the closed forms against first principles.
+Each design groups its outcomes into classes of equally likely outcomes, in
+the order of its count vector's ``tallies`` (counts.py), and holds what the
+rest of the package needs to know about it:
+
+* ``class_probs(t)`` -- the probability of one outcome of each class, for
+  scalar or array t: the one probability formula per design;
+* ``class_sizes`` -- the outcomes per class (2^(n-1) for each GHZ parity
+  class, 1 otherwise);
+* ``label_classes`` -- the class of each outcome label;
+* ``counts_type`` -- the count vector class whose tallies follow the classes.
+
+``distribution``, count sampling and enumeration, the likelihood, Fisher
+information and the recurrence scan are written once over these members.
+``evolved_distribution`` computes the same statistics through explicit state
+evolution and projection, so tests can cross-check the closed forms against
+first principles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -50,12 +64,38 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+def _check_time(t: float) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    return t
+
+
+class _Clock:
+    """The statistics every design derives from its class probabilities."""
+
+    def distribution(self, t: float) -> OutcomeDistribution:
+        """Outcome probabilities at time t, a labelled view of ``class_probs``."""
+        t = _check_time(t)
+        probs = [float(p) for p in self.class_probs(t)]
+        return OutcomeDistribution(
+            t, {x: probs[c] for x, c in zip(self.outcome_labels, self.label_classes)}
+        )
+
+
 @dataclass(frozen=True)
-class OneQubitClock:
+class OneQubitClock(_Clock):
     """Single-qubit clock with frequency omega and visibility chi."""
 
     omega: float
     chi: float = 1.0
+
+    kind = "one-qubit"
+    outcome_labels = ("+", "-")
+    # Classes in tally order (k_minus, k_plus).
+    label_classes = (1, 0)
+    class_sizes = (1, 1)
+    counts_type = OneQubitCounts
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
@@ -96,13 +136,14 @@ class OneQubitClock:
         chi = min(max(chi, 0.0), 1.0)
         return cls(omega=omega, chi=chi)
 
-    @property
-    def kind(self) -> str:
-        return "one-qubit"
+    def class_probs(self, t):
+        """(P_-, P_+) with P_-(t) = chi sin^2(omega t / 2).
 
-    @property
-    def outcome_labels(self) -> tuple[str, ...]:
-        return ("+", "-")
+        np.square, not ** 2, which on a 0-d array calls pow() and can differ
+        in the last bit from the same time inside an array.
+        """
+        p_minus = self.chi * np.square(np.sin(0.5 * self.omega * t))
+        return (p_minus, 1.0 - p_minus)
 
     @property
     def window_top(self) -> float:
@@ -130,28 +171,34 @@ class OneQubitClock:
         minus = np.array([[-math.sin(th), math.cos(th)]])
         return ProjectiveMeasurement((("+", plus), ("-", minus)))
 
-    def distribution(self, t: float) -> OutcomeDistribution:
-        return one_qubit_distribution(self.chi, self.omega, t)
-
 
 @dataclass(frozen=True)
-class TwoQubitClock:
+class TwoQubitClock(_Clock):
     """Two-qubit clock with slow splitting omega and fast splitting Omega."""
 
     omega: float
     Omega: float
 
+    kind = "two-qubit"
+    outcome_labels = ("0+", "0-", "1+", "1-")
+    # Classes in tally order (fast_minus, fast_plus, slow_minus, slow_plus).
+    label_classes = (3, 2, 1, 0)
+    class_sizes = (1, 1, 1, 1)
+    counts_type = TwoQubitCounts
+
     def __post_init__(self):
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
         object.__setattr__(self, "Omega", _check_positive("Omega", self.Omega))
 
-    @property
-    def kind(self) -> str:
-        return "two-qubit"
+    def class_probs(self, t):
+        """(P_1-, P_1+, P_0-, P_0+): the fast pair oscillates at Omega, the slow at omega.
 
-    @property
-    def outcome_labels(self) -> tuple[str, ...]:
-        return ("0+", "0-", "1+", "1-")
+        P_{1-} = sin^2(Omega t/2)/2,  P_{1+} = cos^2(Omega t/2)/2,
+        P_{0-} = sin^2(omega t/2)/2,  P_{0+} = cos^2(omega t/2)/2.
+        """
+        fast = np.square(np.sin(0.5 * self.Omega * t))
+        slow = np.square(np.sin(0.5 * self.omega * t))
+        return (0.5 * fast, 0.5 * (1.0 - fast), 0.5 * slow, 0.5 * (1.0 - slow))
 
     @property
     def window_top(self) -> float:
@@ -180,16 +227,16 @@ class TwoQubitClock:
             )
         )
 
-    def distribution(self, t: float) -> OutcomeDistribution:
-        return two_qubit_distribution(self.omega, self.Omega, t)
-
 
 @dataclass(frozen=True)
-class GhzClock:
+class GhzClock(_Clock):
     """n-qubit GHZ clock with local splitting omega."""
 
     omega: float
     n_entangled: int = 2
+
+    kind = "ghz"
+    counts_type = GhzCounts
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
@@ -199,16 +246,30 @@ class GhzClock:
         if n > MAX_GHZ_QUBITS:
             raise ValueError(f"n_entangled = {n} exceeds the supported maximum {MAX_GHZ_QUBITS}")
 
-    @property
-    def kind(self) -> str:
-        return "ghz"
+    def class_probs(self, t):
+        """(P_odd, P_even) per outcome: an outcome string with an odd number
+        of '-' signs has probability sin^2(n omega t / 2) / 2^(n-1), an even
+        one cos^2(n omega t / 2) / 2^(n-1).
+        """
+        scale = 2.0 ** (self.n_entangled - 1)
+        p_odd = np.square(np.sin(0.5 * self.n_entangled * self.omega * t))
+        return (p_odd / scale, (1.0 - p_odd) / scale)
 
     @property
+    def class_sizes(self) -> tuple[int, int]:
+        return (2 ** (self.n_entangled - 1),) * 2
+
+    @cached_property
     def outcome_labels(self) -> tuple[str, ...]:
         n = self.n_entangled
         return tuple(
             format(i, f"0{n}b").replace("0", "+").replace("1", "-") for i in range(2**n)
         )
+
+    @cached_property
+    def label_classes(self) -> tuple[int, ...]:
+        # Odd parity is class 0 (k_odd), even parity class 1 (k_even).
+        return tuple(1 - (bin(i).count("1") & 1) for i in range(2**self.n_entangled))
 
     @property
     def window_top(self) -> float:
@@ -239,18 +300,13 @@ class GhzClock:
             outcomes.append((labels[j], (scale * signs)[np.newaxis, :]))
         return ProjectiveMeasurement(tuple(outcomes))
 
-    def distribution(self, t: float) -> OutcomeDistribution:
-        return ghz_distribution(self.omega, self.n_entangled, t)
-
 
 ClockModel = Union[OneQubitClock, TwoQubitClock, GhzClock]
 
 
 def one_qubit_distribution(chi: float, omega: float, t: float) -> OutcomeDistribution:
     """Single-qubit readout statistics: P_-(t) = chi sin^2(omega t / 2)."""
-    clock = OneQubitClock(omega=omega, chi=chi)  # validates parameters
-    p_minus = clock.chi * math.sin(0.5 * clock.omega * t) ** 2
-    return OutcomeDistribution(float(t), {"+": 1.0 - p_minus, "-": p_minus})
+    return OneQubitClock(omega=omega, chi=chi).distribution(t)
 
 
 def two_qubit_distribution(omega: float, Omega: float, t: float) -> OutcomeDistribution:
@@ -259,18 +315,7 @@ def two_qubit_distribution(omega: float, Omega: float, t: float) -> OutcomeDistr
     P_{0+} = cos^2(omega t/2)/2,  P_{0-} = sin^2(omega t/2)/2,
     P_{1+} = cos^2(Omega t/2)/2,  P_{1-} = sin^2(Omega t/2)/2.
     """
-    clock = TwoQubitClock(omega=omega, Omega=Omega)
-    slow = math.sin(0.5 * clock.omega * t) ** 2
-    fast = math.sin(0.5 * clock.Omega * t) ** 2
-    return OutcomeDistribution(
-        float(t),
-        {
-            "0+": 0.5 * (1.0 - slow),
-            "0-": 0.5 * slow,
-            "1+": 0.5 * (1.0 - fast),
-            "1-": 0.5 * fast,
-        },
-    )
+    return TwoQubitClock(omega=omega, Omega=Omega).distribution(t)
 
 
 def ghz_distribution(omega: float, n_entangled: int, t: float) -> OutcomeDistribution:
@@ -280,16 +325,7 @@ def ghz_distribution(omega: float, n_entangled: int, t: float) -> OutcomeDistrib
     cos^2(n omega t / 2) / 2^(n-1); odd parity gets sin^2(n omega t / 2)
     / 2^(n-1). Each parity class holds 2^(n-1) outcomes.
     """
-    clock = GhzClock(omega=omega, n_entangled=n_entangled)
-    n = clock.n_entangled
-    half = 0.5 * n * clock.omega * t
-    p_even = math.cos(half) ** 2 / 2 ** (n - 1)
-    p_odd = math.sin(half) ** 2 / 2 ** (n - 1)
-    probs = {}
-    for j, label in enumerate(clock.outcome_labels):
-        parity = bin(j).count("1") & 1
-        probs[label] = p_odd if parity else p_even
-    return OutcomeDistribution(float(t), probs)
+    return GhzClock(omega=omega, n_entangled=n_entangled).distribution(t)
 
 
 def evolved_distribution(model: ClockModel, t: float) -> OutcomeDistribution:
@@ -316,78 +352,48 @@ def _multinomial_pmf(tallies: tuple[int, ...], probs: tuple[float, ...]) -> floa
     return value
 
 
+def _compositions(n: int, parts: int):
+    # Every tuple of `parts` non-negative integers summing to n, the first
+    # entry varying slowest.
+    if parts == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in _compositions(n - k, parts - 1):
+            yield (k, *rest)
+
+
 def n_probe_count_distribution(
     model: ClockModel, n_probes: int, t: float
 ) -> dict[CountVector, float]:
     """Exact count-vector distribution for n independent probes at time t.
 
-    One-qubit probes give a binomial over the |-> tally; two-qubit probes a
-    multinomial over the four outcome tallies. GHZ copies are not handled
-    here (their single informative tally is sampled in the Monte Carlo
-    layer), so that kind raises.
+    The tallies of n probes are multinomial over the model's classes, each
+    class with probability class size times ``class_probs``: binomial in the
+    |-> tally for one qubit, multinomial in the four outcome tallies for two,
+    and binomial in the parity tally for GHZ copies. Count vectors come in
+    lexicographic order of their tallies.
     """
     if not isinstance(n_probes, int) or isinstance(n_probes, bool) or n_probes < 1:
         raise ValueError(f"n_probes must be a positive integer, got {n_probes!r}")
-    if isinstance(model, OneQubitClock):
-        p_minus = model.distribution(t)["-"]
-        return {
-            OneQubitCounts(n_probes, k): _multinomial_pmf(
-                (k, n_probes - k), (p_minus, 1.0 - p_minus)
-            )
-            for k in range(n_probes + 1)
-        }
-    if isinstance(model, TwoQubitClock):
-        dist = model.distribution(t)
-        p = tuple(dist[label] for label in ("1-", "1+", "0-", "0+"))
-        out: dict[CountVector, float] = {}
-        for k1 in range(n_probes + 1):
-            for k2 in range(n_probes - k1 + 1):
-                for k3 in range(n_probes - k1 - k2 + 1):
-                    k4 = n_probes - k1 - k2 - k3
-                    counts = TwoQubitCounts(
-                        fast_minus=k1, fast_plus=k2, slow_minus=k3, slow_plus=k4
-                    )
-                    out[counts] = _multinomial_pmf((k1, k2, k3, k4), p)
-        return out
-    if isinstance(model, GhzClock):
-        raise ValueError(
-            "GHZ count distributions are handled by the Monte Carlo layer "
-            "(one parity tally per batch of copies)"
-        )
-    raise ValueError(f"unsupported model type: {type(model).__name__}")
-
-
-def _outcome_probs(model: ClockModel, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Probability of one outcome behind each tally, in tally order. A GHZ
-    # parity class holds 2^(n-1) equally likely outcomes. np.square, not
-    # ** 2, which on a 0-d array calls pow() and can differ in the last bit
-    # from the same time inside an array.
-    if isinstance(model, OneQubitClock):
-        p_minus = model.chi * np.square(np.sin(0.5 * model.omega * t))
-        return (p_minus, 1.0 - p_minus)
-    if isinstance(model, TwoQubitClock):
-        fast = np.square(np.sin(0.5 * model.Omega * t))
-        slow = np.square(np.sin(0.5 * model.omega * t))
-        return (0.5 * fast, 0.5 * (1.0 - fast), 0.5 * slow, 0.5 * (1.0 - slow))
-    if isinstance(model, GhzClock):
-        scale = 2.0 ** (model.n_entangled - 1)
-        p_odd = np.square(np.sin(0.5 * model.n_entangled * model.omega * t))
-        return (p_odd / scale, (1.0 - p_odd) / scale)
-    raise TypeError(f"unsupported model type: {type(model).__name__}")
+    class_probs = model.class_probs(_check_time(t))
+    probs = tuple(m * float(p) for m, p in zip(model.class_sizes, class_probs))
+    return {
+        model.counts_type.from_tallies(tallies): _multinomial_pmf(tallies, probs)
+        for tallies in _compositions(n_probes, len(probs))
+    }
 
 
 def _infidelity(model: ClockModel):
     # t -> 1 - classical (Bhattacharyya) fidelity between the outcome
     # statistics at time t and at time 0, for scalar or array t, summed over
-    # the classes of _outcome_probs with their outcome counts m; invariant
-    # under global and per-sector phases, which the readout cannot resolve.
-    ghz = isinstance(model, GhzClock)
-    sizes = (2 ** (model.n_entangled - 1),) * 2 if ghz else (1,) * len(model.outcome_labels)
-    base = _outcome_probs(model, 0.0)
+    # the classes with their outcome counts m; invariant under global and
+    # per-sector phases, which the readout cannot resolve.
+    base = model.class_probs(0.0)
 
     def infid(t):
-        now = _outcome_probs(model, t)
-        overlap = sum(m * np.sqrt(p0 * p) for m, p0, p in zip(sizes, base, now))
+        now = model.class_probs(t)
+        overlap = sum(m * np.sqrt(p0 * p) for m, p0, p in zip(model.class_sizes, base, now))
         return 1.0 - overlap * overlap
 
     return infid

@@ -4,8 +4,9 @@ Each clock design has its own tally shape. Tallies are plain frozen
 dataclasses so they can key dictionaries (exact count-space enumeration).
 Each exposes ``tallies``, its counts in a fixed order: one-qubit
 (k_minus, k_plus), two-qubit (fast_minus, fast_plus, slow_minus,
-slow_plus), GHZ (k_odd, k_even). A Monte-Carlo cell stores its trials as
-rows of an integer array in the same order.
+slow_plus), GHZ (k_odd, k_even), and ``from_tallies`` builds one back from
+them. A Monte-Carlo cell stores its trials as rows of an integer array in
+the same order.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ class OneQubitCounts:
     def tallies(self) -> tuple[int, int]:
         return (self.k_minus, self.k_plus)
 
+    @classmethod
+    def from_tallies(cls, tallies) -> "OneQubitCounts":
+        k_minus, k_plus = tallies
+        return cls(k_minus + k_plus, k_minus)
+
 
 @dataclass(frozen=True)
 class TwoQubitCounts:
@@ -69,6 +75,10 @@ class TwoQubitCounts:
     @property
     def tallies(self) -> tuple[int, int, int, int]:
         return (self.fast_minus, self.fast_plus, self.slow_minus, self.slow_plus)
+
+    @classmethod
+    def from_tallies(cls, tallies) -> "TwoQubitCounts":
+        return cls(*tallies)
 
     @property
     def coarse_plus(self) -> int:
@@ -106,6 +116,11 @@ class GhzCounts:
     def tallies(self) -> tuple[int, int]:
         return (self.k_odd, self.k_even)
 
+    @classmethod
+    def from_tallies(cls, tallies) -> "GhzCounts":
+        k_odd, k_even = tallies
+        return cls(k_odd + k_even, k_odd)
+
 
 CountVector = Union[OneQubitCounts, TwoQubitCounts, GhzCounts]
 
@@ -118,27 +133,10 @@ def reduce_counts(counts: CountVector) -> CountVector:
     counts (bare floating arithmetic would drift by an ulp through terms
     like sqrt(c^2 * r) vs c * sqrt(r)).
     """
-    if isinstance(counts, OneQubitCounts):
-        g = math.gcd(counts.k_minus, counts.k_plus)
-        if g > 1:
-            return OneQubitCounts(counts.n // g, counts.k_minus // g)
-        return counts
-    if isinstance(counts, TwoQubitCounts):
-        g = math.gcd(
-            math.gcd(counts.fast_minus, counts.fast_plus),
-            math.gcd(counts.slow_minus, counts.slow_plus),
-        )
-        if g > 1:
-            return TwoQubitCounts(
-                counts.fast_minus // g,
-                counts.fast_plus // g,
-                counts.slow_minus // g,
-                counts.slow_plus // g,
-            )
-        return counts
-    if isinstance(counts, GhzCounts):
-        g = math.gcd(counts.k_odd, counts.k_even)
-        if g > 1:
-            return GhzCounts(counts.n // g, counts.k_odd // g)
-        return counts
-    raise ValueError(f"unsupported count vector type: {type(counts).__name__}")
+    tallies = getattr(counts, "tallies", None)
+    if tallies is None:
+        raise ValueError(f"unsupported count vector type: {type(counts).__name__}")
+    g = math.gcd(*tallies)
+    if g > 1:
+        return counts.from_tallies([k // g for k in tallies])
+    return counts

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import ClockModel, GhzClock, OneQubitClock, TwoQubitClock
-from .clocks import _golden_section_max, _outcome_probs
+from .clocks import ClockModel, GhzClock, OneQubitClock, _golden_section_max
 from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts, reduce_counts
 
 # Grid resolution and convergence target for the numeric maximizer.
@@ -116,22 +115,21 @@ def mle_ghz(counts: GhzCounts, omega: float, n_entangled: int) -> EstimateReport
     return EstimateReport(t_hat, Branch.GHZ_WINDOW, (0.0, math.pi / eff))
 
 
-def is_harmonic(omega: float, Omega: float) -> bool:
-    """Whether Omega = 2 omega, as the closed two-qubit forms require."""
-    return abs(Omega - 2.0 * omega) <= 1e-9 * Omega
+def is_harmonic(omega: float, Omega: float, require: bool = False) -> bool:
+    """Whether Omega = 2 omega, as the closed two-qubit forms require.
 
-
-def _check_harmonic(omega: float, Omega: float) -> tuple[float, float]:
-    omega = float(omega)
-    Omega = float(Omega)
-    if omega <= 0.0 or Omega <= 0.0:
+    Frequencies that are not both positive raise ValueError, and so does a
+    non-harmonic pair when ``require`` is set.
+    """
+    if not (omega > 0.0 and Omega > 0.0):
         raise ValueError("frequencies must be positive")
-    if not is_harmonic(omega, Omega):
+    harmonic = abs(Omega - 2.0 * omega) <= 1e-9 * Omega
+    if require and not harmonic:
         raise ValueError(
             f"closed-form two-qubit estimators require Omega = 2 omega, "
             f"got omega={omega}, Omega={Omega}"
         )
-    return omega, Omega
+    return harmonic
 
 
 def mle_two_qubit_roots(
@@ -157,7 +155,8 @@ def mle_two_qubit_roots(
     """
     _require(counts, TwoQubitCounts, "mle_two_qubit_roots")
     counts = reduce_counts(counts)
-    omega, Omega = _check_harmonic(omega, Omega)
+    omega, Omega = float(omega), float(Omega)
+    is_harmonic(omega, Omega, require=True)
     k1, k2 = counts.fast_minus, counts.fast_plus
     k3, k4 = counts.slow_minus, counts.slow_plus
     lead = k1 + k4
@@ -213,9 +212,9 @@ def combined_estimator(
     the coarse tally's half that is returned. The report's window is the
     full slow period.
     """
-    omega, Omega = _check_harmonic(omega, Omega)
+    omega = float(omega)
+    roots = mle_two_qubit_roots(counts, omega, Omega)  # checks Omega = 2 omega
     coarse = coarse_estimator(counts, omega)
-    roots = mle_two_qubit_roots(counts, omega, Omega)
     window = (0.0, math.pi / omega)
     half = 0.5 * math.pi / omega
     if coarse.t_hat <= half:
@@ -268,21 +267,21 @@ def _tally_log_likelihood(tallies, probs):
         return functools.reduce(operator.add, map(_xlogy, tallies, probs))
 
 
-_COUNTS_OF = {OneQubitClock: OneQubitCounts, TwoQubitClock: TwoQubitCounts, GhzClock: GhzCounts}
-
-
 def log_likelihood(model: ClockModel, counts: CountVector, t):
     """Log-likelihood of the counts at time(s) t, up to count-only constants.
 
     Vectorized over t. Outcomes with zero tally contribute nothing even
     where their probability vanishes; a positive tally against a vanishing
-    probability gives -inf.
+    probability gives -inf. A single time that is not finite raises
+    ValueError.
     """
     t_arr = np.asarray(t, dtype=float)
-    probs = _outcome_probs(model, t_arr)
-    _require(counts, _COUNTS_OF[type(model)], "log_likelihood")
-    total = _tally_log_likelihood(counts.tallies, probs)
-    return float(total) if np.isscalar(t) or t_arr.ndim == 0 else total
+    scalar = np.isscalar(t) or t_arr.ndim == 0
+    if scalar and not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    _require(counts, model.counts_type, "log_likelihood")
+    total = _tally_log_likelihood(counts.tallies, model.class_probs(t_arr))
+    return float(total) if scalar else total
 
 
 def mle_numeric(
@@ -308,7 +307,7 @@ def mle_numeric(
         raise ValueError(f"empty window {window!r}")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    branch = Branch.GHZ_WINDOW if isinstance(model, GhzClock) else Branch.SINGLE_WINDOW
+    branch = Branch.GHZ_WINDOW if model.kind == "ghz" else Branch.SINGLE_WINDOW
 
     ts = np.linspace(lo, hi, grid_points)
     ll = log_likelihood(model, counts, ts)
@@ -384,7 +383,8 @@ def combined_estimator_batch(counts, omega: float = 0.5, Omega: float = 1.0):
     The quartic roots of ``mle_two_qubit_roots`` on whole columns, with the
     coarse estimate picking the half of the window for each row.
     """
-    omega, Omega = _check_harmonic(omega, Omega)
+    omega, Omega = float(omega), float(Omega)
+    is_harmonic(omega, Omega, require=True)
     coarse, valid = coarse_estimator_batch(counts, omega)
     k1, k2, k3, k4 = _reduce_rows(counts).T
     lead = k1 + k4
@@ -445,7 +445,7 @@ def mle_numeric_batch(model: ClockModel, counts):
     lo, hi = 0.0, float(model.window_top)
     ts = np.linspace(lo, hi, GRID_POINTS)
     with np.errstate(divide="ignore"):
-        log_probs = [np.log(p) for p in _outcome_probs(model, ts)]
+        log_probs = [np.log(p) for p in model.class_probs(ts)]
     # Grid times where an outcome is impossible: there a positive tally gives
     # -inf and a zero tally 0, so the table is summed over finite logs and the
     # -inf entries are set afterwards.
@@ -480,7 +480,7 @@ def mle_numeric_batch(model: ClockModel, counts):
         tallies = counts[fit].T
 
         def f(rows, x):
-            return _tally_log_likelihood(tuple(tallies[:, rows]), _outcome_probs(model, x))
+            return _tally_log_likelihood(tuple(tallies[:, rows]), model.class_probs(x))
 
         t_hat[fit] = _golden_section_max_batch(
             f, a[fit], b[fit], REFINE_TOL * max(1.0, abs(hi))

@@ -4,10 +4,10 @@ The classical Fisher information of the outcome statistics at time t is
 
     F(t) = sum_x  (dP_x/dt)^2 / P_x(t),
 
-computed here by central differences on the closed-form distributions.
+computed here by central differences on the model's class probabilities.
 ``fisher_one_qubit_analytic`` carries the closed form for the single-qubit
 clock; the quantum Fisher information bounds the classical one over all
-readouts and is computed spectrally from the density matrix. The standard
+readouts and is four times the energy variance of the probe state. The standard
 deviation of any unbiased estimator from n independent probes obeys the
 Cramer-Rao bound  Delta t >= 1 / sqrt(n F(t)).
 """
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import ClockModel, GhzClock, OneQubitClock, TwoQubitClock
-from .states import PureState, evolve
+from .clocks import ClockModel, OneQubitClock, _check_time
+from .states import PureState
 
 # Central-difference step for dP/dt; probabilities are smooth order-one
 # trigonometric functions, so this balances truncation and rounding error.
@@ -67,24 +67,23 @@ class FisherReport:
 def classical_fisher(model: ClockModel, t: float, step: float = FD_STEP) -> FisherReport:
     """Classical Fisher information of the readout statistics at time t.
 
-    Derivatives come from central differences with the given step. Outcomes
-    whose probability and derivative both vanish are dropped (they carry no
-    information); an outcome with vanishing probability but finite derivative
-    marks a divergence and the report is flagged degenerate with value inf.
+    Derivatives come from central differences with the given step, taken on
+    the class probabilities at (t - step, t, t + step) in one evaluation;
+    each class counts once per outcome it holds. Outcomes whose probability
+    and derivative both vanish are dropped (they carry no information); an
+    outcome with vanishing probability but finite derivative marks a
+    divergence and the report is flagged degenerate with value inf.
     """
-    t = float(t)
-    dist = model.distribution(t)
-    plus = model.distribution(t + step)
-    minus = model.distribution(t - step)
+    t = _check_time(t)
     total = 0.0
-    for label in dist.labels:
-        p = dist[label]
-        dp = (plus[label] - minus[label]) / (2.0 * step)
+    classes = model.class_probs(np.array([t - step, t, t + step]))
+    for m, (minus, p, plus) in zip(model.class_sizes, (q.tolist() for q in classes)):
+        dp = (plus - minus) / (2.0 * step)
         if p < PROB_FLOOR:
             if abs(dp) < DERIV_FLOOR:
                 continue
             return FisherReport(math.inf, FisherKind.CLASSICAL, t, degenerate=True)
-        total += dp * dp / p
+        total += m * (dp * dp / p)
     return FisherReport(total, FisherKind.CLASSICAL, t)
 
 
@@ -99,7 +98,7 @@ def fisher_one_qubit_analytic(chi: float, omega: float, t: float) -> FisherRepor
     omega t = 2 pi k, where the exact limit is chi omega^2.
     """
     clock = OneQubitClock(omega=omega, chi=chi)  # validates parameters
-    chi, omega, t = clock.chi, clock.omega, float(t)
+    chi, omega, t = clock.chi, clock.omega, _check_time(t)
     if chi == 0.0:
         return FisherReport(0.0, FisherKind.CLASSICAL, t)
     if chi == 1.0:
@@ -118,17 +117,11 @@ def quantum_fisher(model: ClockModel, t: float) -> FisherReport:
     """Quantum Fisher information of the evolved probe state at time t.
 
     For the pure states produced here this is 4 times the energy variance,
-    constant in t. The general spectral form
-
-        F_Q = 2 sum_{k,l} (lam_k - lam_l)^2 / (lam_k + lam_l) |<k|H|l>|^2
-
-    over eigenpairs of the density matrix (terms with lam_k + lam_l ~ 0
-    skipped) is used as the fallback so mixed inputs would also be handled.
+    constant in t: evolution under a diagonal Hamiltonian only changes the
+    phases of the amplitudes, so the initial state's |a|^2 serve.
     """
-    t = float(t)
-    state = evolve(model.initial_state(), model.hamiltonian(), t)
-    energies = model.hamiltonian().energies
-    value = _qfi_pure(state, energies)
+    t = _check_time(t)
+    value = _qfi_pure(model.initial_state(), model.hamiltonian().energies)
     return FisherReport(value, FisherKind.QUANTUM, t)
 
 
@@ -138,22 +131,6 @@ def _qfi_pure(state: PureState, energies: np.ndarray) -> float:
     mean = float(np.dot(weights, energies))
     second = float(np.dot(weights, energies * energies))
     return 4.0 * (second - mean * mean)
-
-
-def _qfi_spectral(rho: np.ndarray, generator: np.ndarray) -> float:
-    # Kept as the general route: F_Q(rho, H) from the eigendecomposition.
-    lam, vecs = np.linalg.eigh(rho)
-    h_in_eig = vecs.conj().T @ generator @ vecs
-    total = 0.0
-    dim = lam.size
-    for k in range(dim):
-        for l in range(dim):
-            weight = lam[k] + lam[l]
-            if weight < PROB_FLOOR:
-                continue
-            diff = lam[k] - lam[l]
-            total += 2.0 * diff * diff / weight * abs(h_in_eig[k, l]) ** 2
-    return total
 
 
 def crb(model: ClockModel, t: float, n_probes: int) -> float:

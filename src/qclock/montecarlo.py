@@ -13,8 +13,9 @@ on the other grid times.
 ``mean_estimator_curve`` switches to exact enumeration of the count space
 when it is small enough, replacing sampling noise with the true estimator
 expectation; it and ``apply_estimator`` estimate one count vector at a
-time. ``compare_resources`` runs the three designs side by side at an
-equal total qubit budget.
+time. One resolver maps a (model, estimator kind) pair to the scalar and
+batch estimators all of these use. ``compare_resources`` runs the three
+designs side by side at an equal total qubit budget.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,21 +34,14 @@ from .clocks import (
     TwoQubitClock,
     n_probe_count_distribution,
 )
-from .counts import CountVector, GhzCounts
+from . import estimators
+from .counts import CountVector
 from .estimators import (
     DegenerateCountsError,
     EstimateReport,
-    coarse_estimator,
-    coarse_estimator_batch,
-    combined_estimator,
-    combined_estimator_batch,
     is_harmonic,
-    mle_ghz,
-    mle_ghz_batch,
     mle_numeric,
     mle_numeric_batch,
-    mle_one_qubit,
-    mle_one_qubit_batch,
 )
 from .fisher import DegenerateTimeError, classical_fisher
 
@@ -101,20 +96,7 @@ class ExperimentConfig:
                 f"t_grid must lie within [0, {top}] for this model, got [{grid[0]}, {grid[-1]}]"
             )
         object.__setattr__(self, "t_grid", grid)
-        kind = self.estimator
-        if kind in (EstimatorKind.COMBINED, EstimatorKind.COARSE) and not isinstance(
-            self.model, TwoQubitClock
-        ):
-            raise ConfigError(f"{kind.value} estimator requires the two-qubit model")
-        if (
-            kind in (EstimatorKind.CLOSED_FORM, EstimatorKind.COMBINED)
-            and isinstance(self.model, TwoQubitClock)
-            and not is_harmonic(self.model.omega, self.model.Omega)
-        ):
-            raise ConfigError(
-                "closed-form two-qubit estimation requires Omega = 2 omega; "
-                "use the numeric estimator otherwise"
-            )
+        _estimators_for(self.model, self.estimator)  # raises if there is none
 
 
 @dataclass(frozen=True)
@@ -210,39 +192,56 @@ def sample_counts(
     """Outcome tallies of `trials` runs of n_probes independent probes at time t.
 
     Returns an integer array of shape (trials, k), one row per trial in the
-    model's ``tallies`` order, drawn with a single generator call.
+    model's ``tallies`` order, drawn with a single multinomial call over the
+    model's classes (a binomial for the two-class designs).
     """
     if n_probes < 1:
         raise ValueError("n_probes must be at least 1")
-    if isinstance(model, OneQubitClock):
-        k = rng.binomial(n_probes, model.distribution(t)["-"], size=trials)
-    elif isinstance(model, TwoQubitClock):
-        dist = model.distribution(t)
-        pvals = np.clip([dist[label] for label in ("1-", "1+", "0-", "0+")], 0.0, 1.0)
-        return rng.multinomial(n_probes, pvals / pvals.sum(), size=trials)
-    elif isinstance(model, GhzClock):
-        # Only the parity of '-' signs is informative; its tally is binomial.
-        p_odd = math.sin(0.5 * model.n_entangled * model.omega * t) ** 2
-        k = rng.binomial(n_probes, min(p_odd, 1.0), size=trials)
-    else:
-        raise ValueError(f"unsupported model type: {type(model).__name__}")
-    return np.column_stack((k, n_probes - k))
+    pvals = np.multiply(model.class_sizes, model.class_probs(t))
+    return rng.multinomial(n_probes, pvals / pvals.sum(), size=trials)
+
+
+# Closed-form estimators by (model kind, estimator kind): the scalar
+# estimator's name (the batch kernel's is the same plus "_batch") and the
+# model parameters both take after the counts.
+_CLOSED_FORMS = {
+    ("one-qubit", EstimatorKind.CLOSED_FORM): ("mle_one_qubit", lambda m: (m.omega, m.chi)),
+    ("ghz", EstimatorKind.CLOSED_FORM): ("mle_ghz", lambda m: (m.omega, m.n_entangled)),
+    **{
+        ("two-qubit", kind): ("combined_estimator", lambda m: (m.omega, m.Omega))
+        for kind in (EstimatorKind.CLOSED_FORM, EstimatorKind.COMBINED)
+    },
+    ("two-qubit", EstimatorKind.COARSE): ("coarse_estimator", lambda m: (m.omega,)),
+}
+
+
+def _estimators_for(model: ClockModel, kind: EstimatorKind):
+    """The scalar and the batch estimator of `kind` for the model.
+
+    Both take the counts alone: a count vector for the scalar one, a tally
+    array for the batch one. Raises ConfigError when the model has no such
+    estimator, or when the combined estimator meets Omega != 2 omega.
+    """
+    if kind is EstimatorKind.NUMERIC:
+        return partial(mle_numeric, model), partial(mle_numeric_batch, model)
+    entry = _CLOSED_FORMS.get((model.kind, kind))
+    if entry is None:
+        raise ConfigError(f"{kind.value} estimator requires the two-qubit model")
+    name, params = entry[0], entry[1](model)
+    if name == "combined_estimator" and not is_harmonic(*params):
+        raise ConfigError(
+            "closed-form two-qubit estimation requires Omega = 2 omega; "
+            "use the numeric estimator otherwise"
+        )
+    # Looked up at each call, so a wrapped module attribute is what runs.
+    scalar, batch = getattr(estimators, name), getattr(estimators, name + "_batch")
+    return (lambda counts: scalar(counts, *params)), (lambda counts: batch(counts, *params))
 
 
 def apply_estimator(
     model: ClockModel, counts: CountVector, kind: EstimatorKind
 ) -> EstimateReport:
-    if kind is EstimatorKind.NUMERIC:
-        return mle_numeric(model, counts)
-    if kind is EstimatorKind.COMBINED:
-        return combined_estimator(counts, model.omega, model.Omega)
-    if kind is EstimatorKind.COARSE:
-        return coarse_estimator(counts, model.omega)
-    if isinstance(model, OneQubitClock):
-        return mle_one_qubit(counts, model.omega, model.chi)
-    if isinstance(model, TwoQubitClock):
-        return combined_estimator(counts, model.omega, model.Omega)
-    return mle_ghz(counts, model.omega, model.n_entangled)
+    return _estimators_for(model, kind)[0](counts)
 
 
 def apply_estimator_batch(
@@ -253,17 +252,7 @@ def apply_estimator_batch(
     t_hat is NaN on rows where apply_estimator raises DegenerateCountsError;
     valid is False there and on rows whose report is flagged invalid.
     """
-    if kind is EstimatorKind.NUMERIC:
-        return mle_numeric_batch(model, counts)
-    if kind is EstimatorKind.COMBINED:
-        return combined_estimator_batch(counts, model.omega, model.Omega)
-    if kind is EstimatorKind.COARSE:
-        return coarse_estimator_batch(counts, model.omega)
-    if isinstance(model, OneQubitClock):
-        return mle_one_qubit_batch(counts, model.omega, model.chi)
-    if isinstance(model, TwoQubitClock):
-        return combined_estimator_batch(counts, model.omega, model.Omega)
-    return mle_ghz_batch(counts, model.omega, model.n_entangled)
+    return _estimators_for(model, kind)[1](counts)
 
 
 def _crb_or_nan(model: ClockModel, t: float, n_probes: int) -> float:
@@ -308,29 +297,17 @@ def error_curve(config: ExperimentConfig) -> ErrorCurve:
     )
 
 
-def _ghz_count_distribution(model: GhzClock, n_probes: int, t: float):
-    p_odd = min(math.sin(0.5 * model.n_entangled * model.omega * t) ** 2, 1.0)
-    for k in range(n_probes + 1):
-        weight = (
-            math.comb(n_probes, k) * p_odd**k * (1.0 - p_odd) ** (n_probes - k)
-        )
-        yield GhzCounts(n_probes, k), weight
-
-
 def _exact_point(config: ExperimentConfig, t: float) -> ErrorCurvePoint:
-    if isinstance(config.model, GhzClock):
-        pairs = _ghz_count_distribution(config.model, config.n_probes, t)
-    else:
-        pairs = n_probe_count_distribution(config.model, config.n_probes, t).items()
+    estimate = _estimators_for(config.model, config.estimator)[0]
     total_mass = 0.0
     first = 0.0
     second = 0.0
     n_valid = 0
-    for counts, weight in pairs:
+    for counts, weight in n_probe_count_distribution(config.model, config.n_probes, t).items():
         if weight == 0.0:
             continue
         try:
-            report = apply_estimator(config.model, counts, config.estimator)
+            report = estimate(counts)
         except DegenerateCountsError:
             continue
         if not report.valid:

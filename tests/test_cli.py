@@ -158,6 +158,14 @@ class TestEstimate:
         assert code == 3
         assert "degenerate" in err
 
+    def test_estimator_the_model_lacks_exit_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "estimate", "--model", "one-qubit", "--estimator", "combined",
+            "--counts", "3,1",
+        )
+        assert code == 2 and not out
+        assert "two-qubit" in err
+
     def test_malformed_counts_exit_two(self, capsys):
         for counts in ("1,2,3", "a,b", "1,2,3,4,5"):
             code, _, err = run_cli(

@@ -1,7 +1,9 @@
 """Clock models: closed-form distributions, recurrence, and invariants.
 
 Closed forms are validated against the explicit evolve+Born pipeline, and
-count distributions against brute-force product-outcome enumeration.
+count distributions against brute-force product-outcome enumeration and the
+binomial parity law. The model protocol (class_probs, class_sizes,
+label_classes, counts_type) is checked on a battery of all three designs.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 from qclock import clocks
 from qclock import (
     GhzClock,
+    GhzCounts,
     OneQubitClock,
     OneQubitCounts,
     TwoQubitClock,
@@ -459,8 +462,60 @@ def test_two_qubit_count_distribution_matches_enumeration():
         assert table[counts] == pytest.approx(p, abs=1e-12)
 
 
-def test_count_distribution_rejects_ghz_and_bad_n():
-    with pytest.raises(ValueError):
-        n_probe_count_distribution(GhzClock(omega=1.0, n_entangled=2), 4, 1.0)
+def _ghz_binomial_parity(model, n_probes, t):
+    # The parity tally of n GHZ copies is binomial in p_odd = sin^2(n omega t / 2).
+    p_odd = min(math.sin(0.5 * model.n_entangled * model.omega * t) ** 2, 1.0)
+    for k in range(n_probes + 1):
+        weight = math.comb(n_probes, k) * p_odd**k * (1.0 - p_odd) ** (n_probes - k)
+        yield GhzCounts(n_probes, k), weight
+
+
+def test_count_distribution_ghz_parity_and_bad_n():
+    for model in (GhzClock(omega=1.0, n_entangled=2), GhzClock(omega=0.7, n_entangled=5)):
+        for n, t in ((4, 1.0), (12, 0.3), (1, 0.0)):
+            table = n_probe_count_distribution(model, n, t)
+            assert list(table.items()) == list(_ghz_binomial_parity(model, n, t))
     with pytest.raises(ValueError):
         n_probe_count_distribution(OneQubitClock(omega=1.0), 0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        n_probe_count_distribution(OneQubitClock(omega=1.0), 3, float("nan"))
+
+
+PROTOCOL_BATTERY = (
+    *(OneQubitClock(omega=1.3, chi=chi) for chi in (0.0, 0.36, 1.0)),
+    *(TwoQubitClock(omega=0.5, Omega=ratio * 0.5) for ratio in (2.0, 2.6)),
+    *(GhzClock(omega=0.8, n_entangled=n) for n in (2, 3, 4, 5)),
+)
+
+
+@pytest.mark.parametrize("model", PROTOCOL_BATTERY, ids=repr)
+def test_model_protocol(model):
+    sizes = model.class_sizes
+    # Each class holds class_sizes outcomes, and the count vector has one
+    # tally per class.
+    assert len(model.label_classes) == len(model.outcome_labels) == sum(sizes)
+    assert [model.label_classes.count(c) for c in range(len(sizes))] == list(sizes)
+    tallies = tuple(range(3, 3 + len(sizes)))
+    counts = model.counts_type.from_tallies(tallies)
+    assert counts.tallies == tallies and counts.n == sum(tallies)
+    ts = np.linspace(-1.0, 3.0 * model.window_top, 41)
+    classes = model.class_probs(ts)
+    assert len(classes) == len(sizes)
+    # Total probability one; a scalar time gives the array's values bit for bit.
+    total = sum(m * p for m, p in zip(sizes, classes))
+    assert np.max(np.abs(total - 1.0)) < 1e-12
+    for i, t in enumerate(ts):
+        assert [float(p) for p in model.class_probs(float(t))] == [p[i] for p in classes]
+        dist = model.distribution(float(t))
+        assert dist.labels == model.outcome_labels
+        assert [dist[x] for x in dist.labels] == [
+            classes[c][i] for c in model.label_classes
+        ]
+        evolved = evolved_distribution(model, float(t))
+        assert all(abs(dist[x] - evolved[x]) < 1e-10 for x in dist.labels)
+    # Enumerated count vectors: one per composition of n, total mass one.
+    for n in (1, 5):
+        table = n_probe_count_distribution(model, n, 0.7)
+        assert len(table) == math.comb(n + len(sizes) - 1, len(sizes) - 1)
+        assert all(type(c) is model.counts_type and c.n == n for c in table)
+        assert abs(sum(table.values()) - 1.0) < 1e-12

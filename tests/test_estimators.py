@@ -333,6 +333,13 @@ def test_log_likelihood_vectorized_and_consistent():
     assert ll_best >= float(log_likelihood(TWO_QUBIT, counts, best - 0.05))
 
 
+def test_log_likelihood_rejects_non_finite_time():
+    counts = TwoQubitCounts(3, 7, 2, 9)
+    for t in (float("nan"), float("inf"), np.float64("nan"), np.array(float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            log_likelihood(TWO_QUBIT, counts, t)
+
+
 def test_two_qubit_score_accepts_arrays():
     counts = TwoQubitCounts(3, 7, 2, 9)
     ts = np.array([0.5, 1.5, 2.5])

@@ -22,7 +22,25 @@ from qclock import (
     fisher_one_qubit_analytic,
     quantum_fisher,
 )
-from qclock.fisher import _qfi_pure, _qfi_spectral
+from qclock.fisher import PROB_FLOOR, _qfi_pure
+
+
+def _qfi_spectral(rho: np.ndarray, generator: np.ndarray) -> float:
+    # The general route, F_Q(rho, H) from the eigendecomposition of rho:
+    # 2 sum_{k,l} (lam_k - lam_l)^2 / (lam_k + lam_l) |<k|H|l>|^2, skipping
+    # pairs with lam_k + lam_l ~ 0.
+    lam, vecs = np.linalg.eigh(rho)
+    h_in_eig = vecs.conj().T @ generator @ vecs
+    total = 0.0
+    dim = lam.size
+    for k in range(dim):
+        for l in range(dim):
+            weight = lam[k] + lam[l]
+            if weight < PROB_FLOOR:
+                continue
+            diff = lam[k] - lam[l]
+            total += 2.0 * diff * diff / weight * abs(h_in_eig[k, l]) ** 2
+    return total
 
 
 def test_one_qubit_chi_one_fisher_is_constant():
@@ -190,6 +208,12 @@ def test_rejects_non_finite_time():
                 quantum_fisher(model, t)
             with pytest.raises(ValueError):
                 crb(model, t, 10)
+
+
+def test_analytic_rejects_non_finite_time():
+    for t in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            fisher_one_qubit_analytic(0.5, 1.0, t)
 
 
 def test_crb_validates_probe_count():

@@ -115,6 +115,43 @@ class TestSampleCounts:
             sample_counts(OneQubitClock(omega=1.0), 0, 1.0, np.random.default_rng(0), 3)
 
 
+def _three_branch_sample_counts(model, n_probes, t, rng, trials):
+    # The per-design sampler the multinomial one replaced: binomial draws of
+    # the |-> tally and of the GHZ parity tally, a multinomial over the four
+    # two-qubit tallies, with the probabilities from math.sin.
+    if isinstance(model, OneQubitClock):
+        k = rng.binomial(n_probes, model.chi * math.sin(0.5 * model.omega * t) ** 2, size=trials)
+    elif isinstance(model, TwoQubitClock):
+        fast = math.sin(0.5 * model.Omega * t) ** 2
+        slow = math.sin(0.5 * model.omega * t) ** 2
+        pvals = np.clip([0.5 * fast, 0.5 * (1.0 - fast), 0.5 * slow, 0.5 * (1.0 - slow)], 0.0, 1.0)
+        return rng.multinomial(n_probes, pvals / pvals.sum(), size=trials)
+    else:
+        p_odd = math.sin(0.5 * model.n_entangled * model.omega * t) ** 2
+        k = rng.binomial(n_probes, min(p_odd, 1.0), size=trials)
+    return np.column_stack((k, n_probes - k))
+
+
+def test_sampler_matches_three_branch_sampler():
+    models = (
+        *(OneQubitClock(omega=1.3, chi=chi) for chi in (0.0, 0.36, 1.0)),
+        *(TwoQubitClock(omega=0.5, Omega=ratio * 0.5) for ratio in (2.0, 2.6)),
+        *(GhzClock(omega=0.8, n_entangled=n) for n in (2, 3, 4, 5)),
+    )
+    cells = 0
+    for model in models:
+        for t in np.linspace(0.0, model.window_top, 9):
+            for n_probes in (1, 7, 32, 128):
+                for seed in (3, 20260819):
+                    got = sample_counts(model, n_probes, float(t), cell_rng(seed, 0), 40)
+                    want = _three_branch_sample_counts(
+                        model, n_probes, float(t), cell_rng(seed, 0), 40
+                    )
+                    assert got.tolist() == want.tolist(), (model, t, n_probes, seed)
+                    cells += 1
+    assert cells == 9 * 9 * 4 * 2
+
+
 def test_batch_dispatch_matches_apply_estimator():
     # Every model and estimator pairing the configs accept, on count rows
     # that include degenerate and clipped ones.
@@ -144,6 +181,21 @@ def test_batch_dispatch_matches_apply_estimator():
                 continue
             assert ok == report.valid
             assert t == pytest.approx(report.t_hat, abs=1e-12)
+
+
+def test_dispatch_rejects_pairs_without_an_estimator():
+    # ConfigError, as for a sweep configuration, rather than a failure inside
+    # an estimator that was never meant for the model.
+    anharmonic = TwoQubitClock(omega=0.5, Omega=1.3)
+    for model, counts, kind in (
+        (OneQubitClock(omega=1.0), OneQubitCounts(4, 1), EstimatorKind.COMBINED),
+        (GhzClock(omega=1.0), GhzCounts(4, 1), EstimatorKind.COARSE),
+        (anharmonic, TwoQubitCounts(1, 2, 3, 4), EstimatorKind.CLOSED_FORM),
+    ):
+        with pytest.raises(ConfigError):
+            apply_estimator(model, counts, kind)
+        with pytest.raises(ConfigError):
+            apply_estimator_batch(model, np.array([counts.tallies]), kind)
 
 
 class TestExperimentConfig:
