@@ -52,8 +52,7 @@ from .states import (
     evolve,
 )
 
-# Count spaces up to this many probes are enumerated exactly elsewhere; the
-# factor also caps the GHZ register size (2**n amplitudes).
+# Largest GHZ register: its state vector holds 2**n amplitudes.
 MAX_GHZ_QUBITS = 16
 
 
@@ -444,7 +443,8 @@ def recurrence_time(
     evaluated in arrays of BLOCK_STEPS steps, with the last two points
     carried across blocks, so memory does not grow with t_max. Returns None
     if no recurrence is found by t_max (including a clock whose statistics
-    never become epsilon-distinguishable, e.g. chi = 0).
+    never become epsilon-distinguishable, e.g. chi = 0), at once for a
+    one-qubit clock with chi < epsilon.
     """
     epsilon = float(epsilon)
     t_max = float(t_max)
@@ -454,6 +454,8 @@ def recurrence_time(
     if not 0.0 < dt < t_max < math.inf:  # NaN fails every comparison
         raise ValueError(f"require 0 < dt < t_max, both finite; got dt={dt!r}, t_max={t_max!r}")
 
+    if model.kind == "one-qubit" and model.chi < epsilon:
+        return None  # the infidelity chi sin^2(omega t / 2) never reaches epsilon
     infid = _infidelity(model)
 
     def crossing(lo: float, hi: float) -> float:

@@ -22,14 +22,16 @@ counts.py), as a Monte-Carlo cell holds its trials. A kernel returns
 raises DegenerateCountsError, and valid is False there and wherever the
 scalar report is flagged invalid. The scalar functions stay the path for a
 single count vector and the reference the kernels are tested against.
+
+``mle_numeric_batch`` matches ``mle_numeric`` bit for bit: its grid stage
+is one einsum contraction with the log class probabilities, adding terms in
+tally order, and it runs every row's golden-section search in lock step.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +42,8 @@ from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts, redu
 # Grid resolution and convergence target for the numeric maximizer.
 GRID_POINTS = 2001
 REFINE_TOL = 1e-10
-# Rows per block in mle_numeric_batch's grid stage. A block's
-# (rows x GRID_POINTS) log-likelihood table is 0.5 MB at 32 rows; a whole
+# Rows per block of mle_numeric_batch's grid stage, one einsum contraction
+# each. A block's (rows x GRID_POINTS) table is 0.5 MB at 32 rows; a whole
 # cell in one block would scale the peak memory with the trial count.
 BLOCK_ROWS = 32
 
@@ -251,20 +253,12 @@ def two_qubit_score(
     return float(total) if np.isscalar(t) or t_arr.ndim == 0 else total
 
 
-def _xlogy(k, p):
-    # k log p with the conventions k = 0 -> 0 and p = 0, k > 0 -> -inf. k is
-    # an int, or an array of whole-number tallies that broadcasts against p.
-    # The caller silences numpy's divide and invalid warnings.
-    if isinstance(k, int):
-        return k * np.log(p) if k else np.zeros_like(p)
-    return np.where(k > 0, k * np.log(p), 0.0)
-
-
-def _tally_log_likelihood(tallies, probs):
-    # sum_j k_j log p_j, summed in tally order so that a row of a tally array
-    # and the same counts as a count vector give bit-identical values.
+def _tally_log_likelihood(tallies: np.ndarray, probs) -> np.ndarray:
+    # sum_j k_j log p_j over the leading (tally) axis, added in tally order,
+    # with k log p = 0 where k = 0 and -inf where p = 0 < k.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return functools.reduce(operator.add, map(_xlogy, tallies, probs))
+        terms = tallies * np.log(np.array(probs))
+    return np.add.reduce(np.where(tallies > 0, terms, 0.0))
 
 
 def log_likelihood(model: ClockModel, counts: CountVector, t):
@@ -273,14 +267,21 @@ def log_likelihood(model: ClockModel, counts: CountVector, t):
     Vectorized over t. Outcomes with zero tally contribute nothing even
     where their probability vanishes; a positive tally against a vanishing
     probability gives -inf. A single time that is not finite raises
-    ValueError.
+    ValueError. Terms are added in tally order, as in ``mle_numeric_batch``.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = np.isscalar(t) or t_arr.ndim == 0
+    _require(counts, model.counts_type, "log_likelihood")
+    scalar = isinstance(t, float) or np.ndim(t) == 0
     if scalar and not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    _require(counts, model.counts_type, "log_likelihood")
-    total = _tally_log_likelihood(counts.tallies, model.class_probs(t_arr))
+    if isinstance(t, float):
+        # A float or np.float64 needs no 0-d array and, with p > 0, no errstate.
+        terms = [(k, p) for k, p in zip(counts.tallies, model.class_probs(t)) if k]
+        if any(p == 0.0 for _, p in terms):
+            return -math.inf
+        return float(sum(k * np.log(p) for k, p in terms))
+    t_arr = np.asarray(t, dtype=float)
+    tallies = np.reshape(counts.tallies, (-1,) + (1,) * t_arr.ndim)
+    total = _tally_log_likelihood(tallies, model.class_probs(t_arr))
     return float(total) if scalar else total
 
 
@@ -402,57 +403,57 @@ def combined_estimator_batch(counts, omega: float = 0.5, Omega: float = 1.0):
 
 
 def _golden_section_max_batch(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    # _golden_section_max on every row at once: f(rows, x) evaluates row
-    # rows[i] at x[i]. Each row takes exactly the scalar search's steps, so
-    # the arithmetic and the result are the same as one search per row.
+    # _golden_section_max on every row in lock step: f(x) evaluates row i at
+    # x[i], and np.where moves only the rows whose bracket is wider than tol,
+    # so each row takes exactly the scalar search's steps and result.
     invphi = 0.5 * (math.sqrt(5.0) - 1.0)
     invphi2 = 1.0 - invphi
-    a, b = lo.copy(), hi.copy()
+    a, b = lo, hi
     h = b - a
     c = a + invphi2 * h
     d = a + invphi * h
-    every = np.arange(len(a))
-    fc = f(every, c)
-    fd = f(every, d)
-    rows = every[h > tol]
-    while rows.size:
-        left = fc[rows] >= fd[rows]
-        lft, rgt = rows[left], rows[~left]
-        b[lft], d[lft], fd[lft] = d[lft], c[lft], fc[lft]
-        a[rgt], c[rgt], fc[rgt] = c[rgt], d[rgt], fd[rgt]
-        h[rows] = b[rows] - a[rows]
-        c[lft] = a[lft] + invphi2 * h[lft]
-        d[rgt] = a[rgt] + invphi * h[rgt]
-        value = f(rows, np.where(left, c[rows], d[rows]))
-        fc[lft] = value[left]
-        fd[rgt] = value[~left]
-        rows = rows[h[rows] > tol]
+    fc = f(c)
+    fd = f(d)
+    active = h > tol
+    while active.any():
+        left = fc >= fd
+        a = np.where(active & ~left, c, a)
+        b = np.where(active & left, d, b)
+        h = b - a
+        # Stopped rows need only a and b, so c, d, fc, fd update freely.
+        x = a + np.where(left, invphi2, invphi) * h
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        active = h > tol
     return 0.5 * (a + b)
 
 
 def mle_numeric_batch(model: ClockModel, counts):
     """``mle_numeric`` over the model's full window on every row of a tally array.
 
-    Rows are reduced by their gcd and the log-likelihood is summed in the
-    scalar path's order, so each row's estimate and validity equal
-    ``mle_numeric``'s on the same counts. The grid stage runs over blocks
-    of BLOCK_ROWS rows, which bounds its memory; the golden-section
-    refinement then runs on all rows together.
+    Rows are reduced by their gcd, and each row's estimate and validity
+    equal ``mle_numeric``'s on the same counts bit for bit. The grid stage
+    contracts each block of BLOCK_ROWS rows with the (tallies x GRID_POINTS)
+    table of log class probabilities in one einsum, which adds the terms in
+    tally order as the scalar sum does (a BLAS matrix product need not, and
+    its rounding would depend on the block size). The golden-section
+    refinement then moves all fitted rows in lock step.
     """
     # Float tallies multiply as the scalar path's ints do, without a cast per use.
     counts = _reduce_rows(counts).astype(float)
-    rows, n_tallies = counts.shape
+    rows = len(counts)
     lo, hi = 0.0, float(model.window_top)
     ts = np.linspace(lo, hi, GRID_POINTS)
     with np.errstate(divide="ignore"):
-        log_probs = [np.log(p) for p in model.class_probs(ts)]
-    # Grid times where an outcome is impossible: there a positive tally gives
-    # -inf and a zero tally 0, so the table is summed over finite logs and the
-    # -inf entries are set afterwards.
-    impossible = [np.flatnonzero(np.isneginf(lp)) for lp in log_probs]
-    log_probs = [np.where(np.isneginf(lp), 0.0, lp) for lp in log_probs]
+        log_probs = np.log(np.array(model.class_probs(ts)))
+    # Where an outcome is impossible a positive tally gives -inf and a zero
+    # tally 0: the table is contracted over finite logs, and these dead
+    # entries are set afterwards, +inf for the finite minimum, then -inf.
+    impossible = np.isneginf(log_probs)
+    log_probs[impossible] = 0.0
+    cols = np.flatnonzero(impossible.any(axis=0))
     table = np.empty((min(rows, BLOCK_ROWS), GRID_POINTS))
-    term = np.empty_like(table)
     t_hat = np.full(rows, 0.5 * (lo + hi))
     valid = np.zeros(rows, dtype=bool)
     a = np.empty(rows)
@@ -460,15 +461,13 @@ def mle_numeric_batch(model: ClockModel, counts):
     for start in range(0, rows, BLOCK_ROWS):
         block = counts[start : start + BLOCK_ROWS]
         m = len(block)
-        ll = table[:m]
-        np.multiply(block[:, :1], log_probs[0], out=ll)
-        for j in range(1, n_tallies):
-            ll += np.multiply(block[:, j : j + 1], log_probs[j], out=term[:m])
-        for j, cols in enumerate(impossible):
-            ll[np.ix_(block[:, j] > 0, cols)] = -np.inf
+        ll = np.einsum("rk,kg->rg", block, log_probs, out=table[:m])
+        dead = (block > 0) @ impossible[:, cols]
+        ll[:, cols] = np.where(dead, np.inf, ll[:, cols])
+        ll_min = ll.min(axis=1)
+        ll[:, cols] = np.where(dead, -np.inf, ll[:, cols])
         i = np.argmax(ll, axis=1)
         ll_max = ll[np.arange(m), i]
-        ll_min = np.minimum.reduce(ll, axis=1, where=ll > -np.inf, initial=np.inf)
         # No finite value, or a flat likelihood: the midpoint, flagged invalid.
         valid[start : start + m] = (ll_max > -np.inf) & ~(
             ll_max - ll_min <= 1e-12 * np.maximum(1.0, np.abs(ll_max))
@@ -478,11 +477,10 @@ def mle_numeric_batch(model: ClockModel, counts):
     fit = np.flatnonzero(valid)
     if fit.size:
         tallies = counts[fit].T
-
-        def f(rows, x):
-            return _tally_log_likelihood(tuple(tallies[:, rows]), model.class_probs(x))
-
         t_hat[fit] = _golden_section_max_batch(
-            f, a[fit], b[fit], REFINE_TOL * max(1.0, abs(hi))
+            lambda x: _tally_log_likelihood(tallies, model.class_probs(x)),
+            a[fit],
+            b[fit],
+            REFINE_TOL * max(1.0, abs(hi)),
         )
     return t_hat, valid

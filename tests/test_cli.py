@@ -183,11 +183,13 @@ class TestRecurrence:
         assert payload["recurrence_time"] == pytest.approx(math.pi, abs=5e-3)
 
     def test_never_returns_is_null(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "recurrence", "--model", "one-qubit", "--chi", "0", "--t-max", "30"
-        )
-        assert code == 0
-        assert json.loads(out)["recurrence_time"] is None
+        # chi = 0 never leaves the epsilon-ball, however long the horizon.
+        for t_max in ("30", "1e9"):
+            code, out, _ = run_cli(
+                capsys, "recurrence", "--model", "one-qubit", "--chi", "0", "--t-max", t_max
+            )
+            assert code == 0
+            assert json.loads(out)["recurrence_time"] is None
 
     def test_non_finite_arguments_exit_two(self, capsys):
         for flags in (

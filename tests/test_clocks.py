@@ -270,6 +270,10 @@ def test_recurrence_unreachable_cases():
     assert recurrence_time(OneQubitClock(omega=1.0, chi=0.0), t_max=20.0) is None
     # Horizon shorter than the revival.
     assert recurrence_time(OneQubitClock(omega=1.0), t_max=5.0) is None
+    # The infidelity chi sin^2(omega t / 2) never reaches epsilon > chi: the
+    # answer comes without scanning 1e14 grid steps.
+    for chi in (0.0, 0.5):
+        assert recurrence_time(OneQubitClock(omega=1.0, chi=chi), epsilon=0.6, t_max=1e12) is None
 
 
 def test_recurrence_validation():

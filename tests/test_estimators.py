@@ -7,6 +7,7 @@ are checked against the scalar estimators on whole count spaces.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,11 @@ from qclock import (
     two_qubit_distribution,
     two_qubit_score,
 )
+from qclock.clocks import _golden_section_max
 from qclock.estimators import (
+    GRID_POINTS,
+    REFINE_TOL,
+    _golden_section_max_batch,
     coarse_estimator_batch,
     combined_estimator_batch,
     mle_ghz_batch,
@@ -452,7 +457,7 @@ def test_closed_form_kernels_match_scalar_on_count_spaces(model, rows, kernel, s
     assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
 
 
-@pytest.mark.parametrize(
+NUMERIC_BATTERY = pytest.mark.parametrize(
     "model, rows",
     [
         (TwoQubitClock(omega=0.5, Omega=1.3), count_space(32, 4)),
@@ -464,11 +469,77 @@ def test_closed_form_kernels_match_scalar_on_count_spaces(model, rows, kernel, s
     ids=["two-qubit-2.6", "two-qubit-harmonic", "one-qubit-chi0.3", "one-qubit-chi0.75",
          "one-qubit-chi0", "ghz2", "ghz3"],
 )
+
+
+@NUMERIC_BATTERY
 def test_numeric_kernel_matches_mle_numeric_on_count_spaces(model, rows):
     bad = kernel_mismatches(
         model, rows, mle_numeric_batch(model, rows), lambda c: mle_numeric(model, c), numeric_close
     )
     assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
+
+
+@NUMERIC_BATTERY
+def test_numeric_kernel_equals_mle_numeric_bit_for_bit(model, rows):
+    # The kernel adds the likelihood's terms in the scalar order and steps
+    # each row's search as the scalar search does, so no tolerance applies.
+    t_hat, valid = mle_numeric_batch(model, rows)
+    bad = []
+    for row, t, ok in zip(rows, t_hat, valid):
+        report = mle_numeric(model, as_counts(model, row))
+        if not (t == report.t_hat and ok == report.valid):
+            bad.append((tuple(row), t, report.t_hat, bool(ok), report.valid))
+    assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
+
+
+def test_lock_step_search_matches_scalar_search_row_for_row():
+    # Brackets of one and two grid steps, as at a window edge and inside it,
+    # need different numbers of steps, so rows stop while others go on.
+    dx = math.pi / (GRID_POINTS - 1)
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(0.0, math.pi, 40)
+    hi = lo + np.tile([dx, 2.0 * dx], 20)
+    peak = lo + rng.uniform(0.0, 1.0, 40) * (hi - lo)
+    tol = REFINE_TOL * math.pi
+    got = _golden_section_max_batch(lambda x: -np.square(x - peak), lo, hi, tol)
+    steps = set()
+    for i in range(40):
+        calls = []
+
+        def f(x, p=peak[i]):
+            calls.append(x)
+            return -np.square(x - p)
+
+        assert got[i] == _golden_section_max(f, float(lo[i]), float(hi[i]), tol)
+        steps.add(len(calls))
+    assert len(steps) > 1
+
+
+def test_log_likelihood_same_for_every_kind_of_single_time():
+    # A Python float, np.float64, a 0-d array and an array element all give
+    # the array path's value, -inf where a positive tally meets a vanishing
+    # probability (t = 0, the window top, chi = 0) and 0 from zero tallies.
+    cases = [
+        (TWO_QUBIT, TwoQubitCounts(3, 7, 2, 9)),
+        (TWO_QUBIT, TwoQubitCounts(0, 5, 0, 4)),
+        (TwoQubitClock(omega=0.5, Omega=1.3), TwoQubitCounts(1, 0, 6, 2)),
+        (OneQubitClock(omega=1.0, chi=0.0), OneQubitCounts(4, 0)),
+        (OneQubitClock(omega=1.0, chi=0.0), OneQubitCounts(4, 1)),
+        (GhzClock(omega=0.7, n_entangled=3), GhzCounts(9, 4)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for model, counts in cases:
+            ts = np.linspace(0.0, model.window_top, 41)
+            expected = log_likelihood(model, counts, ts)
+            for i, t in enumerate(ts):
+                for single in (float(t), np.float64(t), np.array(t), ts[i]):
+                    value = log_likelihood(model, counts, single)
+                    assert type(value) is float and value == expected[i], (model, counts, t)
+    assert log_likelihood(TWO_QUBIT, TwoQubitCounts(3, 7, 2, 9), 0.0) == -math.inf
+    assert log_likelihood(TWO_QUBIT, TwoQubitCounts(0, 5, 0, 4), 0.0) == 9 * math.log(0.5)
+    assert log_likelihood(OneQubitClock(omega=1.0, chi=0.0), OneQubitCounts(4, 0), 1.0) == 0.0
+    assert log_likelihood(OneQubitClock(omega=1.0, chi=0.0), OneQubitCounts(4, 1), 1.0) == -math.inf
 
 
 def test_kernels_reject_what_the_scalar_estimators_reject():
