@@ -36,6 +36,7 @@ first principles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,6 +71,12 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
+    # The number of ones among the low `bits` bits of each entry, by shifting
+    # (np.bitwise_count needs numpy 2).
+    return sum((x >> b) & 1 for b in range(bits))
+
+
 class _Clock:
     """The statistics every design derives from its class probabilities."""
 
@@ -80,6 +87,13 @@ class _Clock:
         return OutcomeDistribution(
             t, {x: probs[c] for x, c in zip(self.outcome_labels, self.label_classes)}
         )
+
+    @cached_property
+    def _first_principles(self) -> tuple[PureState, DiagonalHamiltonian, ProjectiveMeasurement]:
+        # The prepared state, Hamiltonian and readout of evolved_distribution:
+        # immutable values, so a clock builds and checks them once however
+        # many times it is evolved.
+        return self.initial_state(), self.hamiltonian(), self.measurement()
 
 
 @dataclass(frozen=True)
@@ -268,7 +282,8 @@ class GhzClock(_Clock):
     @cached_property
     def label_classes(self) -> tuple[int, ...]:
         # Odd parity is class 0 (k_odd), even parity class 1 (k_even).
-        return tuple(1 - (bin(i).count("1") & 1) for i in range(2**self.n_entangled))
+        n = self.n_entangled
+        return tuple((1 - _popcount(np.arange(2**n), n) % 2).tolist())
 
     @property
     def window_top(self) -> float:
@@ -284,20 +299,18 @@ class GhzClock(_Clock):
         # H = -(omega/2) * sum_i sigma_z^(i): a basis state with b ones has
         # energy -(omega/2) * (n - 2 b).
         n = self.n_entangled
-        ones = np.array([bin(i).count("1") for i in range(2**n)])
+        ones = _popcount(np.arange(2**n), n)
         return DiagonalHamiltonian(-0.5 * self.omega * (n - 2 * ones))
 
     def measurement(self) -> ProjectiveMeasurement:
         # Product |+/-> basis: row j has entries (-1)^popcount(i & j) / 2^(n/2).
         n = self.n_entangled
-        dim = 2**n
-        scale = 2.0 ** (-n / 2.0)
-        labels = self.outcome_labels
-        outcomes = []
-        for j in range(dim):
-            signs = np.array([(-1.0) ** bin(i & j).count("1") for i in range(dim)])
-            outcomes.append((labels[j], (scale * signs)[np.newaxis, :]))
-        return ProjectiveMeasurement(tuple(outcomes))
+        index = np.arange(2**n)
+        signs = 1.0 - 2.0 * (_popcount(index[:, np.newaxis] & index, n) % 2)
+        rows = 2.0 ** (-n / 2.0) * signs
+        return ProjectiveMeasurement(
+            tuple((label, row[np.newaxis, :]) for label, row in zip(self.outcome_labels, rows))
+        )
 
 
 ClockModel = Union[OneQubitClock, TwoQubitClock, GhzClock]
@@ -331,13 +344,14 @@ def evolved_distribution(model: ClockModel, t: float) -> OutcomeDistribution:
     """Same statistics as ``model.distribution`` but via explicit evolution.
 
     Prepares the initial state, applies the diagonal propagator, and projects
-    onto the readout. Slower than the closed forms; used to validate them.
+    onto the readout; the state, Hamiltonian and readout are built once per
+    clock. Slower than the closed forms; used to validate them.
     """
-    state = evolve(model.initial_state(), model.hamiltonian(), t)
-    return OutcomeDistribution(float(t), model.measurement().probabilities(state))
+    state, hamiltonian, readout = model._first_principles
+    return OutcomeDistribution(float(t), readout.probabilities(evolve(state, hamiltonian, t)))
 
 
-def _multinomial_pmf(tallies: tuple[int, ...], probs: tuple[float, ...]) -> float:
+def _multinomial_pmf(tallies: list[int], probs: tuple[float, ...]) -> float:
     n = sum(tallies)
     coeff = 1
     remaining = n
@@ -351,15 +365,18 @@ def _multinomial_pmf(tallies: tuple[int, ...], probs: tuple[float, ...]) -> floa
     return value
 
 
-def _compositions(n: int, parts: int):
-    # Every tuple of `parts` non-negative integers summing to n, the first
-    # entry varying slowest.
-    if parts == 1:
-        yield (n,)
-        return
-    for k in range(n + 1):
-        for rest in _compositions(n - k, parts - 1):
-            yield (k, *rest)
+def count_tallies(n_probes: int, classes: int) -> np.ndarray:
+    """Every tally row of n_probes outcomes over `classes` classes.
+
+    An integer array of shape (C(n + classes - 1, classes - 1), classes), the
+    rows in lexicographic order, the first tally varying slowest. Each row
+    places classes - 1 bars among n_probes + classes - 1 slots (stars and
+    bars), and its tallies are the runs of stars between them.
+    """
+    slots = n_probes + classes - 1
+    bars = np.array(list(itertools.combinations(range(slots), classes - 1)), dtype=np.int64)
+    edges = np.column_stack((np.full(len(bars), -1), bars, np.full(len(bars), slots)))
+    return np.diff(edges, axis=1) - 1
 
 
 def n_probe_count_distribution(
@@ -370,8 +387,8 @@ def n_probe_count_distribution(
     The tallies of n probes are multinomial over the model's classes, each
     class with probability class size times ``class_probs``: binomial in the
     |-> tally for one qubit, multinomial in the four outcome tallies for two,
-    and binomial in the parity tally for GHZ copies. Count vectors come in
-    lexicographic order of their tallies.
+    and binomial in the parity tally for GHZ copies. A labelled view of
+    ``count_tallies``: the count vectors come in its row order.
     """
     if not isinstance(n_probes, int) or isinstance(n_probes, bool) or n_probes < 1:
         raise ValueError(f"n_probes must be a positive integer, got {n_probes!r}")
@@ -379,7 +396,7 @@ def n_probe_count_distribution(
     probs = tuple(m * float(p) for m, p in zip(model.class_sizes, class_probs))
     return {
         model.counts_type.from_tallies(tallies): _multinomial_pmf(tallies, probs)
-        for tallies in _compositions(n_probes, len(probs))
+        for tallies in count_tallies(n_probes, len(probs)).tolist()
     }
 
 

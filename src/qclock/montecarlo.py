@@ -12,9 +12,10 @@ on the other grid times.
 
 ``mean_estimator_curve`` switches to exact enumeration of the count space
 when it is small enough, replacing sampling noise with the true estimator
-expectation; it and ``apply_estimator`` estimate one count vector at a
-time. One resolver maps a (model, estimator kind) pair to the scalar and
-batch estimators all of these use. ``compare_resources`` runs the three
+expectation: it estimates the whole space once as a tally array and weights
+it at each grid time. ``apply_estimator`` estimates a single count vector.
+One resolver maps a (model, estimator kind) pair to the scalar and batch
+estimators all of these use. ``compare_resources`` runs the three
 designs side by side at an equal total qubit budget.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -32,12 +33,11 @@ from .clocks import (
     GhzClock,
     OneQubitClock,
     TwoQubitClock,
-    n_probe_count_distribution,
+    count_tallies,
 )
 from . import estimators
 from .counts import CountVector
 from .estimators import (
-    DegenerateCountsError,
     EstimateReport,
     is_harmonic,
     mle_numeric,
@@ -297,43 +297,66 @@ def error_curve(config: ExperimentConfig) -> ErrorCurve:
     )
 
 
-def _exact_point(config: ExperimentConfig, t: float) -> ErrorCurvePoint:
-    estimate = _estimators_for(config.model, config.estimator)[0]
-    total_mass = 0.0
-    first = 0.0
-    second = 0.0
-    n_valid = 0
-    for counts, weight in n_probe_count_distribution(config.model, config.n_probes, t).items():
-        if weight == 0.0:
+@lru_cache(maxsize=None)
+def _count_table(n_probes: int, classes: int) -> tuple[np.ndarray, np.ndarray]:
+    # The count space's tally rows and the log multinomial coefficient of
+    # each, read-only, as every exact curve over it reuses them. The keys
+    # are bounded: n_probes <= MAX_EXACT_PROBES and 2 or 4 classes.
+    rows = count_tallies(n_probes, classes)
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(n_probes + 1)])
+    log_coeff = log_factorial[n_probes] - log_factorial[rows].sum(axis=1)
+    rows.setflags(write=False)
+    log_coeff.setflags(write=False)
+    return rows, log_coeff
+
+
+def _exact_curve(config: ExperimentConfig) -> ErrorCurve:
+    # Every tally row of the count space is estimated once, then weighted by
+    # its multinomial probability at each grid time. The pmf is taken in log
+    # space: k log p counts 0 where k = 0, and a row with k > 0 = p gets
+    # weight 0.
+    model, n = config.model, config.n_probes
+    rows, log_coeff = _count_table(n, len(model.class_sizes))
+    t_hat, valid = apply_estimator_batch(model, rows, config.estimator)
+    rows, log_coeff, t_hat = rows[valid], log_coeff[valid], t_hat[valid]
+    # (grid times x classes): each class's probability times its size.
+    probs = np.transpose(model.class_probs(np.array(config.t_grid))) * model.class_sizes
+    zero = probs == 0.0
+    log_weights = log_coeff[:, np.newaxis] + rows @ np.log(np.where(zero, 1.0, probs)).T
+    if zero.any():
+        log_weights[(rows > 0) @ zero.T] = -np.inf
+    weights = np.exp(log_weights)
+    points = []
+    for t, total, first, second, n_valid in zip(
+        config.t_grid,
+        weights.sum(axis=0).tolist(),
+        (t_hat @ weights).tolist(),
+        (t_hat * t_hat @ weights).tolist(),
+        np.count_nonzero(weights, axis=0).tolist(),
+    ):
+        crb = _crb_or_nan(model, t, n)
+        if total == 0.0:
+            points.append(ErrorCurvePoint(t, math.nan, math.nan, math.nan, crb, 0))
             continue
-        try:
-            report = estimate(counts)
-        except DegenerateCountsError:
-            continue
-        if not report.valid:
-            continue
-        total_mass += weight
-        first += weight * report.t_hat
-        second += weight * report.t_hat**2
-        n_valid += 1
-    crb = _crb_or_nan(config.model, t, config.n_probes)
-    if total_mass == 0.0:
-        return ErrorCurvePoint(t, math.nan, math.nan, math.nan, crb, 0)
-    mean = first / total_mass
-    var = max(second / total_mass - mean * mean, 0.0)
-    return ErrorCurvePoint(t, mean, math.sqrt(var), mean - t, crb, n_valid)
+        mean = first / total
+        var = max(second / total - mean * mean, 0.0)
+        points.append(ErrorCurvePoint(t, mean, math.sqrt(var), mean - t, crb, n_valid))
+    return ErrorCurve(points=tuple(points))
 
 
 def mean_estimator_curve(config: ExperimentConfig) -> ErrorCurve:
     """Estimator expectation over the grid, exactly where enumerable.
 
-    For n_probes <= MAX_EXACT_PROBES the count space is enumerated and the
-    moments are exact expectations (renormalized over the count vectors that
-    produce a valid estimate; trials is ignored). Larger probe counts fall
-    back to the sampled curve.
+    For n_probes <= MAX_EXACT_PROBES the moments are exact expectations over
+    the whole count space, renormalized over the count vectors that produce
+    a valid estimate (trials and seed are ignored). The space is enumerated
+    as one tally array (``count_tallies``) and estimated once with the batch
+    kernel, whatever the grid length; each grid time then weights the rows
+    by their multinomial probabilities. Larger probe counts fall back to the
+    sampled curve.
     """
     if config.n_probes <= MAX_EXACT_PROBES:
-        return ErrorCurve(points=tuple(_exact_point(config, t) for t in config.t_grid))
+        return _exact_curve(config)
     return error_curve(config)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -18,6 +20,7 @@ import numpy as np
 ATOL = 1e-12
 
 
+@lru_cache(maxsize=None)
 def bit_labels(dim: int) -> tuple[str, ...]:
     """Computational-basis bit strings '00', '01', ... for a 2**q space."""
     n_qubits = (dim - 1).bit_length()
@@ -131,25 +134,35 @@ class ProjectiveMeasurement:
     """
 
     outcomes: tuple[tuple[str, np.ndarray], ...]
+    # The conjugated rows of all outcomes stacked in order, and the index of
+    # each outcome's first row, so Born probabilities take one product.
+    _rows: np.ndarray = field(init=False, repr=False)
+    _starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        frozen = []
-        for label, vectors in self.outcomes:
-            arr = _frozen_array(np.atleast_2d(vectors), complex)
-            frozen.append((str(label), arr))
-        object.__setattr__(self, "outcomes", tuple(frozen))
-
-        dim = frozen[0][1].shape[1]
+        blocks = [np.atleast_2d(vectors) for _, vectors in self.outcomes]
+        stacked = _frozen_array(np.concatenate(blocks), complex)
+        dim = stacked.shape[1]
         _check_dim(dim)
-        stacked = np.vstack([vectors for _, vectors in frozen])
         if stacked.shape[0] != dim:
             raise ValueError(
                 f"projector ranks sum to {stacked.shape[0]}, expected {dim} "
                 "(measurement must be complete)"
             )
         gram = stacked @ stacked.conj().T
-        if np.max(np.abs(gram - np.eye(dim))) > ATOL:
+        if np.abs(gram - np.eye(dim)).max() > ATOL:
             raise ValueError("projectors are not an orthogonal resolution of identity")
+        # Each outcome keeps its rows as a read-only view of the stack.
+        ends = list(accumulate(len(block) for block in blocks))
+        starts = [0, *ends[:-1]]
+        outcomes = tuple(
+            (str(label), stacked[a:b]) for (label, _), a, b in zip(self.outcomes, starts, ends)
+        )
+        rows = stacked.conj()
+        rows.setflags(write=False)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_starts", np.array(starts))
 
     @property
     def dim(self) -> int:
@@ -163,11 +176,9 @@ class ProjectiveMeasurement:
         """Born probabilities of each outcome on the given state."""
         if state.dim != self.dim:
             raise ValueError("state and measurement dimensions differ")
-        probs = {}
-        for label, vectors in self.outcomes:
-            amps = vectors.conj() @ state.amplitudes
-            probs[label] = float(np.sum(np.abs(amps) ** 2))
-        return probs
+        amps = self._rows @ state.amplitudes
+        weights = np.add.reduceat(amps.real**2 + amps.imag**2, self._starts)
+        return dict(zip(self.labels, weights.tolist()))
 
 
 @dataclass(frozen=True)

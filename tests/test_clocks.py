@@ -242,6 +242,25 @@ def test_clock_metadata():
     assert ghz.window_top == pytest.approx(math.pi / 3.0)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_ghz_readout_matches_bitwise_loop(n):
+    # Oracle: the product |+/-> readout and the energies written out one
+    # basis state at a time with bin(): row j is (-1)^popcount(i & j) /
+    # 2^(n/2), and a basis state with b ones has energy -(omega/2)(n - 2 b).
+    model = GhzClock(omega=0.8, n_entangled=n)
+    dim = 2**n
+    scale = 2.0 ** (-n / 2.0)
+    measurement = model.measurement()
+    assert measurement.labels == model.outcome_labels
+    for j, (_, vectors) in enumerate(measurement.outcomes):
+        signs = np.array([(-1.0) ** bin(i & j).count("1") for i in range(dim)])
+        assert np.array_equal(vectors, (scale * signs)[np.newaxis, :])
+    ones = np.array([bin(i).count("1") for i in range(dim)])
+    assert np.array_equal(model.hamiltonian().energies, -0.5 * model.omega * (n - 2 * ones))
+    parity = [1 - (bin(i).count("1") & 1) for i in range(dim)]
+    assert model.label_classes == tuple(parity)
+
+
 def test_recurrence_anchor_values():
     # The scan reports the epsilon-ball entry, slightly before the exact
     # revival; dt/100 bisection puts it within a few parts in 1e-3.
@@ -464,6 +483,14 @@ def test_two_qubit_count_distribution_matches_enumeration():
     assert set(table) == set(oracle)
     for counts, p in oracle.items():
         assert table[counts] == pytest.approx(p, abs=1e-12)
+
+
+def test_count_tallies_lexicographic():
+    # Oracle: every tuple of the product space that sums to n, in product's
+    # order (lexicographic, the first tally slowest).
+    for n, classes in ((1, 2), (5, 2), (1, 4), (3, 4), (12, 4)):
+        want = [list(c) for c in product(range(n + 1), repeat=classes) if sum(c) == n]
+        assert clocks.count_tallies(n, classes).tolist() == want
 
 
 def _ghz_binomial_parity(model, n_probes, t):

@@ -1,9 +1,11 @@
 """Sweep machinery: sampling, determinism, and exact count enumeration.
 
 The oracles here are the binomial/multinomial laws themselves (frequency
-checks at large n), hand-enumerated expectations for the exact curves, and
-the requirement that every result is a pure function of (config, seed) in
-which each grid cell depends on its own index and time alone.
+checks at large n), hand-enumerated expectations for the exact curves, the
+per-vector loop (labelled count distribution, scalar estimator) that the
+batched exact curves replaced, and the requirement that every result is a
+pure function of (config, seed) in which each grid cell depends on its own
+index and time alone.
 """
 
 import math
@@ -30,6 +32,7 @@ from qclock import (
     compare_resources,
     error_curve,
     mean_estimator_curve,
+    n_probe_count_distribution,
     sample_counts,
 )
 from qclock import estimators
@@ -509,6 +512,88 @@ class TestMeanEstimatorCurve:
     def test_large_probe_counts_fall_back_to_sampling(self):
         cfg = small_config(n_probes=MAX_EXACT_PROBES + 1, trials=30)
         assert mean_estimator_curve(cfg) == error_curve(cfg)
+
+
+def _per_vector_exact_point(config, t):
+    # The exact moments one count vector at a time: the labelled count
+    # distribution and the scalar estimator, renormalized over the vectors
+    # with nonzero weight and a valid estimate. Returns (mean, var, n_valid).
+    total_mass = first = second = 0.0
+    n_valid = 0
+    for counts, weight in n_probe_count_distribution(config.model, config.n_probes, t).items():
+        if weight == 0.0:
+            continue
+        try:
+            report = apply_estimator(config.model, counts, config.estimator)
+        except DegenerateCountsError:
+            continue
+        if not report.valid:
+            continue
+        total_mass += weight
+        first += weight * report.t_hat
+        second += weight * report.t_hat**2
+        n_valid += 1
+    if total_mass == 0.0:
+        return math.nan, math.nan, 0
+    mean = first / total_mass
+    return mean, max(second / total_mass - mean * mean, 0.0), n_valid
+
+
+HARMONIC = TwoQubitClock(omega=0.5, Omega=1.0)
+EXACT_BATTERY = (
+    *((OneQubitClock(omega=1.0, chi=chi), EstimatorKind.CLOSED_FORM) for chi in (0.3, 0.75, 1.0)),
+    *((HARMONIC, kind) for kind in (EstimatorKind.COMBINED, EstimatorKind.COARSE)),
+    (HARMONIC, EstimatorKind.NUMERIC),
+    (TwoQubitClock(omega=0.5, Omega=1.3), EstimatorKind.NUMERIC),
+    *((GhzClock(omega=0.8, n_entangled=n), EstimatorKind.CLOSED_FORM) for n in (2, 3)),
+    *((GhzClock(omega=0.8, n_entangled=n), EstimatorKind.NUMERIC) for n in (2, 3)),
+)
+
+
+@pytest.mark.parametrize("model, kind", EXACT_BATTERY, ids=repr)
+def test_exact_curve_matches_per_vector_oracle(model, kind):
+    # Fifteen times from the window's bottom to its top, edges included,
+    # where whole classes of count vectors get weight zero.
+    grid = tuple(np.linspace(0.0, model.window_top, 15).tolist())
+    for n_probes in (1, 2, 7, 12):
+        cfg = small_config(model=model, n_probes=n_probes, t_grid=grid, trials=1, estimator=kind)
+        for point in mean_estimator_curve(cfg).points:
+            mean, var, n_valid = _per_vector_exact_point(cfg, point.t)
+            where = (n_probes, point.t)
+            assert point.n_valid == n_valid, where
+            if n_valid == 0:
+                assert math.isnan(point.mean_estimate) and math.isnan(point.std_error), where
+                continue
+            assert abs(point.mean_estimate - mean) <= 1e-12, where
+            assert abs(point.std_error**2 - var) <= 1e-12, where
+
+
+@pytest.mark.parametrize("grid_length", (1, 4, 15))
+def test_exact_curve_estimates_once_per_curve(grid_length, monkeypatch):
+    calls = []
+    for name in ("combined_estimator_batch", "mle_one_qubit_batch"):
+        kernel = getattr(estimators, name)
+
+        def counting(*args, _kernel=kernel, **kwargs):
+            calls.append(1)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, name, counting)
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("the exact curve called a scalar estimator")
+
+    for name in ("combined_estimator", "mle_one_qubit"):
+        monkeypatch.setattr(estimators, name, scalar)
+    for model, kind in (
+        (HARMONIC, EstimatorKind.COMBINED),
+        (OneQubitClock(omega=1.0, chi=0.75), EstimatorKind.CLOSED_FORM),
+    ):
+        grid = tuple(np.linspace(0.1, model.window_top, grid_length).tolist())
+        cfg = small_config(model=model, n_probes=9, t_grid=grid, trials=1, estimator=kind)
+        before = len(calls)
+        assert len(mean_estimator_curve(cfg).points) == grid_length
+        assert len(calls) - before == 1
 
 
 class TestCompareResources:
