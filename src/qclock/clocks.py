@@ -88,13 +88,6 @@ class _Clock:
             t, {x: probs[c] for x, c in zip(self.outcome_labels, self.label_classes)}
         )
 
-    @cached_property
-    def _first_principles(self) -> tuple[PureState, DiagonalHamiltonian, ProjectiveMeasurement]:
-        # The prepared state, Hamiltonian and readout of evolved_distribution:
-        # immutable values, so a clock builds and checks them once however
-        # many times it is evolved.
-        return self.initial_state(), self.hamiltonian(), self.measurement()
-
 
 @dataclass(frozen=True)
 class OneQubitClock(_Clock):
@@ -344,11 +337,10 @@ def evolved_distribution(model: ClockModel, t: float) -> OutcomeDistribution:
     """Same statistics as ``model.distribution`` but via explicit evolution.
 
     Prepares the initial state, applies the diagonal propagator, and projects
-    onto the readout; the state, Hamiltonian and readout are built once per
-    clock. Slower than the closed forms; used to validate them.
+    onto the readout. Slower than the closed forms; used to validate them.
     """
-    state, hamiltonian, readout = model._first_principles
-    return OutcomeDistribution(float(t), readout.probabilities(evolve(state, hamiltonian, t)))
+    state = evolve(model.initial_state(), model.hamiltonian(), t)
+    return OutcomeDistribution(float(t), model.measurement().probabilities(state))
 
 
 def _multinomial_pmf(tallies: list[int], probs: tuple[float, ...]) -> float:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -20,7 +18,6 @@ import numpy as np
 ATOL = 1e-12
 
 
-@lru_cache(maxsize=None)
 def bit_labels(dim: int) -> tuple[str, ...]:
     """Computational-basis bit strings '00', '01', ... for a 2**q space."""
     n_qubits = (dim - 1).bit_length()
@@ -134,10 +131,10 @@ class ProjectiveMeasurement:
     """
 
     outcomes: tuple[tuple[str, np.ndarray], ...]
-    # The conjugated rows of all outcomes stacked in order, and the index of
-    # each outcome's first row, so Born probabilities take one product.
+    # The rows of all outcomes stacked in order, and the outcome of each row,
+    # so Born probabilities take one product and one weighted count.
     _rows: np.ndarray = field(init=False, repr=False)
-    _starts: np.ndarray = field(init=False, repr=False)
+    _row_outcome: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         blocks = [np.atleast_2d(vectors) for _, vectors in self.outcomes]
@@ -153,16 +150,16 @@ class ProjectiveMeasurement:
         if np.abs(gram - np.eye(dim)).max() > ATOL:
             raise ValueError("projectors are not an orthogonal resolution of identity")
         # Each outcome keeps its rows as a read-only view of the stack.
-        ends = list(accumulate(len(block) for block in blocks))
-        starts = [0, *ends[:-1]]
+        ranks = [len(block) for block in blocks]
+        ends = np.cumsum(ranks)
         outcomes = tuple(
-            (str(label), stacked[a:b]) for (label, _), a, b in zip(self.outcomes, starts, ends)
+            (str(label), stacked[end - rank : end])
+            for (label, _), rank, end in zip(self.outcomes, ranks, ends)
         )
-        rows = stacked.conj()
-        rows.setflags(write=False)
+        row_outcome = np.repeat(np.arange(len(ranks)), ranks)
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_starts", np.array(starts))
+        object.__setattr__(self, "_rows", stacked)
+        object.__setattr__(self, "_row_outcome", row_outcome)
 
     @property
     def dim(self) -> int:
@@ -176,8 +173,11 @@ class ProjectiveMeasurement:
         """Born probabilities of each outcome on the given state."""
         if state.dim != self.dim:
             raise ValueError("state and measurement dimensions differ")
-        amps = self._rows @ state.amplitudes
-        weights = np.add.reduceat(amps.real**2 + amps.imag**2, self._starts)
+        # |<v|a>|^2 = |v . conj(a)|^2, so the stack needs no conjugated copy.
+        amps = self._rows @ state.amplitudes.conj()
+        weights = np.bincount(
+            self._row_outcome, amps.real**2 + amps.imag**2, minlength=len(self.outcomes)
+        )
         return dict(zip(self.labels, weights.tolist()))
 
 

@@ -153,6 +153,26 @@ def test_multi_rank_projectors_supported():
     assert meas.labels == ("pair", "x", "y")
 
 
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_empty_outcome_has_probability_zero(position):
+    # A rank-0 outcome, first, in the middle or last, gets probability 0
+    # and leaves the other outcomes' probabilities as without it.
+    rng = np.random.default_rng(16)
+    gauss = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, _ = np.linalg.qr(gauss)
+    outcomes = [("pair", q[:, :2].conj().T), ("x", q[:, 2].conj()), ("y", q[:, 3].conj())]
+    state = random_state(rng, 4)
+    expected = ProjectiveMeasurement(tuple(outcomes)).probabilities(state)
+    outcomes.insert(position, ("empty", np.empty((0, 4), dtype=complex)))
+    meas = ProjectiveMeasurement(tuple(outcomes))
+    probs = meas.probabilities(state)
+    assert probs["empty"] == 0.0
+    for label, p in expected.items():
+        assert abs(probs[label] - p) < 1e-15
+    assert abs(sum(probs.values()) - 1.0) < 1e-12
+    assert meas.outcomes[position][1].shape == (0, 4)
+
+
 def test_outcome_distribution_validation():
     dist = OutcomeDistribution(0.5, {"+": 0.25, "-": 0.75})
     assert dist.labels == ("+", "-")
