@@ -6,6 +6,7 @@ drops a JSON run manifest next to its first output (``<out>.manifest.json``)
 recording the resolved configuration, seed, tool version, timestamps, and
 output paths; sweep and compare manifests also name the RNG stream layout.
 Re-running the manifest's argv reproduces the data files byte for byte.
+``main`` may be called repeatedly in one process and reuses one parser.
 
 Exit status: 0 on success, 2 on usage or configuration errors, 3 when a
 computation aborts on numeric degeneracy (counts or times at which the
@@ -18,6 +19,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -251,9 +253,8 @@ def cmd_probs(args, argv) -> int:
 def _analytic_fisher(model: ClockModel, t: float) -> float:
     if model.kind == "one-qubit":
         return fisher_one_qubit_analytic(model.chi, model.omega, t).value
-    if model.kind == "two-qubit":
-        return 0.5 * (model.omega**2 + model.Omega**2)
-    return (model.n_entangled * model.omega) ** 2
+    # The two-qubit and GHZ readouts attain the quantum bound at every time.
+    return model.qfi
 
 
 def cmd_fisher(args, argv) -> int:
@@ -481,7 +482,9 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every ``main`` call: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="qclock",
         description="Simulation and estimation toolkit for few-qubit clocks.",

@@ -25,7 +25,8 @@ rest of the package needs to know about it:
 * ``class_sizes`` -- the outcomes per class (2^(n-1) for each GHZ parity
   class, 1 otherwise);
 * ``label_classes`` -- the class of each outcome label;
-* ``counts_type`` -- the count vector class whose tallies follow the classes.
+* ``counts_type`` -- the count vector class whose tallies follow the classes;
+* ``qfi`` -- the probe state's quantum Fisher information 4 Var(H), in closed form.
 
 ``distribution``, count sampling and enumeration, the likelihood, Fisher
 information and the recurrence scan are written once over these members.
@@ -152,6 +153,10 @@ class OneQubitClock(_Clock):
         return (p_minus, 1.0 - p_minus)
 
     @property
+    def qfi(self) -> float:
+        return self.chi * self.omega**2
+
+    @property
     def window_top(self) -> float:
         """Largest time identifiable from the statistics: pi / omega."""
         return math.pi / self.omega
@@ -205,6 +210,10 @@ class TwoQubitClock(_Clock):
         fast = np.square(np.sin(0.5 * self.Omega * t))
         slow = np.square(np.sin(0.5 * self.omega * t))
         return (0.5 * fast, 0.5 * (1.0 - fast), 0.5 * slow, 0.5 * (1.0 - slow))
+
+    @property
+    def qfi(self) -> float:
+        return 0.5 * (self.omega**2 + self.Omega**2)
 
     @property
     def window_top(self) -> float:
@@ -277,6 +286,10 @@ class GhzClock(_Clock):
         # Odd parity is class 0 (k_odd), even parity class 1 (k_even).
         n = self.n_entangled
         return tuple((1 - _popcount(np.arange(2**n), n) % 2).tolist())
+
+    @property
+    def qfi(self) -> float:
+        return (self.n_entangled * self.omega) ** 2
 
     @property
     def window_top(self) -> float:

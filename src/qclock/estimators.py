@@ -367,10 +367,14 @@ def mle_ghz_batch(counts, omega: float, n_entangled: int):
 
 def coarse_estimator_batch(counts, omega: float = 0.5):
     """``coarse_estimator`` on every row of a two-qubit tally array."""
-    omega = float(omega)
+    _, _, km, kp = _reduce_rows(counts).T
+    return _coarse_columns(km, kp, float(omega))
+
+
+def _coarse_columns(km, kp, omega: float):
+    # coarse_estimator_batch on gcd-reduced slow-sector tally columns.
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    _, _, km, kp = _reduce_rows(counts).T
     with np.errstate(divide="ignore", invalid="ignore"):
         t_hat = np.where(kp == 0, math.pi / omega, 2.0 / omega * np.arctan(np.sqrt(km / kp)))
     valid = kp + km > 0
@@ -386,8 +390,8 @@ def combined_estimator_batch(counts, omega: float = 0.5, Omega: float = 1.0):
     """
     omega, Omega = float(omega), float(Omega)
     is_harmonic(omega, Omega, require=True)
-    coarse, valid = coarse_estimator_batch(counts, omega)
     k1, k2, k3, k4 = _reduce_rows(counts).T
+    coarse, valid = _coarse_columns(k3, k4, omega)
     lead = k1 + k4
     valid &= lead > 0
     a_coef = 2 * k1 + 4 * k2 + k3 + k4

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocks import ClockModel, OneQubitClock, _check_time
-from .states import PureState
 
 # Central-difference step for dP/dt; probabilities are smooth order-one
 # trigonometric functions, so this balances truncation and rounding error.
@@ -118,19 +117,9 @@ def quantum_fisher(model: ClockModel, t: float) -> FisherReport:
 
     For the pure states produced here this is 4 times the energy variance,
     constant in t: evolution under a diagonal Hamiltonian only changes the
-    phases of the amplitudes, so the initial state's |a|^2 serve.
+    phases of the amplitudes. Each design gives it in closed form (``qfi``).
     """
-    t = _check_time(t)
-    value = _qfi_pure(model.initial_state(), model.hamiltonian().energies)
-    return FisherReport(value, FisherKind.QUANTUM, t)
-
-
-def _qfi_pure(state: PureState, energies: np.ndarray) -> float:
-    amps = state.amplitudes
-    weights = np.abs(amps) ** 2
-    mean = float(np.dot(weights, energies))
-    second = float(np.dot(weights, energies * energies))
-    return 4.0 * (second - mean * mean)
+    return FisherReport(model.qfi, FisherKind.QUANTUM, _check_time(t))
 
 
 def crb(model: ClockModel, t: float, n_probes: int) -> float:

@@ -266,8 +266,9 @@ def _summarize(t: float, estimates: np.ndarray, crb: float) -> ErrorCurvePoint:
     n_valid = len(estimates)
     if n_valid == 0:
         return ErrorCurvePoint(t, math.nan, math.nan, math.nan, crb, 0)
-    mean = float(estimates.mean())
-    std = float(estimates.std(ddof=0))
+    # ndarray.mean and std(ddof=0) in numpy's own order, minus its overhead.
+    mean = float(np.add.reduce(estimates)) / n_valid
+    std = math.sqrt(float(np.add.reduce(np.square(estimates - mean))) / n_valid)
     return ErrorCurvePoint(t, mean, std, mean - t, crb, n_valid)
 
 

@@ -5,6 +5,7 @@ numbers, so these tests pin the wiring and the 12-digit output contract
 rather than duplicating the math suites.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -13,8 +14,8 @@ import subprocess
 
 import pytest
 
-from qclock import TwoQubitCounts, combined_estimator
-from qclock.cli import main
+from qclock import TwoQubitCounts, __version__, combined_estimator
+from qclock.cli import build_parser, main
 from qclock.montecarlo import STREAM_LAYOUT
 
 
@@ -314,6 +315,35 @@ class TestSweep:
         assert main(["sweep", str(cfg)]) == 0
         _, rows = parse_csv((tmp_path / "curve.csv").read_text())
         assert [row[-1] for row in rows] == ["7", "7"]
+
+    def test_repeated_calls_in_one_process_reuse_one_parser(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            if kwargs.get("prog") == "qclock":
+                built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["probs", "--model", "one-qubit"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"qclock {__version__}\n"
+        cfg = self.write_config(tmp_path, self.basic_section(tmp_path))
+        written = []
+        for _ in range(2):
+            assert main(["sweep", str(cfg)]) == 0
+            written.append((tmp_path / "curve.csv").read_bytes())
+        assert written[0] == written[1]
+        assert len(built) == 1
 
     def test_unknown_key_named_in_error(self, capsys, tmp_path):
         cfg = self.write_config(

@@ -22,7 +22,7 @@ from qclock import (
     fisher_one_qubit_analytic,
     quantum_fisher,
 )
-from qclock.fisher import PROB_FLOOR, _qfi_pure
+from qclock.fisher import PROB_FLOOR
 
 
 def _qfi_spectral(rho: np.ndarray, generator: np.ndarray) -> float:
@@ -41,6 +41,14 @@ def _qfi_spectral(rho: np.ndarray, generator: np.ndarray) -> float:
             diff = lam[k] - lam[l]
             total += 2.0 * diff * diff / weight * abs(h_in_eig[k, l]) ** 2
     return total
+
+
+def _qfi_pure(state, energies: np.ndarray) -> float:
+    # The first-principles route: 4 Var(H) over the probe state's |a|^2.
+    weights = np.abs(state.amplitudes) ** 2
+    mean = float(np.dot(weights, energies))
+    second = float(np.dot(weights, energies * energies))
+    return 4.0 * (second - mean * mean)
 
 
 def test_one_qubit_chi_one_fisher_is_constant():
@@ -111,6 +119,18 @@ def test_quantum_fisher_values():
     for n in (2, 3, 5):
         ghz = quantum_fisher(GhzClock(omega=1.0, n_entangled=n), 0.4)
         assert ghz.value == pytest.approx(float(n * n))
+
+
+def test_quantum_fisher_closed_forms_match_energy_variance():
+    models = [OneQubitClock(omega=w, chi=chi) for chi in (0.0, 0.36, 1.0) for w in (0.4, 1.0, 2.3)]
+    models += [TwoQubitClock(omega=w, Omega=r * w) for r in (2.0, 2.6) for w in (0.4, 1.0, 2.3)]
+    models += [GhzClock(omega=w, n_entangled=n) for n in range(2, 7) for w in (0.4, 1.0, 2.3)]
+    for model in models:
+        expected = _qfi_pure(model.initial_state(), model.hamiltonian().energies)
+        value = quantum_fisher(model, 0.7).value
+        assert abs(value - expected) <= 1e-12 * abs(expected), model
+        with pytest.raises(ValueError, match="finite"):
+            quantum_fisher(model, float("nan"))
 
 
 def test_quantum_fisher_constant_in_time():

@@ -36,7 +36,7 @@ from qclock import (
     sample_counts,
 )
 from qclock import estimators
-from qclock.montecarlo import MAX_EXACT_PROBES
+from qclock.montecarlo import MAX_EXACT_PROBES, _summarize
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -337,6 +337,18 @@ class TestDeterminism:
             assert point.n_valid == 1
             assert point.std_error == 0.0
             assert point.bias == point.mean_estimate - point.t
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 4000, 10000])
+def test_summary_moments_equal_ndarray_methods(n):
+    # The lengths straddle the edges of numpy's pairwise summation blocks.
+    rng = np.random.default_rng(n)
+    for estimates in (rng.uniform(0.0, math.pi, n), np.full(n, 1.7)):
+        point = _summarize(0.5, estimates, 0.1)
+        assert point.mean_estimate == float(estimates.mean())
+        assert point.std_error == float(estimates.std(ddof=0))
+        assert point.bias == point.mean_estimate - 0.5
+        assert point.n_valid == n
 
 
 class TestErrorCurve:
