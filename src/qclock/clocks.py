@@ -22,6 +22,8 @@ rest of the package needs to know about it:
 
 * ``class_probs(t)`` -- the probability of one outcome of each class, for
   scalar or array t: the one probability formula per design;
+* ``dprobs(t)`` -- the first and second time derivatives of ``class_probs``,
+  in closed form and in the same order;
 * ``class_sizes`` -- the outcomes per class (2^(n-1) for each GHZ parity
   class, 1 otherwise);
 * ``label_classes`` -- the class of each outcome label;
@@ -76,6 +78,12 @@ def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
     # The number of ones among the low `bits` bits of each entry, by shifting
     # (np.bitwise_count needs numpy 2).
     return sum((x >> b) & 1 for b in range(bits))
+
+
+def _sin2_derivatives(f: float, t, scale: float):
+    # The first and second time derivatives of 2 scale sin^2(f t / 2) =
+    # scale (1 - cos(f t)): scale f sin(f t) and scale f^2 cos(f t).
+    return scale * f * np.sin(f * t), scale * f * f * np.cos(f * t)
 
 
 class _Clock:
@@ -152,6 +160,13 @@ class OneQubitClock(_Clock):
         p_minus = self.chi * np.square(np.sin(0.5 * self.omega * t))
         return (p_minus, 1.0 - p_minus)
 
+    def dprobs(self, t):
+        """((P_-', P_+'), (P_-'', P_+'')): P_-' = (chi omega / 2) sin(omega t),
+        P_-'' = (chi omega^2 / 2) cos(omega t), and P_+ = 1 - P_-.
+        """
+        d1, d2 = _sin2_derivatives(self.omega, t, 0.5 * self.chi)
+        return (d1, -d1), (d2, -d2)
+
     @property
     def qfi(self) -> float:
         return self.chi * self.omega**2
@@ -211,6 +226,15 @@ class TwoQubitClock(_Clock):
         slow = np.square(np.sin(0.5 * self.omega * t))
         return (0.5 * fast, 0.5 * (1.0 - fast), 0.5 * slow, 0.5 * (1.0 - slow))
 
+    def dprobs(self, t):
+        """First and second derivatives of ``class_probs``, in its order:
+        P_1-' = (Omega / 4) sin(Omega t), P_1-'' = (Omega^2 / 4) cos(Omega t),
+        the slow pair likewise at omega, and each '+' the negated '-'.
+        """
+        f1, f2 = _sin2_derivatives(self.Omega, t, 0.25)
+        s1, s2 = _sin2_derivatives(self.omega, t, 0.25)
+        return (f1, -f1, s1, -s1), (f2, -f2, s2, -s2)
+
     @property
     def qfi(self) -> float:
         return 0.5 * (self.omega**2 + self.Omega**2)
@@ -269,6 +293,16 @@ class GhzClock(_Clock):
         scale = 2.0 ** (self.n_entangled - 1)
         p_odd = np.square(np.sin(0.5 * self.n_entangled * self.omega * t))
         return (p_odd / scale, (1.0 - p_odd) / scale)
+
+    def dprobs(self, t):
+        """First and second derivatives of ``class_probs``: P_odd' =
+        (n omega / 2^n) sin(n omega t), P_odd'' = ((n omega)^2 / 2^n)
+        cos(n omega t), and P_even' = -P_odd', P_even'' = -P_odd''.
+        """
+        d1, d2 = _sin2_derivatives(
+            self.n_entangled * self.omega, t, 2.0 ** -self.n_entangled
+        )
+        return (d1, -d1), (d2, -d2)
 
     @property
     def class_sizes(self) -> tuple[int, int]:

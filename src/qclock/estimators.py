@@ -12,8 +12,10 @@ window where the clock's statistics identify t uniquely:
   coarse (slow-sector) tally picks the correct branch, extending the usable
   window to the full slow period [0, pi/omega].
 
-``mle_numeric`` maximizes the log-likelihood on a grid plus golden-section
-refinement and is the reference the closed forms are checked against.
+``mle_numeric`` maximizes the log-likelihood on a grid, then refines the
+grid argmax by safeguarded Newton-Raphson on the score, whose closed form
+comes from each design's ``dprobs``; it is the reference the closed forms
+are checked against.
 
 Each estimator has a ``*_batch`` kernel that applies it to every row of an
 integer tally array (one count vector per row, in the ``tallies`` order of
@@ -25,7 +27,8 @@ single count vector and the reference the kernels are tested against.
 
 ``mle_numeric_batch`` matches ``mle_numeric`` bit for bit: its grid stage
 is one einsum contraction with the log class probabilities, adding terms in
-tally order, and it runs every row's golden-section search in lock step.
+tally order, and it runs every row's Newton refinement in lock step with the
+scalar path's step rule and score evaluator.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import ClockModel, GhzClock, OneQubitClock, _golden_section_max
+from .clocks import ClockModel, GhzClock, OneQubitClock, TwoQubitClock, _check_positive
 from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts, reduce_counts
 
 # Grid resolution and convergence target for the numeric maximizer.
@@ -188,9 +191,7 @@ def coarse_estimator(counts: TwoQubitCounts, omega: float = 0.5) -> EstimateRepo
     """
     _require(counts, TwoQubitCounts, "coarse_estimator")
     counts = reduce_counts(counts)
-    omega = float(omega)
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    omega = _check_positive("omega", omega)
     kp, km = counts.coarse_plus, counts.coarse_minus
     if kp + km == 0:
         raise DegenerateCountsError("no slow-sector events recorded")
@@ -235,22 +236,13 @@ def two_qubit_score(
                  + k3 omega cot(omega t/2) - k4 omega tan(omega t/2)
 
     Terms with a zero tally are omitted entirely so their poles do not
-    contaminate the value. Accepts scalar or array t.
+    contaminate the value. Accepts scalar or array t. A view of the score
+    that ``mle_numeric`` refines its estimates with.
     """
     _require(counts, TwoQubitCounts, "two_qubit_score")
     t_arr = np.asarray(t, dtype=float)
-    total = np.zeros_like(t_arr)
-    half_fast = 0.5 * Omega * t_arr
-    half_slow = 0.5 * omega * t_arr
-    if counts.fast_minus:
-        total = total + counts.fast_minus * Omega * np.cos(half_fast) / np.sin(half_fast)
-    if counts.fast_plus:
-        total = total - counts.fast_plus * Omega * np.tan(half_fast)
-    if counts.slow_minus:
-        total = total + counts.slow_minus * omega * np.cos(half_slow) / np.sin(half_slow)
-    if counts.slow_plus:
-        total = total - counts.slow_plus * omega * np.tan(half_slow)
-    return float(total) if np.isscalar(t) or t_arr.ndim == 0 else total
+    score, _ = _tally_score(counts.tallies, TwoQubitClock(omega=omega, Omega=Omega), t_arr)
+    return float(score) if t_arr.ndim == 0 else score
 
 
 def _tally_log_likelihood(tallies: np.ndarray, probs) -> np.ndarray:
@@ -259,6 +251,23 @@ def _tally_log_likelihood(tallies: np.ndarray, probs) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = tallies * np.log(np.array(probs))
     return np.add.reduce(np.where(tallies > 0, terms, 0.0))
+
+
+def _tally_score(tallies, model: ClockModel, t):
+    # The log-likelihood's score sum_j k_j p'_j / p_j and curvature
+    # sum_j k_j (p''_j / p_j - (p'_j / p_j)^2) at t, from the closed-form
+    # derivatives, added class by class in tally order. Tallies and t are
+    # scalars, or arrays that broadcast: the same operations in the same
+    # order either way. A zero tally adds an exact zero: its probability
+    # becomes p + 1, so that a vanishing p gives no 0/0 or 0 * inf.
+    score = curvature = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, p, d1, d2 in zip(tallies, model.class_probs(t), *model.dprobs(t)):
+            p = p + (k == 0)
+            ratio = d1 / p
+            score = score + k * ratio
+            curvature = curvature + k * (d2 / p - ratio * ratio)
+    return score, curvature
 
 
 def log_likelihood(model: ClockModel, counts: CountVector, t):
@@ -270,19 +279,50 @@ def log_likelihood(model: ClockModel, counts: CountVector, t):
     ValueError. Terms are added in tally order, as in ``mle_numeric_batch``.
     """
     _require(counts, model.counts_type, "log_likelihood")
-    scalar = isinstance(t, float) or np.ndim(t) == 0
-    if scalar and not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    if isinstance(t, float):
-        # A float or np.float64 needs no 0-d array and, with p > 0, no errstate.
-        terms = [(k, p) for k, p in zip(counts.tallies, model.class_probs(t)) if k]
-        if any(p == 0.0 for _, p in terms):
-            return -math.inf
-        return float(sum(k * np.log(p) for k, p in terms))
     t_arr = np.asarray(t, dtype=float)
+    if t_arr.ndim == 0 and not math.isfinite(t_arr):
+        raise ValueError(f"time must be finite, got {t!r}")
     tallies = np.reshape(counts.tallies, (-1,) + (1,) * t_arr.ndim)
     total = _tally_log_likelihood(tallies, model.class_probs(t_arr))
-    return float(total) if scalar else total
+    return float(total) if t_arr.ndim == 0 else total
+
+
+def _newton_max(score, x: float, lo: float, hi: float, tol: float) -> float:
+    # Safeguarded Newton-Raphson on the score for a maximum in [lo, hi],
+    # starting at x; score(x) gives the score and curvature at x. The sign of
+    # the score narrows the bracket to the side that climbs. A step taken
+    # where the curvature is not negative, or one that would leave the
+    # bracket, becomes a bisection of it. Stops once the step is within tol,
+    # so a maximum at a bracket edge whose score points out of the bracket
+    # stops after one step.
+    while True:
+        s, c = map(float, score(x))
+        lo = x if s >= 0.0 else lo
+        hi = x if s <= 0.0 else hi
+        step = x - s / c if c < 0.0 else math.nan
+        new = step if lo <= step <= hi else 0.5 * (lo + hi)
+        if abs(new - x) <= tol:
+            return new
+        x = new
+
+
+def _newton_max_batch(score, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float):
+    # _newton_max on every row in lock step: score(x, rows) gives the score
+    # and curvature of the listed rows at x. A row leaves the loop once its
+    # step is within tol, so each row takes exactly the scalar rule's steps.
+    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    rows = np.arange(len(x))
+    while rows.size:
+        now = x[rows]
+        s, c = score(now, rows)
+        a = np.where(s >= 0.0, now, lo[rows])
+        b = np.where(s <= 0.0, now, hi[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = now - s / c
+        x[rows] = np.where((c < 0.0) & (a <= step) & (step <= b), step, 0.5 * (a + b))
+        lo[rows], hi[rows] = a, b
+        rows = rows[np.abs(x[rows] - now) > tol]
+    return x
 
 
 def mle_numeric(
@@ -291,19 +331,23 @@ def mle_numeric(
     window: tuple[float, float] | None = None,
     grid_points: int = GRID_POINTS,
 ) -> EstimateReport:
-    """Grid-plus-refinement maximizer of the log-likelihood over a window.
+    """Grid-plus-Newton maximizer of the log-likelihood over a window.
 
     Counts are reduced by their common divisor first, which rescales the
     log-likelihood uniformly and makes the returned estimate exactly
     invariant under integer rescaling of the counts. The grid argmax is
-    refined by golden-section search between its neighbors. A likelihood
-    with no finite variation over the window (e.g. chi = 0, or counts that
-    are impossible at every t) yields the window midpoint flagged invalid.
+    refined by safeguarded Newton-Raphson on the closed-form score, inside
+    the bracket of its two grid neighbors, to REFINE_TOL * max(1, window
+    top). A likelihood with no finite variation over the window (e.g. chi =
+    0, or counts that are impossible at every t) yields the window midpoint
+    flagged invalid. A window bound that is not finite raises ValueError.
     """
     counts = reduce_counts(counts)
     if window is None:
         window = (0.0, model.window_top)
     lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window bounds must be finite, got {window!r}")
     if not hi > lo:
         raise ValueError(f"empty window {window!r}")
     if grid_points < 3:
@@ -322,12 +366,11 @@ def mle_numeric(
         return EstimateReport(midpoint, branch, (lo, hi), valid=False)
 
     i = int(np.argmax(np.where(finite, ll, -np.inf)))
-    a = ts[max(i - 1, 0)]
-    b = ts[min(i + 1, grid_points - 1)]
-    t_hat = _golden_section_max(
-        lambda x: log_likelihood(model, counts, x),
-        float(a),
-        float(b),
+    t_hat = _newton_max(
+        lambda x: _tally_score(counts.tallies, model, x),
+        float(ts[i]),
+        float(ts[max(i - 1, 0)]),
+        float(ts[min(i + 1, grid_points - 1)]),
         REFINE_TOL * max(1.0, abs(hi)),
     )
     return EstimateReport(t_hat, branch, (lo, hi))
@@ -368,13 +411,12 @@ def mle_ghz_batch(counts, omega: float, n_entangled: int):
 def coarse_estimator_batch(counts, omega: float = 0.5):
     """``coarse_estimator`` on every row of a two-qubit tally array."""
     _, _, km, kp = _reduce_rows(counts).T
-    return _coarse_columns(km, kp, float(omega))
+    return _coarse_columns(km, kp, omega)
 
 
 def _coarse_columns(km, kp, omega: float):
     # coarse_estimator_batch on gcd-reduced slow-sector tally columns.
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    omega = _check_positive("omega", omega)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_hat = np.where(kp == 0, math.pi / omega, 2.0 / omega * np.arctan(np.sqrt(km / kp)))
     valid = kp + km > 0
@@ -406,33 +448,6 @@ def combined_estimator_batch(counts, omega: float = 0.5, Omega: float = 1.0):
     return t_hat, valid
 
 
-def _golden_section_max_batch(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    # _golden_section_max on every row in lock step: f(x) evaluates row i at
-    # x[i], and np.where moves only the rows whose bracket is wider than tol,
-    # so each row takes exactly the scalar search's steps and result.
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    invphi2 = 1.0 - invphi
-    a, b = lo, hi
-    h = b - a
-    c = a + invphi2 * h
-    d = a + invphi * h
-    fc = f(c)
-    fd = f(d)
-    active = h > tol
-    while active.any():
-        left = fc >= fd
-        a = np.where(active & ~left, c, a)
-        b = np.where(active & left, d, b)
-        h = b - a
-        # Stopped rows need only a and b, so c, d, fc, fd update freely.
-        x = a + np.where(left, invphi2, invphi) * h
-        fx = f(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-        active = h > tol
-    return 0.5 * (a + b)
-
-
 def mle_numeric_batch(model: ClockModel, counts):
     """``mle_numeric`` over the model's full window on every row of a tally array.
 
@@ -441,8 +456,8 @@ def mle_numeric_batch(model: ClockModel, counts):
     contracts each block of BLOCK_ROWS rows with the (tallies x GRID_POINTS)
     table of log class probabilities in one einsum, which adds the terms in
     tally order as the scalar sum does (a BLAS matrix product need not, and
-    its rounding would depend on the block size). The golden-section
-    refinement then moves all fitted rows in lock step.
+    its rounding would depend on the block size). The Newton refinement
+    then moves all fitted rows in lock step, each row by the scalar rule.
     """
     # Float tallies multiply as the scalar path's ints do, without a cast per use.
     counts = _reduce_rows(counts).astype(float)
@@ -460,8 +475,7 @@ def mle_numeric_batch(model: ClockModel, counts):
     table = np.empty((min(rows, BLOCK_ROWS), GRID_POINTS))
     t_hat = np.full(rows, 0.5 * (lo + hi))
     valid = np.zeros(rows, dtype=bool)
-    a = np.empty(rows)
-    b = np.empty(rows)
+    best = np.empty(rows, dtype=np.intp)
     for start in range(0, rows, BLOCK_ROWS):
         block = counts[start : start + BLOCK_ROWS]
         m = len(block)
@@ -476,15 +490,16 @@ def mle_numeric_batch(model: ClockModel, counts):
         valid[start : start + m] = (ll_max > -np.inf) & ~(
             ll_max - ll_min <= 1e-12 * np.maximum(1.0, np.abs(ll_max))
         )
-        a[start : start + m] = ts[np.maximum(i - 1, 0)]
-        b[start : start + m] = ts[np.minimum(i + 1, GRID_POINTS - 1)]
+        best[start : start + m] = i
     fit = np.flatnonzero(valid)
     if fit.size:
         tallies = counts[fit].T
-        t_hat[fit] = _golden_section_max_batch(
-            lambda x: _tally_log_likelihood(tallies, model.class_probs(x)),
-            a[fit],
-            b[fit],
+        i = best[fit]
+        t_hat[fit] = _newton_max_batch(
+            lambda x, rows: _tally_score(tallies[:, rows], model, x),
+            ts[i],
+            ts[np.maximum(i - 1, 0)],
+            ts[np.minimum(i + 1, GRID_POINTS - 1)],
             REFINE_TOL * max(1.0, abs(hi)),
         )
     return t_hat, valid

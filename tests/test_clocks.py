@@ -2,8 +2,9 @@
 
 Closed forms are validated against the explicit evolve+Born pipeline, and
 count distributions against brute-force product-outcome enumeration and the
-binomial parity law. The model protocol (class_probs, class_sizes,
-label_classes, counts_type) is checked on a battery of all three designs.
+binomial parity law. The model protocol (class_probs, dprobs, class_sizes,
+label_classes, counts_type) is checked on a battery of all three designs,
+the closed-form derivatives against central differences.
 """
 
 import math
@@ -550,3 +551,27 @@ def test_model_protocol(model):
         assert len(table) == math.comb(n + len(sizes) - 1, len(sizes) - 1)
         assert all(type(c) is model.counts_type and c.n == n for c in table)
         assert abs(sum(table.values()) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("model", PROTOCOL_BATTERY, ids=repr)
+def test_dprobs_match_central_differences(model):
+    # First and second time derivatives of each class probability, in tally
+    # order, against central differences of class_probs; a scalar time gives
+    # the array's values bit for bit.
+    ts = np.linspace(-1.0, 3.0 * model.window_top, 41)
+    first, second = model.dprobs(ts)
+    assert len(first) == len(second) == len(model.class_sizes)
+    h1, h2 = 1e-6, 1e-4
+    for j, (d1, d2) in enumerate(zip(first, second)):
+        def p(t):
+            return model.class_probs(t)[j]
+
+        fd1 = (p(ts + h1) - p(ts - h1)) / (2.0 * h1)
+        fd2 = (p(ts + h2) - 2.0 * p(ts) + p(ts - h2)) / (h2 * h2)
+        assert np.max(np.abs(d1 - fd1)) < 1e-8, (j, np.max(np.abs(d1 - fd1)))
+        assert np.max(np.abs(d2 - fd2)) < 1e-6, (j, np.max(np.abs(d2 - fd2)))
+    for i, t in enumerate(ts):
+        scalar = model.dprobs(float(t))
+        assert [[float(d) for d in ds] for ds in scalar] == [
+            [d[i] for d in first], [d[i] for d in second]
+        ]
