@@ -12,15 +12,28 @@ the same order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
 
-def _check_tally(name: str, value: int) -> None:
-    if not isinstance(value, (int,)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_tallies(counts, names: tuple[str, ...]) -> None:
+    # Each named field must be a non-negative integer; a numpy one is stored
+    # as a Python int.
+    for name in names:
+        value = getattr(counts, name)
+        if type(value) is not int:
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = int(value)
+            object.__setattr__(counts, name, value)
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +44,7 @@ class OneQubitCounts:
     k_minus: int
 
     def __post_init__(self):
-        _check_tally("n", self.n)
-        _check_tally("k_minus", self.k_minus)
+        _check_tallies(self, ("n", "k_minus"))
         if self.k_minus > self.n:
             raise ValueError(f"k_minus = {self.k_minus} exceeds n = {self.n}")
 
@@ -65,8 +77,7 @@ class TwoQubitCounts:
     slow_plus: int
 
     def __post_init__(self):
-        for name in ("fast_minus", "fast_plus", "slow_minus", "slow_plus"):
-            _check_tally(name, getattr(self, name))
+        _check_tallies(self, ("fast_minus", "fast_plus", "slow_minus", "slow_plus"))
 
     @property
     def n(self) -> int:
@@ -103,8 +114,7 @@ class GhzCounts:
     k_odd: int
 
     def __post_init__(self):
-        _check_tally("n", self.n)
-        _check_tally("k_odd", self.k_odd)
+        _check_tallies(self, ("n", "k_odd"))
         if self.k_odd > self.n:
             raise ValueError(f"k_odd = {self.k_odd} exceeds n = {self.n}")
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocks import ClockModel, OneQubitClock, _check_time
+from .counts import is_integer
 
 # Central-difference step for dP/dt; probabilities are smooth order-one
 # trigonometric functions, so this balances truncation and rounding error.
@@ -53,7 +54,7 @@ class FisherReport:
 
     def crb(self, n_probes: int) -> float:
         """Cramer-Rao lower bound on Delta t from n independent probes."""
-        if not isinstance(n_probes, int) or isinstance(n_probes, bool) or n_probes < 1:
+        if not is_integer(n_probes) or n_probes < 1:
             raise ValueError(f"n_probes must be a positive integer, got {n_probes!r}")
         if self.degenerate or self.value <= 0.0:
             raise DegenerateTimeError(

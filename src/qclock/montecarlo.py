@@ -36,7 +36,7 @@ from .clocks import (
     count_tallies,
 )
 from . import estimators
-from .counts import CountVector
+from .counts import CountVector, is_integer
 from .estimators import (
     EstimateReport,
     is_harmonic,
@@ -77,12 +77,14 @@ class ExperimentConfig:
     estimator: EstimatorKind = EstimatorKind.CLOSED_FORM
 
     def __post_init__(self):
-        if not isinstance(self.n_probes, int) or isinstance(self.n_probes, bool) or self.n_probes < 1:
+        if not is_integer(self.n_probes) or self.n_probes < 1:
             raise ConfigError(f"n_probes must be a positive integer, got {self.n_probes!r}")
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
+        if not is_integer(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+        if not is_integer(self.seed) or not 0 <= int(self.seed) < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        for name in ("n_probes", "trials", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         grid = tuple(float(t) for t in self.t_grid)
         if not grid:
             raise ConfigError("t_grid must not be empty")
@@ -378,8 +380,9 @@ def compare_resources(
     (common random numbers), and each is NaN at grid times outside that
     design's window.
     """
-    if not isinstance(budget_qubits, int) or budget_qubits < 2 or budget_qubits % 2:
+    if not is_integer(budget_qubits) or budget_qubits < 2 or budget_qubits % 2:
         raise ConfigError(f"budget_qubits must be an even integer >= 2, got {budget_qubits!r}")
+    budget_qubits = int(budget_qubits)
     grid = tuple(float(t) for t in t_grid)
     if not all(math.isfinite(t) for t in grid):
         raise ConfigError(f"t_grid must hold finite times, got {grid!r}")

@@ -3,8 +3,9 @@
 States are complex amplitude vectors over a labeled computational basis,
 Hamiltonians are diagonal in that basis (so time evolution is exact phase
 multiplication, never a matrix exponential), and measurements are complete
-sets of mutually orthogonal projectors. Every object is an immutable value;
-operations return new objects and are safe to share across threads.
+sets of mutually orthogonal projectors. Every object is an immutable value
+with read-only arrays, so clock probes are shared values, one per structure
+(clocks.py); operations return new objects.
 """
 
 from __future__ import annotations
@@ -157,6 +158,7 @@ class ProjectiveMeasurement:
             for (label, _), rank, end in zip(self.outcomes, ranks, ends)
         )
         row_outcome = np.repeat(np.arange(len(ranks)), ranks)
+        row_outcome.setflags(write=False)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "_rows", stacked)
         object.__setattr__(self, "_row_outcome", row_outcome)

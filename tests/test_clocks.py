@@ -4,7 +4,9 @@ Closed forms are validated against the explicit evolve+Born pipeline, and
 count distributions against brute-force product-outcome enumeration and the
 binomial parity law. The model protocol (class_probs, dprobs, class_sizes,
 label_classes, counts_type) is checked on a battery of all three designs,
-the closed-form derivatives against central differences.
+the closed-form derivatives against central differences. The shared probes
+(one two-qubit register, one GHZ register per n) are checked against the
+probes built afresh on every call, bit for bit.
 """
 
 import math
@@ -14,6 +16,13 @@ import numpy as np
 import pytest
 
 from qclock import clocks
+from qclock.states import (
+    DiagonalHamiltonian,
+    OutcomeDistribution,
+    ProjectiveMeasurement,
+    PureState,
+    evolve,
+)
 from qclock import (
     GhzClock,
     GhzCounts,
@@ -123,6 +132,15 @@ def test_ghz_parameter_validation():
         GhzClock(omega=1.0, n_entangled=17)  # register cap
     with pytest.raises(ValueError):
         GhzClock(omega=0.0, n_entangled=2)
+
+
+def test_ghz_accepts_numpy_integers():
+    model = GhzClock(omega=1.0, n_entangled=np.int64(3))
+    assert type(model.n_entangled) is int and model == GhzClock(omega=1.0, n_entangled=3)
+    assert model.outcome_labels == GhzClock(omega=1.0, n_entangled=3).outcome_labels
+    for n in (True, np.bool_(True), np.int64(1), np.int64(17), np.float64(3.0)):
+        with pytest.raises(ValueError):
+            GhzClock(omega=1.0, n_entangled=n)
 
 
 def test_ghz_frequency_scaling():
@@ -509,6 +527,13 @@ def test_count_distribution_ghz_parity_and_bad_n():
             assert list(table.items()) == list(_ghz_binomial_parity(model, n, t))
     with pytest.raises(ValueError):
         n_probe_count_distribution(OneQubitClock(omega=1.0), 0, 1.0)
+    for n in (np.int64(0), np.bool_(True), True):
+        with pytest.raises(ValueError):
+            n_probe_count_distribution(OneQubitClock(omega=1.0), n, 1.0)
+    model = GhzClock(omega=0.7, n_entangled=5)
+    assert n_probe_count_distribution(model, np.int64(4), 1.0) == n_probe_count_distribution(
+        model, 4, 1.0
+    )
     with pytest.raises(ValueError, match="finite"):
         n_probe_count_distribution(OneQubitClock(omega=1.0), 3, float("nan"))
 
@@ -575,3 +600,116 @@ def test_dprobs_match_central_differences(model):
         assert [[float(d) for d in ds] for ds in scalar] == [
             [d[i] for d in first], [d[i] for d in second]
         ]
+
+
+def _per_call_probe(model):
+    # Oracle: the probe as every call built it before probes were shared,
+    # (initial state, Hamiltonian, readout), each built and validated afresh.
+    s = 1.0 / math.sqrt(2.0)
+    if model.kind == "one-qubit":
+        th = model.mixing_angle
+        c, sn = math.cos(th), math.sin(th)
+        return (
+            PureState(np.array([c, sn]), ("0", "1")),
+            DiagonalHamiltonian(np.array([-0.5 * model.omega, 0.5 * model.omega]), ("0", "1")),
+            ProjectiveMeasurement((("+", np.array([[c, sn]])), ("-", np.array([[-sn, c]])))),
+        )
+    if model.kind == "two-qubit":
+        w, big = model.omega, model.Omega
+        return (
+            PureState(np.full(4, 0.5), ("00", "01", "10", "11")),
+            DiagonalHamiltonian(
+                np.array([0.5 * w, -0.5 * w, 0.5 * big, -0.5 * big]), ("00", "01", "10", "11")
+            ),
+            ProjectiveMeasurement(
+                (
+                    ("0+", np.array([[s, s, 0.0, 0.0]])),
+                    ("0-", np.array([[s, -s, 0.0, 0.0]])),
+                    ("1+", np.array([[0.0, 0.0, s, s]])),
+                    ("1-", np.array([[0.0, 0.0, s, -s]])),
+                )
+            ),
+        )
+    n = model.n_entangled
+    index = np.arange(2**n)
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = amps[-1] = s
+    ones = clocks._popcount(index, n)
+    signs = 1.0 - 2.0 * (clocks._popcount(index[:, np.newaxis] & index, n) % 2)
+    rows = 2.0 ** (-n / 2.0) * signs
+    labels = [format(i, f"0{n}b").replace("0", "+").replace("1", "-") for i in range(2**n)]
+    return (
+        PureState(amps),
+        DiagonalHamiltonian(-0.5 * model.omega * (n - 2 * ones)),
+        ProjectiveMeasurement(
+            tuple((label, row[np.newaxis, :]) for label, row in zip(labels, rows))
+        ),
+    )
+
+
+def _probe_battery():
+    rng = np.random.default_rng(11)
+    models = [
+        OneQubitClock(omega=float(rng.uniform(0.1, 3.0)), chi=float(rng.uniform(0.0, 1.0)))
+        for _ in range(20)
+    ]
+    models += [
+        TwoQubitClock(omega=float(rng.uniform(0.1, 2.0)), Omega=float(rng.uniform(0.1, 4.0)))
+        for _ in range(20)
+    ]
+    models += [
+        GhzClock(omega=float(rng.uniform(0.1, 2.0)), n_entangled=n)
+        for n in range(2, 9)
+        for _ in range(3)
+    ]
+    return models
+
+
+def test_evolved_distribution_matches_per_call_probe_bit_for_bit():
+    models = _probe_battery()
+    assert len(models) >= 60
+    for model in models:
+        state, hamiltonian, readout = _per_call_probe(model)
+        for t in np.linspace(-0.5, 3.0 * model.window_top, 31):
+            t = float(t)
+            got = evolved_distribution(model, t)
+            expected = OutcomeDistribution(t, readout.probabilities(evolve(state, hamiltonian, t)))
+            assert got.labels == expected.labels == model.outcome_labels
+            assert all(got[x] == expected[x] for x in got.labels), (model, t)
+
+
+def test_probes_are_shared_per_structure():
+    slow, fast = TwoQubitClock(omega=0.5, Omega=1.0), TwoQubitClock(omega=0.7, Omega=1.9)
+    assert slow.initial_state() is fast.initial_state()
+    assert slow.measurement() is fast.measurement()
+    ghz_a, ghz_b, ghz_4 = (
+        GhzClock(omega=w, n_entangled=n) for w, n in ((0.8, 3), (1.3, 3), (0.8, 4))
+    )
+    assert ghz_a.initial_state() is ghz_b.initial_state()
+    assert ghz_a.measurement() is ghz_b.measurement()
+    assert ghz_a.initial_state() is not ghz_4.initial_state()
+    assert ghz_a.measurement() is not ghz_4.measurement()
+    # The Hamiltonian is built per call and follows each model's frequencies.
+    for model in (slow, fast, ghz_a, ghz_b, ghz_4):
+        hamiltonian = model.hamiltonian()
+        assert np.array_equal(hamiltonian.energies, _per_call_probe(model)[1].energies)
+        assert hamiltonian.basis_labels == model.initial_state().basis_labels
+    assert not np.array_equal(slow.hamiltonian().energies, fast.hamiltonian().energies)
+    assert not np.array_equal(ghz_a.hamiltonian().energies, ghz_b.hamiltonian().energies)
+
+
+@pytest.mark.parametrize("model", PROTOCOL_BATTERY, ids=repr)
+def test_probe_arrays_are_read_only(model):
+    # Shared probes must not be writable through any array they hold.
+    readout = model.measurement()
+    arrays = [
+        model.initial_state().amplitudes,
+        model.hamiltonian().energies,
+        readout._rows,
+        readout._row_outcome,
+        *(rows for _, rows in readout.outcomes),
+    ]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0

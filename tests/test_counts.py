@@ -1,8 +1,22 @@
-"""Count tallies: validation, derived fields, GCD reduction."""
+"""Count tallies: validation, derived fields, GCD reduction, numpy integers."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from qclock import GhzCounts, OneQubitCounts, TwoQubitCounts, reduce_counts
+from qclock import (
+    EstimatorKind,
+    GhzClock,
+    GhzCounts,
+    OneQubitClock,
+    OneQubitCounts,
+    TwoQubitClock,
+    TwoQubitCounts,
+    apply_estimator,
+    reduce_counts,
+    sample_counts,
+)
 
 
 def test_one_qubit_counts_fields():
@@ -60,3 +74,38 @@ def test_reduce_counts_handles_zero_tallies():
 def test_reduce_counts_rejects_foreign_types():
     with pytest.raises(ValueError):
         reduce_counts((3, 4))
+
+
+@pytest.mark.parametrize(
+    "model, kind",
+    [
+        (OneQubitClock(omega=1.0, chi=0.7), EstimatorKind.CLOSED_FORM),
+        (TwoQubitClock(omega=0.5, Omega=1.0), EstimatorKind.COMBINED),
+        (TwoQubitClock(omega=0.5, Omega=1.3), EstimatorKind.NUMERIC),
+        (GhzClock(omega=0.9, n_entangled=3), EstimatorKind.CLOSED_FORM),
+    ],
+    ids=repr,
+)
+def test_sampled_rows_round_trip(model, kind):
+    # A sampled row holds numpy integers: its count vector stores Python ints,
+    # equals and hashes like the vector built from ints, and gives the same
+    # estimate.
+    rows = sample_counts(model, 10, 0.6 * model.window_top, np.random.default_rng(5), 20)
+    for row in rows:
+        counts = model.counts_type.from_tallies(row)
+        plain = model.counts_type.from_tallies(row.tolist())
+        assert counts == plain and hash(counts) == hash(plain)
+        assert counts.tallies == tuple(row.tolist())
+        assert all(type(getattr(counts, f.name)) is int for f in dataclasses.fields(counts))
+        assert apply_estimator(model, counts, kind) == apply_estimator(model, plain, kind)
+
+
+def test_numpy_tallies_are_validated():
+    assert OneQubitCounts(np.uint8(10), np.int32(3)) == OneQubitCounts(10, 3)
+    for n, k in ((np.bool_(True), 0), (4, np.bool_(False)), (np.int64(-1), 0), (4, np.float64(1))):
+        with pytest.raises(ValueError):
+            OneQubitCounts(n, k)
+    with pytest.raises(ValueError):
+        GhzCounts(np.int64(4), np.int64(5))
+    with pytest.raises(ValueError):
+        TwoQubitCounts(np.int64(1), np.int64(-2), 0, 0)

@@ -242,3 +242,7 @@ def test_crb_validates_probe_count():
         report.crb(0)
     with pytest.raises(ValueError):
         report.crb(2.5)
+    for n in (True, np.bool_(True), np.int64(0)):
+        with pytest.raises(ValueError):
+            report.crb(n)
+    assert report.crb(np.int64(7)) == report.crb(7)

@@ -217,6 +217,22 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError):
                 small_config(**overrides)
 
+    def test_accepts_numpy_integers(self):
+        config = small_config(n_probes=np.int64(20), trials=np.int32(50), seed=np.uint64(11))
+        assert config == small_config()
+        assert all(type(v) is int for v in (config.n_probes, config.trials, config.seed))
+        assert small_config(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+        for overrides in (
+            dict(n_probes=np.int64(0)),
+            dict(n_probes=np.bool_(True)),
+            dict(trials=np.bool_(True)),
+            dict(trials=np.int8(-1)),
+            dict(seed=np.int64(-1)),
+            dict(seed=np.bool_(False)),
+        ):
+            with pytest.raises(ConfigError):
+                small_config(**overrides)
+
     def test_rejects_bad_grid(self):
         for grid in ((), (1.0, 1.0), (2.0, 1.0), (-0.1, 1.0), (1.0, 3.3)):
             with pytest.raises(ConfigError):
@@ -643,9 +659,14 @@ class TestCompareResources:
         assert all(len(row) == len(ResourceComparison.COLUMNS) for row in rows)
 
     def test_rejects_bad_budget(self):
-        for budget in (41, 0, -2, True, 2.0):
+        for budget in (41, 0, -2, True, 2.0, np.int64(41), np.bool_(True)):
             with pytest.raises(ConfigError):
                 compare_resources(budget, 1.0, 2.0, (1.0,), trials=5, seed=1)
+
+    def test_accepts_numpy_budget(self):
+        comp = compare_resources(np.int64(4), 1.0, 2.0, (1.0,), trials=5, seed=1)
+        assert type(comp.budget_qubits) is int
+        assert comp == compare_resources(4, 1.0, 2.0, (1.0,), trials=5, seed=1)
 
     def test_rejects_non_finite_times(self):
         # Each design keeps only the grid times inside its window; a NaN time
