@@ -28,10 +28,15 @@ rest of the package needs to know about it:
   class, 1 otherwise);
 * ``label_classes`` -- the class of each outcome label;
 * ``counts_type`` -- the count vector class whose tallies follow the classes;
-* ``qfi`` -- the probe state's quantum Fisher information 4 Var(H), in closed form.
+* ``qfi`` -- the probe state's quantum Fisher information 4 Var(H), in closed form;
+* ``first_return(epsilon)`` -- the first time the statistics return within
+  infidelity epsilon in (0, 1) of their start, with no time grid: in closed
+  form for one qubit and GHZ, from the continued fraction of the frequency
+  ratio for two qubits (epsilon < 3/4).
 
-``distribution``, count sampling and enumeration, the likelihood, Fisher
-information and the recurrence scan are written once over these members.
+``distribution``, count sampling and enumeration, the likelihood and Fisher
+information are written once over these members; ``recurrence_time``
+validates its arguments and caps ``first_return`` at a horizon.
 ``evolved_distribution`` computes the same statistics through explicit state
 evolution and projection, so tests can cross-check the closed forms against
 first principles. The parameter-free parts of its probes are built and
@@ -179,6 +184,15 @@ class OneQubitClock(_Clock):
         """Largest time identifiable from the statistics: pi / omega."""
         return math.pi / self.omega
 
+    def first_return(self, epsilon: float) -> float | None:
+        """The infidelity chi sin^2(omega t / 2) falls back below epsilon at
+        (2 / omega)(pi - asin sqrt(epsilon / chi)); None when chi <= epsilon,
+        as it then never reaches epsilon.
+        """
+        if self.chi <= epsilon:
+            return None
+        return 2.0 / self.omega * (math.pi - math.asin(math.sqrt(epsilon / self.chi)))
+
     @property
     def mixing_angle(self) -> float:
         # chi = sin^2(2 theta) with theta in [0, pi/4]
@@ -247,6 +261,54 @@ class TwoQubitClock(_Clock):
         """Top of the slow sector's one-to-one window: pi / omega."""
         return math.pi / self.omega
 
+    def first_return(self, epsilon: float) -> float:
+        """First return of the infidelity 1 - (|cos(omega t/2)| + |cos(Omega t/2)|)^2 / 4.
+
+        In the fast angle F = fast t / 2 and the slow angle beta F (beta =
+        slow / fast <= 1), the epsilon-ball is where cos x + cos y > 2 sqrt(1
+        - epsilon), (x, y) the offsets from a lattice point (j pi, k pi).
+        For epsilon < 3/4 both cosines must be positive there, so each ball
+        lies inside one cell |x|, |y| < pi / 2, where cos x + cos y is
+        concave: the balls are translates of one convex, centrally symmetric
+        set. The trajectory meets the ball at (j pi, k pi) iff |j beta - k|
+        < delta(epsilon, beta), so the first return lies in the fast cell of
+        the least j >= 1 with ||j beta|| < delta (|| || the distance to the
+        nearest integer): a best approximation of the second kind, hence a
+        convergent denominator of beta (Khinchin, Continued Fractions, sec.
+        6). beta is the exact ratio of the two floats and the offsets come
+        from exact integers, so a late return loses no precision. On each
+        candidate's cells the concave sum is maximised, and the first
+        maximum inside the ball is bisected on its rising side. For epsilon
+        >= 3/4 a sector alone at full contrast is inside the ball, the balls
+        merge, and this raises ValueError.
+        """
+        if not epsilon < 0.75:
+            raise ValueError(f"two-qubit recurrence needs epsilon < 3/4, got {epsilon!r}")
+        slow, fast = sorted((self.omega, self.Omega))
+        (p_slow, q_slow), (p_fast, q_fast) = slow.as_integer_ratio(), fast.as_integer_ratio()
+        num, den = p_slow * q_fast, q_slow * p_fast  # beta = num / den exactly
+        b, half = num / den, 0.5 * math.pi
+
+        def infidelity(x: float, d: float) -> float:
+            # 1 - ((cos x + cos y) / 2)^2 in half angles, exact as x, y -> 0.
+            s = math.sin(0.5 * x) ** 2 + math.sin(0.5 * (d + b * x)) ** 2
+            return s * (2.0 - s)
+
+        for j in _convergent_denominators(num, den):
+            k = j * num // den
+            # The balls at (j pi, k pi) and (j pi, (k + 1) pi) in time order,
+            # by their slow offset d at x = 0 (integer division rounds once).
+            for d in ((j * num - m * den) / den * math.pi for m in (k, k + 1)):
+                lo, hi = max(-half, (-half - d) / b), min(half, (half - d) / b)
+                if lo >= hi:
+                    continue
+                # The maximum, where the slope -sin x - b sin(d + b x) turns.
+                peak = _bisect(lambda x: math.sin(x) + b * math.sin(d + b * x) < 0.0, lo, hi)
+                if infidelity(peak, d) < epsilon:
+                    x = _bisect(lambda x: infidelity(x, d) >= epsilon, lo, peak)
+                    return 2.0 * (j * math.pi + x) / fast
+        raise AssertionError("the last convergent is an exact return")
+
     def initial_state(self) -> PureState:
         return _two_qubit_probe()[0]
 
@@ -300,6 +362,12 @@ class GhzClock(_Clock):
         )
         return (d1, -d1), (d2, -d2)
 
+    def first_return(self, epsilon: float) -> float:
+        """The infidelity sin^2(n omega t / 2) falls back below epsilon at
+        (2 / (n omega))(pi - asin sqrt(epsilon)).
+        """
+        return 2.0 / (self.n_entangled * self.omega) * (math.pi - math.asin(math.sqrt(epsilon)))
+
     @property
     def class_sizes(self) -> tuple[int, int]:
         return (2 ** (self.n_entangled - 1),) * 2
@@ -335,6 +403,27 @@ class GhzClock(_Clock):
 
     def measurement(self) -> ProjectiveMeasurement:
         return _ghz_readout(self.n_entangled)
+
+
+def _convergent_denominators(num: int, den: int):
+    # The denominators q_0 = 1 <= q_1 < q_2 < ... of the continued-fraction
+    # convergents of num / den, ending with its denominator in lowest terms.
+    q_prev, q = 0, 1
+    while True:
+        yield q
+        num, den = den, num % den
+        if den == 0:
+            return
+        q_prev, q = q, num // den * q + q_prev
+
+
+def _bisect(left_of, lo: float, hi: float) -> float:
+    # Where left_of, true left of some point of [lo, hi] and false right of
+    # it, turns: the right end of the bracket after 64 halvings.
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if left_of(mid) else (lo, mid)
+    return hi
 
 
 @cache
@@ -455,119 +544,22 @@ def n_probe_count_distribution(
     }
 
 
-def _infidelity(model: ClockModel):
-    # t -> 1 - classical (Bhattacharyya) fidelity between the outcome
-    # statistics at time t and at time 0, for scalar or array t, summed over
-    # the classes with their outcome counts m; invariant under global and
-    # per-sector phases, which the readout cannot resolve.
-    base = model.class_probs(0.0)
-
-    def infid(t):
-        now = model.class_probs(t)
-        overlap = sum(m * np.sqrt(p0 * p) for m, p0, p in zip(model.class_sizes, base, now))
-        return 1.0 - overlap * overlap
-
-    return infid
-
-
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    # Golden-section search for a maximum of a unimodal f on [lo, hi].
-    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
-    invphi2 = 1.0 - invphi
-    a, b = lo, hi
-    h = b - a
-    c = a + invphi2 * h
-    d = a + invphi * h
-    fc = f(c)
-    fd = f(d)
-    while h > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + invphi2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + invphi * h
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-# Grid steps recurrence_time evaluates per array call.
-BLOCK_STEPS = 4096
-
-
 def recurrence_time(
-    model: ClockModel,
-    epsilon: float = 1e-6,
-    t_max: float = 100.0,
-    dt: float = 0.01,
+    model: ClockModel, epsilon: float = 1e-6, t_max: float = 100.0
 ) -> float | None:
     """First time the outcome statistics return within epsilon of their start.
 
-    Scans t = k dt for k = 1, 2, ... while t <= t_max, after the infidelity
-    has first exceeded epsilon. A return can be much narrower than the scan
-    step (the epsilon-ball has width of order sqrt(epsilon)), so each grid
-    minimum is refined by golden-section search; the first refined dip
-    below epsilon, or the first grid point below it, is accepted and the
-    epsilon-crossing located by bisection to dt/100 resolution. The grid is
-    evaluated in arrays of BLOCK_STEPS steps, with the last two points
-    carried across blocks, so memory does not grow with t_max. Returns None
-    if no recurrence is found by t_max (including a clock whose statistics
-    never become epsilon-distinguishable, e.g. chi = 0), at once for a
-    one-qubit clock with chi < epsilon.
+    The distance is the infidelity 1 - F, F the classical (Bhattacharyya)
+    fidelity between the outcome statistics at time t and at time 0, which
+    no global or per-sector phase changes. The answer is the model's
+    ``first_return(epsilon)``: the first time, after the infidelity has
+    reached epsilon, at which it falls below epsilon again. Returns None if
+    that time is later than t_max, or if the statistics never leave the
+    epsilon-ball (e.g. a one-qubit clock with chi <= epsilon).
     """
     epsilon = float(epsilon)
-    t_max = float(t_max)
-    dt = float(dt)
-    if not 0.0 < epsilon < 1.0:
+    if not 0.0 < epsilon < 1.0:  # NaN fails the comparison
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not 0.0 < dt < t_max < math.inf:  # NaN fails every comparison
-        raise ValueError(f"require 0 < dt < t_max, both finite; got dt={dt!r}, t_max={t_max!r}")
-
-    if model.kind == "one-qubit" and model.chi < epsilon:
-        return None  # the infidelity chi sin^2(omega t / 2) never reaches epsilon
-    infid = _infidelity(model)
-
-    def crossing(lo: float, hi: float) -> float:
-        # infid(lo) >= epsilon, infid(hi) < epsilon
-        while hi - lo > dt / 100.0:
-            mid = 0.5 * (lo + hi)
-            if infid(mid) < epsilon:
-                hi = mid
-            else:
-                lo = mid
-        return float(hi)
-
-    # ts, vs: the last two steps of the earlier blocks, then this block's
-    # steps k0, k0 + 1, ..., so index i holds step k0 - first + i.
-    ts = vs = np.empty(0)
-    departed = None  # first step with infidelity >= epsilon
-    k0 = 1
-    while True:
-        block = np.arange(k0, k0 + BLOCK_STEPS) * dt
-        block = block[block <= t_max]
-        first = len(ts)
-        ts = np.concatenate((ts, block))
-        vs = np.concatenate((vs, infid(block)))
-        if departed is None and (vs[first:] >= epsilon).any():
-            departed = k0 + int(np.argmax(vs[first:] >= epsilon))
-        if departed is not None:
-            d = departed - (k0 - first)
-            start = max(first, d + 1)
-            below = start + np.flatnonzero(vs[start:] < epsilon)
-            stop = below[0] if below.size else len(vs)
-            # Steps d..stop-1 are all >= epsilon: a grid minimum at i - 1
-            # is a candidate when its left neighbour i - 2 is among them.
-            steps = np.arange(max(first, d + 2), stop)
-            for i in steps[(vs[steps - 1] <= vs[steps - 2]) & (vs[steps - 1] <= vs[steps])]:
-                t_star = _golden_section_max(lambda t: -infid(t), ts[i - 2], ts[i], dt / 1000.0)
-                if infid(t_star) < epsilon:
-                    return crossing(ts[i - 2], t_star)
-            if below.size:
-                return crossing(ts[stop - 1], ts[stop])
-        if len(block) < BLOCK_STEPS:
-            return None
-        ts, vs = ts[-2:], vs[-2:]
-        k0 += BLOCK_STEPS
+    t_max = _check_positive("t_max", t_max)
+    t = model.first_return(epsilon)
+    return t if t is not None and t <= t_max else None

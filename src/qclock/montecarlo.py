@@ -197,8 +197,8 @@ def sample_counts(
     model's ``tallies`` order, drawn with a single multinomial call over the
     model's classes (a binomial for the two-class designs).
     """
-    if n_probes < 1:
-        raise ValueError("n_probes must be at least 1")
+    if not is_integer(n_probes) or n_probes < 1:
+        raise ValueError(f"n_probes must be a positive integer, got {n_probes!r}")
     pvals = np.multiply(model.class_sizes, model.class_probs(t))
     return rng.multinomial(n_probes, pvals / pvals.sum(), size=trials)
 

@@ -11,6 +11,7 @@ import json
 import math
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -191,6 +192,37 @@ class TestRecurrence:
             )
             assert code == 0
             assert json.loads(out)["recurrence_time"] is None
+
+    def test_one_qubit_chi_just_above_epsilon(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "recurrence", "--model", "one-qubit", "--chi", "0.600000000001",
+            "--epsilon", "0.6", "--t-max", "1e9",
+        )
+        assert code == 0
+        assert json.loads(out)["recurrence_time"] == pytest.approx(math.pi + 2.6e-6, abs=1e-7)
+
+    def test_two_qubit_epsilon_from_three_quarters_exits_two(self, capsys):
+        for epsilon in ("0.75", "0.95"):
+            code, out, err = run_cli(
+                capsys, "recurrence", "--model", "two-qubit", "--omega", "0.5",
+                "--epsilon", epsilon, "--t-max", "1e9",
+            )
+            assert code == 2, epsilon
+            assert not out and "3/4" in err
+
+    @pytest.mark.parametrize(
+        "ratio, epsilon, expected",
+        ((0.5 * (1.0 + math.sqrt(5.0)), "1e-8", 85011.497), (math.sqrt(2.0), "1e-9", 420483.327)),
+    )
+    def test_long_two_qubit_returns_are_fast(self, capsys, ratio, epsilon, expected):
+        started = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "recurrence", "--model", "two-qubit", "--omega", "0.5",
+            "--Omega", repr(0.5 * ratio), "--epsilon", epsilon, "--t-max", "1e9",
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        assert json.loads(out)["recurrence_time"] == pytest.approx(expected, abs=2e-3)
 
     def test_non_finite_arguments_exit_two(self, capsys):
         for flags in (

@@ -10,6 +10,7 @@ probes built afresh on every call, bit for bit.
 """
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_distributions_reject_non_finite_time():
 def test_normalization_over_doubled_recurrence_window():
     for model in ALL_MODELS:
         rt = recurrence_time(model, epsilon=1e-6, t_max=100.0)
-        if rt is None:  # chi < 1 one-qubit clocks never re-enter the ball
+        if rt is None:  # a one-qubit clock with chi <= epsilon never leaves the ball
             rt = 2.0 * math.pi / model.omega
         for t in np.linspace(0.0, 2.0 * rt, 1000):
             total = sum(model.distribution(float(t)).probs.values())
@@ -320,10 +321,6 @@ def test_recurrence_validation():
         recurrence_time(model, epsilon=0.0)
     with pytest.raises(ValueError):
         recurrence_time(model, epsilon=1.0)
-    with pytest.raises(ValueError):
-        recurrence_time(model, dt=0.0)
-    with pytest.raises(ValueError):
-        recurrence_time(model, t_max=0.005, dt=0.01)
     nan, inf = float("nan"), float("inf")
     for kwargs in (
         {"epsilon": nan},
@@ -331,12 +328,9 @@ def test_recurrence_validation():
         {"t_max": nan},
         {"t_max": inf},
         {"t_max": -inf},
-        {"dt": nan},
-        {"dt": inf},
     ):
         with pytest.raises(ValueError):
             recurrence_time(model, **kwargs)
-    # An infinite horizon on a clock that never departs would scan forever.
     with pytest.raises(ValueError, match="finite"):
         recurrence_time(OneQubitClock(omega=1.0, chi=0.0), t_max=inf)
 
@@ -377,7 +371,7 @@ def _scalar_golden_min(f, lo, hi, tol):
 
 def _scalar_recurrence_time(model, epsilon=1e-6, t_max=100.0, dt=0.01):
     # Reference scan: one grid step at a time, each local minimum refined
-    # as soon as it is seen. The block scan must make the same decisions.
+    # as soon as it is seen, the epsilon-crossing bisected to dt/100.
     base = model.distribution(0.0)
 
     def infid(t):
@@ -445,27 +439,145 @@ def _recurrence_battery():
 def recurrence_oracle():
     models = _recurrence_battery()
     cases = [(model, 1e-6, t_max) for model in models for t_max in (100.0, 20.0, 5.0)]
-    # A large epsilon departs late, often after a block boundary, and can
-    # leave grid minima below epsilon before departure.
+    # A large epsilon departs late and can leave grid minima below epsilon
+    # before departure.
     cases += [(model, epsilon, 20.0) for model in models[:21] for epsilon in (0.1, 0.5)]
     return [(*case, _scalar_recurrence_time(*case)) for case in cases]
 
 
-@pytest.mark.parametrize("block_steps", (1, 2, 7, None))
-def test_block_scan_matches_scalar_scan(recurrence_oracle, block_steps, monkeypatch):
-    if block_steps is not None:
-        monkeypatch.setattr(clocks, "BLOCK_STEPS", block_steps)
+def _scaled(model, scale):
+    # The same clock with every frequency multiplied by scale.
+    if isinstance(model, OneQubitClock):
+        return OneQubitClock(omega=scale * model.omega, chi=model.chi)
+    if isinstance(model, TwoQubitClock):
+        return TwoQubitClock(omega=scale * model.omega, Omega=scale * model.Omega)
+    return GhzClock(omega=scale * model.omega, n_entangled=model.n_entangled)
+
+
+@pytest.mark.parametrize("scale", (1, 2, 7, None))
+def test_block_scan_matches_scalar_scan(recurrence_oracle, scale):
+    # recurrence_time against the step-by-step scan (the name is from the
+    # time-grid scan recurrence_time once was). The scan returns the first
+    # grid-bisection point inside the ball, at most dt/100 = 1e-4 after the
+    # exact entry and never before it. With a scale s, the clock runs s
+    # times faster, so its first return, times s, is the scanned one.
     assert len({repr(case[0]) for case in recurrence_oracle}) >= 60
     assert any(case[-1] is None for case in recurrence_oracle)
     assert any(case[-1] is not None for case in recurrence_oracle)
-    for model, epsilon, t_max, expected in recurrence_oracle:
-        got = recurrence_time(model, epsilon=epsilon, t_max=t_max)
-        assert got == expected, (model, epsilon, t_max)
+    for model, epsilon, t_max, scanned in recurrence_oracle:
+        if scale is None:
+            got = recurrence_time(model, epsilon=epsilon, t_max=t_max)
+        else:
+            got = recurrence_time(_scaled(model, scale), epsilon=epsilon, t_max=t_max / scale)
+            got = None if got is None else scale * got
+        assert (got is None) == (scanned is None), (model, epsilon, t_max)
+        if got is not None:
+            assert 0.0 <= scanned - got <= 1e-4, (model, epsilon, t_max, scanned, got)
 
 
-def test_block_scan_horizon_is_not_allocated():
+def test_recurrence_horizon_only_caps_the_answer():
     model = OneQubitClock(omega=1.0)
     assert recurrence_time(model, t_max=1e12) == recurrence_time(model, t_max=100.0)
+
+
+def test_recurrence_closed_forms_and_their_edges():
+    # chi just above epsilon: the statistics leave the ball only near
+    # t = pi, and the first return follows at once.
+    model = OneQubitClock(omega=1.0, chi=0.600000000001)
+    expected = 2.0 * (math.pi - math.asin(math.sqrt(0.6 / model.chi)))
+    got = recurrence_time(model, epsilon=0.6, t_max=1e9)
+    assert got == pytest.approx(expected, rel=1e-15)
+    assert got - math.pi == pytest.approx(2.6e-6, rel=0.05)
+    for n, omega, epsilon in ((2, 1.0, 1e-6), (5, 0.7, 0.3)):
+        expected = 2.0 / (n * omega) * (math.pi - math.asin(math.sqrt(epsilon)))
+        assert recurrence_time(GhzClock(omega, n), epsilon) == pytest.approx(expected, rel=1e-15)
+
+
+def test_two_qubit_recurrence_rejects_merged_balls():
+    # From epsilon = 3/4 on, a sector alone at full contrast lies inside
+    # the ball; at Omega = 2 omega the infidelity never exceeds 0.875, so
+    # epsilon = 0.95 was a scan to the horizon.
+    model = TwoQubitClock(omega=0.5, Omega=1.0)
+    for epsilon in (0.75, 0.95):
+        with pytest.raises(ValueError, match="3/4"):
+            recurrence_time(model, epsilon=epsilon, t_max=1e9)
+    assert recurrence_time(model, epsilon=0.7499) is not None
+
+
+def test_two_qubit_recurrence_resolves_tiny_epsilon():
+    # cos x rounds to 1 for |x| < 1e-8, but the half-angle infidelity does
+    # not: at epsilon = 1e-300 only the exact return at the denominator q
+    # of the float ratio omega / Omega is close enough.
+    model = TwoQubitClock(omega=0.5, Omega=0.5 * math.sqrt(2.0))
+    q = (Fraction(model.omega) / Fraction(model.Omega)).denominator
+    got = recurrence_time(model, epsilon=1e-300, t_max=1e20)
+    assert got == pytest.approx(2.0 * math.pi * q / model.Omega, rel=1e-15)
+
+
+GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
+# Omega / omega: quadratic irrationals, e, pi (partial quotient 292), a ratio
+# with partial quotient 50 ([1; 50, 1, 1, ...]) and two float ratios.
+MINIMALITY_RATIOS = (
+    GOLDEN,
+    math.sqrt(2.0),
+    math.e,
+    math.pi,
+    1.0 + 1.0 / (50.0 + 1.0 / GOLDEN),
+    2.0,
+    2.6,
+)
+
+
+def _cell_infidelity_minima(model, t_end):
+    # Each cell between consecutive zeros of cos(omega t / 2) and
+    # cos(Omega t / 2) up to t_end, after the one holding t = 0, and the
+    # infidelity's minimum on it, found by golden-section search on all
+    # cells at once: |cos| + |cos| is concave on a cell, so the infidelity
+    # is unimodal there.
+    zeros = np.concatenate([
+        (2.0 * np.arange(math.ceil(t_end * f / (2.0 * math.pi)) + 1) + 1.0) * math.pi / f
+        for f in (model.omega, model.Omega)
+    ])
+    zeros = np.unique(zeros[zeros <= t_end])
+    lo, hi = zeros[:-1], zeros[1:]
+    base = model.class_probs(0.0)
+
+    def infidelity(t):
+        overlap = sum(np.sqrt(p0 * p) for p0, p in zip(base, model.class_probs(t)))
+        return 1.0 - overlap * overlap
+
+    invphi = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = lo.copy(), hi.copy()
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = infidelity(c), infidelity(d)
+    for _ in range(80):
+        left = fc <= fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        c, d = np.where(left, b - invphi * (b - a), d), np.where(left, c, a + invphi * (b - a))
+        new = infidelity(np.where(left, c, d))
+        fc, fd = np.where(left, new, fd), np.where(left, fc, new)
+    argmin = 0.5 * (a + b)
+    return lo, hi, argmin, infidelity(argmin)
+
+
+@pytest.mark.parametrize(
+    "ratio", MINIMALITY_RATIOS, ids=("golden", "sqrt2", "e", "pi", "pq50", "2", "2.6")
+)
+def test_two_qubit_recurrence_is_the_first_dip(ratio):
+    # Brute force over every cell: before the answer's cell no cell's
+    # infidelity minimum falls below epsilon, and the answer is the
+    # entry into the ball on its cell's falling side.
+    model = TwoQubitClock(omega=0.5, Omega=0.5 * ratio)
+    epsilons = [10.0**-k for k in range(2, 9)]
+    answers = [recurrence_time(model, epsilon, t_max=1e9) for epsilon in epsilons]
+    lo, hi, argmin, minima = _cell_infidelity_minima(model, max(answers) + 20.0 * math.pi)
+    for epsilon, t in zip(epsilons, answers):
+        cell = np.flatnonzero((lo < t) & (t < hi))
+        assert cell.size == 1, (epsilon, t)
+        (cell,) = cell
+        assert np.all(minima[:cell] >= epsilon), (epsilon, t)
+        assert minima[cell] < epsilon and t <= argmin[cell], (epsilon, t)
 
 
 def test_one_qubit_count_distribution_binomial():

@@ -114,8 +114,11 @@ class TestSampleCounts:
         assert abs(k_odd / n - p) < 4.0 * sigma
 
     def test_rejects_nonpositive_probe_count(self):
-        with pytest.raises(ValueError):
-            sample_counts(OneQubitClock(omega=1.0), 0, 1.0, np.random.default_rng(0), 3)
+        # A float or bool count is no probe count: numpy would truncate 2.5
+        # to 2 and read True as 1.
+        for n_probes in (0, 2.5, True, np.bool_(True)):
+            with pytest.raises(ValueError):
+                sample_counts(OneQubitClock(omega=1.0), n_probes, 1.0, np.random.default_rng(0), 3)
 
 
 def _three_branch_sample_counts(model, n_probes, t, rng, trials):
