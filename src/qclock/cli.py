@@ -9,8 +9,8 @@ Re-running the manifest's argv reproduces the data files byte for byte.
 ``main`` may be called repeatedly in one process and reuses one parser.
 
 Exit status: 0 on success, 2 on usage or configuration errors, 3 when a
-computation aborts on numeric degeneracy (counts or times at which the
-requested quantity is undefined).
+computation aborts on degenerate counts. ``fisher`` marks a time with no
+Cramer-Rao bound by degenerate = 1 and crb = nan instead.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ import numpy as np
 from . import __version__
 from .clocks import ClockModel, GhzClock, OneQubitClock, TwoQubitClock, recurrence_time
 from .estimators import DegenerateCountsError
-from .fisher import (
-    DegenerateTimeError,
-    classical_fisher,
-    fisher_one_qubit_analytic,
-    quantum_fisher,
-)
+from .fisher import DegenerateTimeError, classical_fisher, quantum_fisher
 from .montecarlo import (
     STREAM_LAYOUT,
     ConfigError,
@@ -250,16 +245,10 @@ def cmd_probs(args, argv) -> int:
     return 0
 
 
-def _analytic_fisher(model: ClockModel, t: float) -> float:
-    if model.kind == "one-qubit":
-        return fisher_one_qubit_analytic(model.chi, model.omega, t).value
-    # The two-qubit and GHZ readouts attain the quantum bound at every time.
-    return model.qfi
-
-
 def cmd_fisher(args, argv) -> int:
     started = _now()
     model = _build_model(args)
+    # classical_fisher is the closed form: "analytic" repeats it, kept for layout.
     header = ["t", "classical_fisher", "analytic", "qfi", "crb", "degenerate"]
     rows = []
     for t in _times(args):
@@ -273,7 +262,7 @@ def cmd_fisher(args, argv) -> int:
             [
                 t,
                 report.value,
-                _analytic_fisher(model, t),
+                report.value,
                 quantum_fisher(model, t).value,
                 bound,
                 int(degenerate),

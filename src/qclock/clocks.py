@@ -29,6 +29,8 @@ rest of the package needs to know about it:
 * ``label_classes`` -- the class of each outcome label;
 * ``counts_type`` -- the count vector class whose tallies follow the classes;
 * ``qfi`` -- the probe state's quantum Fisher information 4 Var(H), in closed form;
+* ``cfi(t)`` -- the readout's classical Fisher information at scalar t, in
+  closed form (``qfi`` for two qubits and GHZ);
 * ``first_return(epsilon)`` -- the first time the statistics return within
   infidelity epsilon in (0, 1) of their start, with no time grid: in closed
   form for one qubit and GHZ, from the continued fraction of the frequency
@@ -67,6 +69,10 @@ from .states import (
 # Largest GHZ register: its state vector holds 2**n amplitudes.
 MAX_GHZ_QUBITS = 16
 
+# Relative tolerance on a time at a whole multiple of ``window_top``: a grid
+# may end at window_top * (1 + WINDOW_RTOL), and such a time is a window edge.
+WINDOW_RTOL = 1e-12
+
 
 def _check_positive(name: str, value: float) -> float:
     value = float(value)
@@ -104,6 +110,14 @@ class _Clock:
         return OutcomeDistribution(
             t, {x: probs[c] for x, c in zip(self.outcome_labels, self.label_classes)}
         )
+
+    def cfi(self, t: float) -> float:
+        """Classical Fisher information at scalar t: ``qfi`` at every t where
+        the classes pair up as a sin^2(f t / 2), a cos^2(f t / 2), since a pair
+        adds p'^2 / p + p'^2 / (a - p) = a f^2 (two qubits: a = 1/2 per
+        sector; GHZ: a = 1 per parity, f = n omega). One qubit overrides it.
+        """
+        return self.qfi
 
 
 @dataclass(frozen=True)
@@ -178,6 +192,16 @@ class OneQubitClock(_Clock):
     @property
     def qfi(self) -> float:
         return self.chi * self.omega**2
+
+    def cfi(self, t: float) -> float:
+        """chi omega^2 c^2 / ((1 - chi) + chi c^2), c = cos(omega t / 2).
+
+        The sum P_-'^2 / P_- + P_+'^2 / P_+ in half angles, with the common
+        factor sin^2(omega t / 2) cancelled: finite at every t, chi omega^2 at
+        omega t = 2 pi k, omega^2 at chi = 1 and 0 at chi = 0.
+        """
+        c2 = math.cos(0.5 * self.omega * t) ** 2
+        return self.chi * self.omega**2 * c2 / ((1.0 - self.chi) + self.chi * c2)
 
     @property
     def window_top(self) -> float:

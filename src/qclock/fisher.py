@@ -4,12 +4,12 @@ The classical Fisher information of the outcome statistics at time t is
 
     F(t) = sum_x  (dP_x/dt)^2 / P_x(t),
 
-computed here by central differences on the model's class probabilities.
-``fisher_one_qubit_analytic`` carries the closed form for the single-qubit
-clock; the quantum Fisher information bounds the classical one over all
-readouts and is four times the energy variance of the probe state. The standard
+which each design gives in closed form (``cfi``). The quantum Fisher
+information bounds the classical one over all readouts and is four times
+the energy variance of the probe state (``qfi``). The standard
 deviation of any unbiased estimator from n independent probes obeys the
-Cramer-Rao bound  Delta t >= 1 / sqrt(n F(t)).
+Cramer-Rao bound  Delta t >= 1 / sqrt(n F(t)), undefined at a whole
+multiple of the window top (see ``classical_fisher``).
 """
 
 from __future__ import annotations
@@ -18,20 +18,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .clocks import ClockModel, OneQubitClock, _check_time
+from .clocks import WINDOW_RTOL, ClockModel, OneQubitClock, _check_time
 from .counts import is_integer
-
-# Central-difference step for dP/dt; probabilities are smooth order-one
-# trigonometric functions, so this balances truncation and rounding error.
-FD_STEP = 1e-6
-
-# An outcome is treated as absent when its probability is below this and its
-# time derivative is negligible too; a vanishing probability with a
-# non-vanishing derivative makes F(t) diverge and is flagged instead.
-PROB_FLOOR = 1e-12
-DERIV_FLOOR = 1e-9
 
 
 class FisherKind(enum.Enum):
@@ -40,12 +28,17 @@ class FisherKind(enum.Enum):
 
 
 class DegenerateTimeError(ValueError):
-    """The Fisher information diverges or vanishes identically at this time."""
+    """No Cramer-Rao bound exists at this time: it is a window edge, or the
+    Fisher information vanishes there."""
 
 
 @dataclass(frozen=True)
 class FisherReport:
-    """Fisher information at a single time, with its provenance."""
+    """Fisher information at a single time, with its provenance.
+
+    value is always the exact, finite Fisher information; degenerate marks a
+    window edge, where ``crb`` raises all the same.
+    """
 
     value: float
     kind: FisherKind
@@ -57,60 +50,40 @@ class FisherReport:
         if not is_integer(n_probes) or n_probes < 1:
             raise ValueError(f"n_probes must be a positive integer, got {n_probes!r}")
         if self.degenerate or self.value <= 0.0:
-            raise DegenerateTimeError(
-                f"no finite Cramer-Rao bound at t = {self.t}: "
-                f"Fisher information is {'degenerate' if self.degenerate else 'zero'}"
-            )
+            why = "a window edge" if self.degenerate else "zero Fisher information"
+            raise DegenerateTimeError(f"no finite Cramer-Rao bound at t = {self.t}: {why}")
         return 1.0 / math.sqrt(n_probes * self.value)
 
 
-def classical_fisher(model: ClockModel, t: float, step: float = FD_STEP) -> FisherReport:
+def classical_fisher(model: ClockModel, t: float) -> FisherReport:
     """Classical Fisher information of the readout statistics at time t.
 
-    Derivatives come from central differences with the given step, taken on
-    the class probabilities at (t - step, t, t + step) in one evaluation;
-    each class counts once per outcome it holds. Outcomes whose probability
-    and derivative both vanish are dropped (they carry no information); an
-    outcome with vanishing probability but finite derivative marks a
-    divergence and the report is flagged degenerate with value inf.
+    The value is the model's closed form ``cfi(t)``. The report is flagged
+    degenerate exactly where t is a whole multiple of ``window_top``, 0
+    included, to the relative tolerance WINDOW_RTOL by which a sweep grid
+    may pass the top (beyond |t| = window_top / (2 WINDOW_RTOL) every time
+    is that close to a multiple). At 0 and at the top the estimator is
+    pinned to its window, so no unbiased estimator exists; at the multiples
+    the one-qubit, GHZ and Omega = 2 omega statistics fold, P(t0 + d) =
+    P(t0 - d).
     """
     t = _check_time(t)
-    total = 0.0
-    classes = model.class_probs(np.array([t - step, t, t + step]))
-    for m, (minus, p, plus) in zip(model.class_sizes, (q.tolist() for q in classes)):
-        dp = (plus - minus) / (2.0 * step)
-        if p < PROB_FLOOR:
-            if abs(dp) < DERIV_FLOOR:
-                continue
-            return FisherReport(math.inf, FisherKind.CLASSICAL, t, degenerate=True)
-        total += m * (dp * dp / p)
-    return FisherReport(total, FisherKind.CLASSICAL, t)
+    # The nearest whole multiple of the top; t / window_top may overflow.
+    multiple = abs(t) - math.remainder(abs(t), model.window_top)
+    edge = multiple * (1.0 - WINDOW_RTOL) <= abs(t) <= multiple * (1.0 + WINDOW_RTOL)
+    return FisherReport(model.cfi(t), FisherKind.CLASSICAL, t, degenerate=edge)
 
 
 def fisher_one_qubit_analytic(chi: float, omega: float, t: float) -> FisherReport:
-    """Closed-form classical Fisher information of the one-qubit clock.
+    """``OneQubitClock(omega, chi).cfi(t)``, not flagged at window edges.
 
-        F(t) = chi^2 omega^2 sin^2(omega t)
-               / [2 chi (1 - chi) (1 - cos omega t) + chi^2 sin^2(omega t)]
-
-    At chi = 1 this is identically omega^2; at chi = 0 the statistics carry
-    no time dependence and F = 0. The formula has removable singularities at
-    omega t = 2 pi k, where the exact limit is chi omega^2.
+    The paper's full-angle form chi^2 omega^2 sin^2(omega t) / [2 chi (1 -
+    chi)(1 - cos omega t) + chi^2 sin^2(omega t)] has removable singularities
+    at omega t = 2 pi k; this half-angle form has none.
     """
     clock = OneQubitClock(omega=omega, chi=chi)  # validates parameters
-    chi, omega, t = clock.chi, clock.omega, _check_time(t)
-    if chi == 0.0:
-        return FisherReport(0.0, FisherKind.CLASSICAL, t)
-    if chi == 1.0:
-        return FisherReport(omega * omega, FisherKind.CLASSICAL, t)
-    s = math.sin(omega * t)
-    c = math.cos(omega * t)
-    denom = 2.0 * chi * (1.0 - chi) * (1.0 - c) + chi * chi * s * s
-    if denom < PROB_FLOOR:
-        # omega t at a multiple of 2 pi: take the exact limit chi omega^2.
-        return FisherReport(chi * omega * omega, FisherKind.CLASSICAL, t)
-    value = chi * chi * omega * omega * s * s / denom
-    return FisherReport(value, FisherKind.CLASSICAL, t)
+    t = _check_time(t)
+    return FisherReport(clock.cfi(t), FisherKind.CLASSICAL, t)
 
 
 def quantum_fisher(model: ClockModel, t: float) -> FisherReport:

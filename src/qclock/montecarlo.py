@@ -29,6 +29,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .clocks import (
+    WINDOW_RTOL,
     ClockModel,
     GhzClock,
     OneQubitClock,
@@ -93,7 +94,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("t_grid must be strictly increasing")
         top = self.model.window_top
-        if grid[0] < 0.0 or grid[-1] > top * (1.0 + 1e-12):
+        if grid[0] < 0.0 or grid[-1] > top * (1.0 + WINDOW_RTOL):
             raise ConfigError(
                 f"t_grid must lie within [0, {top}] for this model, got [{grid[0]}, {grid[-1]}]"
             )
@@ -108,7 +109,8 @@ class ErrorCurvePoint:
     n_valid counts the contributions that produced a usable estimate
     (trials for sampled curves, count vectors for exact curves); mean,
     std_error, and bias are NaN when nothing contributed. crb is NaN where
-    the Fisher information degenerates (grid edges with sin(omega t) = 0).
+    no Cramer-Rao bound exists: at a window edge (t = 0 or the window top)
+    and where the Fisher information vanishes (chi = 0).
     """
 
     t: float
@@ -399,7 +401,7 @@ def compare_resources(
     ]
     columns: list[dict[float, tuple[float, float]]] = []
     for model, n_probes, kind in models:
-        top = model.window_top * (1.0 + 1e-12)
+        top = model.window_top * (1.0 + WINDOW_RTOL)
         inside = tuple(t for t in grid if 0.0 <= t <= top)
         lookup: dict[float, tuple[float, float]] = {}
         if inside:

@@ -43,6 +43,7 @@ from qclock import (
     two_qubit_distribution,
     two_qubit_score,
 )
+from test_fisher import _fd_fisher
 
 HALF_WINDOW = math.pi
 FULL_WINDOW = 2.0 * math.pi
@@ -68,31 +69,33 @@ def random_pair_counts(rng: np.random.Generator) -> TwoQubitCounts:
 
 
 def test_criterion_1_fisher_constants(capsys):
+    # The closed forms against the constants, and against central
+    # differences of the class probabilities.
     ok = True
     notes = []
     for omega in (0.5, 1.0, 2.0):
         model = OneQubitClock(omega=omega)
         for t in np.arange(0.3, 2.81, 0.5):
-            fd = classical_fisher(model, float(t)).value
-            analytic = fisher_one_qubit_analytic(1.0, omega, float(t)).value
-            ok &= abs(fd - omega**2) <= 1e-5 * omega**2
-            ok &= abs(fd - analytic) <= 1e-5 * analytic
+            value = classical_fisher(model, float(t)).value
+            fd = _fd_fisher(model, float(t))
+            ok &= abs(value - omega**2) <= 1e-5 * omega**2
+            ok &= abs(fd - value) <= 1e-5 * value
     for chi in (0.36, 0.8):
         model = OneQubitClock(omega=1.0, chi=chi)
         for t in np.arange(0.3, 2.81, 0.5):
-            fd = classical_fisher(model, float(t)).value
+            fd = _fd_fisher(model, float(t))
             analytic = fisher_one_qubit_analytic(chi, 1.0, float(t)).value
             ok &= abs(fd - analytic) <= 1e-5 * analytic
     pair = TwoQubitClock(omega=0.5, Omega=1.0)
     for t in np.arange(0.7, 5.71, 1.0):
-        fd = classical_fisher(pair, float(t)).value
-        ok &= abs(fd - 0.625) <= 1e-5 * 0.625
+        for value in (classical_fisher(pair, float(t)).value, _fd_fisher(pair, float(t))):
+            ok &= abs(value - 0.625) <= 1e-5 * 0.625
     notes.append("one-qubit w^2, pair 0.625")
     for n, grid in ((2, (0.3, 0.9, 1.3, 2.1)), (3, (0.3, 0.9, 1.5, 1.8))):
         model = GhzClock(omega=1.0, n_entangled=n)
         for t in grid:
-            fd = classical_fisher(model, t).value
-            ok &= abs(fd - n**2) <= 1e-5 * n**2
+            for value in (classical_fisher(model, t).value, _fd_fisher(model, t)):
+                ok &= abs(value - n**2) <= 1e-5 * n**2
     notes.append("ghz n^2, analytic-vs-FD <= 1e-5")
     verdict(capsys, 1, "Fisher constants", ok, "; ".join(notes))
 

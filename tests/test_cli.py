@@ -89,13 +89,21 @@ class TestFisher:
         assert row[5] == "0"
 
     def test_degenerate_time_flagged_not_fatal(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "fisher", "--model", "one-qubit", "--t", "0", "--probes", "10"
-        )
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert rows[0][4] == "nan"
-        assert rows[0][5] == "1"
+        # At a whole multiple of the window top the value stays exact, but no
+        # Cramer-Rao bound exists.
+        for flags, t, value in (
+            (("--model", "one-qubit", "--omega", "1.0"), 0.0, 1.0),
+            (("--model", "one-qubit", "--omega", "1.0"), math.pi, 1.0),
+            (("--model", "two-qubit", "--omega", "0.5", "--Omega", "1.3"), math.pi / 0.5, 0.97),
+            (("--model", "ghz", "--n", "3", "--omega", "1.0"), math.pi / 3.0, 9.0),
+        ):
+            code, out, _ = run_cli(capsys, "fisher", *flags, "--t", repr(t), "--probes", "10")
+            assert code == 0
+            _, rows = parse_csv(out)
+            assert float(rows[0][1]) == pytest.approx(value, rel=1e-12)
+            assert rows[0][1] == rows[0][2]
+            assert rows[0][4] == "nan"
+            assert rows[0][5] == "1"
 
 
 class TestEstimate:

@@ -1,8 +1,9 @@
-"""Fisher information: analytic forms, finite differences, quantum bound.
+"""Fisher information: closed forms, finite differences, quantum bound.
 
-The finite-difference classical_fisher is itself the oracle for the
-analytic one-qubit form; the quantum value is cross-checked against the
-general spectral formula and against arbitrary random readout bases.
+Central differences of the class probabilities are the oracle for every
+design's closed-form ``cfi``, and the paper's full-angle one-qubit formula
+a second one; the quantum value is cross-checked against the general
+spectral formula and against arbitrary random readout bases.
 """
 
 import math
@@ -22,7 +23,26 @@ from qclock import (
     fisher_one_qubit_analytic,
     quantum_fisher,
 )
-from qclock.fisher import PROB_FLOOR
+from qclock.clocks import WINDOW_RTOL
+
+
+def _fd_fisher(model, t: float, step: float = 1e-6) -> float:
+    # sum_x P_x'^2 / P_x with P_x' from central differences of the class
+    # probabilities, each class counted once per outcome it holds. Interior
+    # times only: every class probability must stay well above zero.
+    classes = model.class_probs(np.array([t - step, t, t + step]))
+    total = 0.0
+    for m, (minus, p, plus) in zip(model.class_sizes, (q.tolist() for q in classes)):
+        dp = (plus - minus) / (2.0 * step)
+        total += m * (dp * dp / p)
+    return total
+
+
+def _fisher_full_angle(chi: float, omega: float, t: float) -> float:
+    # The paper's one-qubit form, with removable singularities at omega t = 2 pi k.
+    s, c = math.sin(omega * t), math.cos(omega * t)
+    denom = 2.0 * chi * (1.0 - chi) * (1.0 - c) + chi * chi * s * s
+    return chi * chi * omega * omega * s * s / denom
 
 
 def _qfi_spectral(rho: np.ndarray, generator: np.ndarray) -> float:
@@ -36,7 +56,7 @@ def _qfi_spectral(rho: np.ndarray, generator: np.ndarray) -> float:
     for k in range(dim):
         for l in range(dim):
             weight = lam[k] + lam[l]
-            if weight < PROB_FLOOR:
+            if weight < 1e-12:
                 continue
             diff = lam[k] - lam[l]
             total += 2.0 * diff * diff / weight * abs(h_in_eig[k, l]) ** 2
@@ -75,18 +95,42 @@ def test_ghz_fisher_scales_with_square_of_register():
 
 
 def test_analytic_matches_finite_differences():
-    # Grids avoid sin(omega t) = 0 where the finite-difference form loses
-    # the removable singularity.
+    # Random one-qubit clocks plus two-qubit (Omega / omega = 2 and 2.6) and
+    # GHZ (n = 2..5) models, at interior times where every class
+    # probability stays away from zero.
     rng = np.random.default_rng(31)
-    for _ in range(200):
-        chi = float(rng.uniform(0.05, 1.0))
-        omega = float(rng.uniform(0.3, 2.5))
-        t = float(rng.uniform(0.2, 5.8))
-        if min(abs(math.sin(omega * t)), abs(math.sin(omega * t / 2))) < 0.05:
+    models = [
+        OneQubitClock(omega=float(rng.uniform(0.3, 2.5)), chi=float(rng.uniform(0.05, 1.0)))
+        for _ in range(200)
+    ]
+    models += [TwoQubitClock(omega=w, Omega=r * w) for r in (2.0, 2.6) for w in (0.4, 1.0, 2.3)]
+    models += [GhzClock(omega=w, n_entangled=n) for n in range(2, 6) for w in (0.4, 1.0, 2.3)]
+    checked = 0
+    for model in models:
+        for t in rng.uniform(0.05, 0.95, size=3) * model.window_top:
+            t = float(t)
+            if min(m * float(p) for m, p in zip(model.class_sizes, model.class_probs(t))) < 0.01:
+                continue
+            numeric = _fd_fisher(model, t)
+            report = classical_fisher(model, t)
+            assert not report.degenerate
+            assert numeric == pytest.approx(report.value, rel=1e-5), (model, t)
+            checked += 1
+    assert checked > 400
+
+
+def test_closed_form_matches_full_angle_form():
+    # Away from omega t = 2 pi k, where the full-angle form is 0 / 0.
+    rng = np.random.default_rng(35)
+    for _ in range(2000):
+        chi = float(rng.uniform(0.0, 1.0))
+        omega = float(rng.uniform(0.1, 3.0))
+        t = float(rng.uniform(0.0, 30.0))
+        if abs(math.remainder(omega * t, 2.0 * math.pi)) < 0.05:
             continue
-        analytic = fisher_one_qubit_analytic(chi, omega, t).value
-        numeric = classical_fisher(OneQubitClock(omega=omega, chi=chi), t).value
-        assert numeric == pytest.approx(analytic, rel=1e-5)
+        value = fisher_one_qubit_analytic(chi, omega, t).value
+        expected = _fisher_full_angle(chi, omega, t)
+        assert abs(value - expected) <= 1e-12 * chi * omega * omega
 
 
 def test_analytic_edge_cases():
@@ -198,17 +242,91 @@ def test_qfi_pure_matches_spectral_formula():
 
 
 def test_degenerate_time_flagging():
-    # Vanishing probability with a non-vanishing derivative: divergence.
+    # Near the start the Fisher information is finite and the bound holds.
     report = classical_fisher(OneQubitClock(omega=1.0), 1e-7)
-    assert report.degenerate
-    assert math.isinf(report.value)
-    with pytest.raises(DegenerateTimeError):
-        report.crb(100)
-    # Exactly at t=0 the finite differences see no information at all.
+    assert report.value == pytest.approx(1.0, rel=1e-12)
+    assert not report.degenerate
+    assert report.crb(100) == pytest.approx(0.1, rel=1e-12)
+    # At t = 0 the value is still exact, but the estimator is pinned to the
+    # window edge: no Cramer-Rao bound.
     at_zero = classical_fisher(OneQubitClock(omega=1.0), 0.0)
-    assert at_zero.value == 0.0
+    assert at_zero.value == 1.0
+    assert at_zero.degenerate
     with pytest.raises(DegenerateTimeError):
         at_zero.crb(100)
+
+
+MODELS = (
+    OneQubitClock(omega=1.0),
+    OneQubitClock(omega=0.7, chi=0.36),
+    TwoQubitClock(omega=0.5, Omega=1.0),
+    TwoQubitClock(omega=0.5, Omega=1.3),
+    GhzClock(omega=1.0, n_entangled=2),
+    GhzClock(omega=0.8, n_entangled=3),
+)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+def test_window_edges_are_degenerate(model):
+    top = model.window_top
+    # Within the relative tolerance of a multiple, up to the largest grid end
+    # a sweep accepts.
+    for t in (0.0, top, 2.0 * top, -top, top * (1.0 + WINDOW_RTOL), 3.0 * top * (1.0 - 0.5e-12)):
+        report = classical_fisher(model, t)
+        assert report.degenerate, t
+        assert report.value == pytest.approx(model.cfi(t), rel=1e-15)
+        with pytest.raises(DegenerateTimeError):
+            report.crb(10)
+    for t in (1e-7, top * (1.0 - 1e-9), top * (1.0 + 1e-11), 1.5 * top):
+        report = classical_fisher(model, t)
+        assert not report.degenerate, t
+        assert report.crb(10) > 0.0
+
+
+def test_one_qubit_partial_visibility_near_zero():
+    # chi omega^2, not zero: the removable 0 / 0 of the full-angle form.
+    report = classical_fisher(OneQubitClock(omega=1.0, chi=0.36), 1e-9)
+    assert report.value == pytest.approx(0.36, rel=1e-12)
+    assert not report.degenerate
+
+
+def test_each_design_just_after_zero():
+    # An outcome is nearly absent, but the Fisher information stays finite.
+    for model, expected in (
+        (OneQubitClock(omega=1.0), 1.0),
+        (TwoQubitClock(omega=0.5, Omega=1.0), 0.625),
+        (GhzClock(omega=1.0, n_entangled=2), 4.0),
+    ):
+        report = classical_fisher(model, 1e-7)
+        assert report.value == pytest.approx(expected, rel=1e-12)
+        assert not report.degenerate
+
+
+def test_non_harmonic_pair_at_window_top():
+    # The fast sector's '+' outcome is nearly absent at and just inside
+    # the top; the value is (omega^2 + Omega^2) / 2 there as everywhere.
+    pair = TwoQubitClock(omega=0.5, Omega=1.3)
+    for t in (math.pi / 0.5, math.pi / 0.5 * (1.0 - 1e-9)):
+        assert classical_fisher(pair, t).value == pytest.approx(0.97, rel=1e-12)
+
+
+def test_ghz_near_window_top():
+    ghz = GhzClock(omega=0.8, n_entangled=2)
+    for t in ghz.window_top - np.linspace(0.0, 2e-4, 2000):
+        assert abs(classical_fisher(ghz, float(t)).value - 2.56) <= 1e-12
+
+
+def test_cfi_never_exceeds_qfi():
+    rng = np.random.default_rng(36)
+    for _ in range(500):
+        model = OneQubitClock(omega=float(rng.uniform(0.1, 3.0)), chi=float(rng.uniform(0.0, 1.0)))
+        t = float(rng.uniform(-10.0, 10.0))
+        assert 0.0 <= model.cfi(t) <= model.qfi * (1.0 + 1e-12)
+
+
+def test_step_parameter_is_gone():
+    with pytest.raises(TypeError):
+        classical_fisher(OneQubitClock(omega=1.0), 1.0, step=1e-6)
 
 
 def test_crb_values():
