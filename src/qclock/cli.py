@@ -542,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, list(argv))
-    except (DegenerateCountsError, DegenerateTimeError) as exc:
+    except DegenerateCountsError as exc:
         print(f"qclock: degenerate input: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, TypeError, OSError) as exc:

@@ -34,17 +34,18 @@ rest of the package needs to know about it:
 * ``first_return(epsilon)`` -- the first time the statistics return within
   infidelity epsilon in (0, 1) of their start, with no time grid: in closed
   form for one qubit and GHZ, from the continued fraction of the frequency
-  ratio for two qubits (epsilon < 3/4).
+  ratio for two qubits (epsilon < 3/4);
+* ``probe()`` -- the clock from first principles: its initial amplitudes and
+  diagonal energies over the computational basis (qubit 0 the most
+  significant bit), and its readout as one real 2 x 2 orthogonal matrix per
+  qubit, outcomes as rows, in the order of ``outcome_labels``.
 
 ``distribution``, count sampling and enumeration, the likelihood and Fisher
 information are written once over these members; ``recurrence_time``
 validates its arguments and caps ``first_return`` at a horizon.
-``evolved_distribution`` computes the same statistics through explicit state
-evolution and projection, so tests can cross-check the closed forms against
-first principles. The parameter-free parts of its probes are built and
-validated once per process, on first use, and shared: the two-qubit state
-and readout, and per GHZ size n the state and, once read out, its 4^n-entry
-readout (16 * 4^n bytes: 4 KB at n = 4, 1 MB at n = 8).
+``evolved_distribution`` computes the same statistics from ``probe()``
+through explicit evolution and the Born rule, so tests can cross-check the
+closed forms against first principles.
 """
 
 from __future__ import annotations
@@ -58,15 +59,11 @@ from typing import Union
 import numpy as np
 
 from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts, is_integer
-from .states import (
-    DiagonalHamiltonian,
-    OutcomeDistribution,
-    ProjectiveMeasurement,
-    PureState,
-    evolve,
-)
+from .states import OutcomeDistribution, evolve
 
-# Largest GHZ register: its state vector holds 2**n amplitudes.
+# Largest GHZ register: its outcome labels and state vector hold 2**n entries
+# (1 MB of amplitudes at n = 16), and ``evolved_distribution`` reads the
+# state out in O(n 2**n) steps.
 MAX_GHZ_QUBITS = 16
 
 # Relative tolerance on a time at a whole multiple of ``window_top``: a grid
@@ -200,7 +197,10 @@ class OneQubitClock(_Clock):
         factor sin^2(omega t / 2) cancelled: finite at every t, chi omega^2 at
         omega t = 2 pi k, omega^2 at chi = 1 and 0 at chi = 0.
         """
-        c2 = math.cos(0.5 * self.omega * t) ** 2
+        half_phase = 0.5 * self.omega * t
+        if not math.isfinite(half_phase):
+            raise ValueError(f"phase omega t overflows: omega = {self.omega!r}, t = {t!r}")
+        c2 = math.cos(half_phase) ** 2
         return self.chi * self.omega**2 * c2 / ((1.0 - self.chi) + self.chi * c2)
 
     @property
@@ -222,21 +222,13 @@ class OneQubitClock(_Clock):
         # chi = sin^2(2 theta) with theta in [0, pi/4]
         return 0.5 * math.asin(math.sqrt(self.chi))
 
-    def initial_state(self) -> PureState:
-        th = self.mixing_angle
-        return PureState(np.array([math.cos(th), math.sin(th)]), ("0", "1"))
-
-    def hamiltonian(self) -> DiagonalHamiltonian:
-        # Energies in the clock's own eigenbasis; omega = E1 - E0.
-        return DiagonalHamiltonian(
-            np.array([-0.5 * self.omega, 0.5 * self.omega]), ("0", "1")
-        )
-
-    def measurement(self) -> ProjectiveMeasurement:
-        th = self.mixing_angle
-        plus = np.array([[math.cos(th), math.sin(th)]])
-        minus = np.array([[-math.sin(th), math.cos(th)]])
-        return ProjectiveMeasurement((("+", plus), ("-", minus)))
+    def probe(self):
+        """cos(theta)|0> + sin(theta)|1> in the clock's own eigenbasis, omega =
+        E1 - E0, read out in the |+/-> basis rotated by theta to match.
+        """
+        c, s = math.cos(self.mixing_angle), math.sin(self.mixing_angle)
+        energies = np.array([-0.5 * self.omega, 0.5 * self.omega])
+        return np.array([c, s]), energies, (np.array([[c, s], [-s, c]]),)
 
 
 @dataclass(frozen=True)
@@ -333,19 +325,12 @@ class TwoQubitClock(_Clock):
                     return 2.0 * (j * math.pi + x) / fast
         raise AssertionError("the last convergent is an exact return")
 
-    def initial_state(self) -> PureState:
-        return _two_qubit_probe()[0]
-
-    def hamiltonian(self) -> DiagonalHamiltonian:
-        return DiagonalHamiltonian(
-            np.array(
-                [0.5 * self.omega, -0.5 * self.omega, 0.5 * self.Omega, -0.5 * self.Omega]
-            ),
-            ("00", "01", "10", "11"),
-        )
-
-    def measurement(self) -> ProjectiveMeasurement:
-        return _two_qubit_probe()[1]
+    def probe(self):
+        """|+>|+>, the slow pair split by omega and the fast by Omega, read out
+        as |0/1> (x) |+/->.
+        """
+        w, big = 0.5 * self.omega, 0.5 * self.Omega
+        return np.full(4, 0.5), np.array([w, -w, big, -big]), (_IDENTITY, _HADAMARD)
 
 
 @dataclass(frozen=True)
@@ -414,19 +399,14 @@ class GhzClock(_Clock):
         """One-to-one window shrinks with the amplified frequency: pi / (n omega)."""
         return math.pi / (self.n_entangled * self.omega)
 
-    def initial_state(self) -> PureState:
-        return _ghz_register(self.n_entangled)[0]
-
-    def hamiltonian(self) -> DiagonalHamiltonian:
-        # H = -(omega/2) * sum_i sigma_z^(i): a basis state with b ones has
-        # energy -(omega/2) * (n - 2 b).
-        state, ones, _ = _ghz_register(self.n_entangled)
-        return DiagonalHamiltonian(
-            -0.5 * self.omega * (self.n_entangled - 2 * ones), state.basis_labels
-        )
-
-    def measurement(self) -> ProjectiveMeasurement:
-        return _ghz_readout(self.n_entangled)
+    def probe(self):
+        """(|0...0> + |1...1>)/sqrt(2) under H = -(omega/2) sum_i sigma_z^(i),
+        so a basis state with b ones has energy -(omega/2)(n - 2 b), read out
+        in the product |+/-> basis.
+        """
+        n = self.n_entangled
+        amplitudes, ones, _ = _ghz_register(n)
+        return amplitudes, -0.5 * self.omega * (n - 2 * ones), (_HADAMARD,) * n
 
 
 def _convergent_denominators(num: int, den: int):
@@ -450,34 +430,24 @@ def _bisect(left_of, lo: float, hi: float) -> float:
     return hi
 
 
-@cache
-def _two_qubit_probe() -> tuple[PureState, ProjectiveMeasurement]:
-    # |+>|+> and the four projectors |0,+/->, |1,+/->: no frequency enters.
-    s = 1.0 / math.sqrt(2.0)
-    rows = np.array([[s, s, 0.0, 0.0], [s, -s, 0.0, 0.0], [0.0, 0.0, s, s], [0.0, 0.0, s, -s]])
-    readout = ProjectiveMeasurement(tuple(zip(TwoQubitClock.outcome_labels, rows)))
-    return PureState(np.full(4, 0.5), ("00", "01", "10", "11")), readout
+# The local readouts the probes share, outcomes as rows: |0/1> and |+/->.
+_IDENTITY = np.eye(2)
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_IDENTITY.setflags(write=False)
+_HADAMARD.setflags(write=False)
 
 
 @cache
-def _ghz_register(n: int) -> tuple[PureState, np.ndarray, tuple[str, ...]]:
-    # The GHZ state on n qubits, the number of ones in each basis state, and
-    # the product-basis outcome strings, '+' for bit 0 and '-' for bit 1.
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
+def _ghz_register(n: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    # The GHZ amplitudes on n qubits, the number of ones in each basis state,
+    # and the product-basis outcome strings, '+' for bit 0 and '-' for bit 1.
+    amplitudes = np.zeros(2**n)
+    amplitudes[0] = amplitudes[-1] = 1.0 / math.sqrt(2.0)
+    amplitudes.setflags(write=False)
     ones = _popcount(np.arange(2**n), n)
     ones.setflags(write=False)
     labels = tuple(format(i, f"0{n}b").replace("0", "+").replace("1", "-") for i in range(2**n))
-    return PureState(amps), ones, labels
-
-
-@cache
-def _ghz_readout(n: int) -> ProjectiveMeasurement:
-    # Product |+/-> basis: row j has entries (-1)^popcount(i & j) / 2^(n/2).
-    index = np.arange(2**n)
-    signs = 1.0 - 2.0 * (_popcount(index[:, np.newaxis] & index, n) % 2)
-    rows = 2.0 ** (-n / 2.0) * signs
-    return ProjectiveMeasurement(tuple(zip(_ghz_register(n)[2], rows)))
+    return amplitudes, ones, labels
 
 
 ClockModel = Union[OneQubitClock, TwoQubitClock, GhzClock]
@@ -510,13 +480,18 @@ def ghz_distribution(omega: float, n_entangled: int, t: float) -> OutcomeDistrib
 def evolved_distribution(model: ClockModel, t: float) -> OutcomeDistribution:
     """Same statistics as ``model.distribution`` but via explicit evolution.
 
-    Prepares the initial state, applies the diagonal propagator, and projects
-    onto the readout. Slower than the closed forms; used to validate them.
-    Only the one-qubit probe and the Hamiltonian are built per call; the
-    other probe parts are cached per structure (see the module docstring).
+    Evolves the probe's amplitudes and applies its readout one qubit at a
+    time: the Born amplitudes are the tensor product of the local readouts
+    times the conjugated state, so no 2^n x 2^n readout is formed (for GHZ a
+    Walsh-Hadamard transform, O(n 2^n)). Slower than the closed forms; used
+    to validate them.
     """
-    state = evolve(model.initial_state(), model.hamiltonian(), t)
-    return OutcomeDistribution(float(t), model.measurement().probabilities(state))
+    amplitudes, energies, readouts = model.probe()
+    a = evolve(amplitudes, energies, t).conj()
+    for k, readout in enumerate(readouts):
+        a = (readout @ a.reshape(2**k, 2, -1)).ravel()
+    p = a.real**2 + a.imag**2
+    return OutcomeDistribution(float(t), dict(zip(model.outcome_labels, p.tolist())))
 
 
 def _multinomial_pmf(tallies: list[int], probs: tuple[float, ...]) -> float:

@@ -395,8 +395,8 @@ def test_criterion_8_property_suites(capsys):
         basis, _ = np.linalg.qr(raw)
         probs = []
         for t in (0.9 - step, 0.9 + step):
-            state = evolve(model.initial_state(), model.hamiltonian(), t)
-            amps = basis.conj().T @ state.amplitudes
+            state = evolve(*model.probe()[:2], t)
+            amps = basis.conj().T @ state
             probs.append(np.abs(amps) ** 2)
         cfi = 0.0
         for p0, p1 in zip(*probs):

@@ -105,6 +105,14 @@ class TestFisher:
             assert rows[0][4] == "nan"
             assert rows[0][5] == "1"
 
+    def test_overflowed_phase_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fisher", "--model", "one-qubit", "--omega", "1e10", "--t", "1e300"
+        )
+        assert code == 2
+        assert not out
+        assert "phase omega t overflows" in err
+
 
 class TestEstimate:
     def test_one_qubit_balanced_counts(self, capsys):

@@ -3,27 +3,22 @@
 Closed forms are validated against the explicit evolve+Born pipeline, and
 count distributions against brute-force product-outcome enumeration and the
 binomial parity law. The model protocol (class_probs, dprobs, class_sizes,
-label_classes, counts_type) is checked on a battery of all three designs,
-the closed-form derivatives against central differences. The shared probes
-(one two-qubit register, one GHZ register per n) are checked against the
-probes built afresh on every call, bit for bit.
+label_classes, counts_type, probe) is checked on a battery of all three
+designs, the closed-form derivatives against central differences. The
+product readout of ``evolved_distribution`` is checked against each probe's
+dense readout, written out entry by entry.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
 import pytest
 
 from qclock import clocks
-from qclock.states import (
-    DiagonalHamiltonian,
-    OutcomeDistribution,
-    ProjectiveMeasurement,
-    PureState,
-    evolve,
-)
 from qclock import (
     GhzClock,
     GhzCounts,
@@ -270,13 +265,14 @@ def test_ghz_readout_matches_bitwise_loop(n):
     model = GhzClock(omega=0.8, n_entangled=n)
     dim = 2**n
     scale = 2.0 ** (-n / 2.0)
-    measurement = model.measurement()
-    assert measurement.labels == model.outcome_labels
-    for j, (_, vectors) in enumerate(measurement.outcomes):
+    _, energies, readouts = model.probe()
+    assert len(readouts) == n
+    readout = reduce(np.kron, readouts)
+    for j in range(dim):
         signs = np.array([(-1.0) ** bin(i & j).count("1") for i in range(dim)])
-        assert np.array_equal(vectors, (scale * signs)[np.newaxis, :])
+        assert np.max(np.abs(readout[j] - scale * signs)) < 1e-15
     ones = np.array([bin(i).count("1") for i in range(dim)])
-    assert np.array_equal(model.hamiltonian().energies, -0.5 * model.omega * (n - 2 * ones))
+    assert np.array_equal(energies, -0.5 * model.omega * (n - 2 * ones))
     parity = [1 - (bin(i).count("1") & 1) for i in range(dim)]
     assert model.label_classes == tuple(parity)
 
@@ -667,6 +663,13 @@ def test_model_protocol(model):
     tallies = tuple(range(3, 3 + len(sizes)))
     counts = model.counts_type.from_tallies(tallies)
     assert counts.tallies == tallies and counts.n == sum(tallies)
+    # The probe: a normalized state over 2^q basis states, one orthogonal
+    # readout per qubit.
+    amplitudes, energies, readouts = model.probe()
+    assert amplitudes.shape == energies.shape == (2 ** len(readouts),)
+    assert abs(np.linalg.norm(amplitudes) - 1.0) < 1e-12
+    for readout in readouts:
+        assert np.max(np.abs(readout @ readout.T - np.eye(2))) < 1e-12
     ts = np.linspace(-1.0, 3.0 * model.window_top, 41)
     classes = model.class_probs(ts)
     assert len(classes) == len(sizes)
@@ -714,49 +717,26 @@ def test_dprobs_match_central_differences(model):
         ]
 
 
-def _per_call_probe(model):
-    # Oracle: the probe as every call built it before probes were shared,
-    # (initial state, Hamiltonian, readout), each built and validated afresh.
+def _dense_probe(model):
+    # Oracle: the probe with its readout as one dense matrix, written out
+    # entry by entry: (amplitudes, energies, readout rows in outcome order).
     s = 1.0 / math.sqrt(2.0)
     if model.kind == "one-qubit":
-        th = model.mixing_angle
-        c, sn = math.cos(th), math.sin(th)
-        return (
-            PureState(np.array([c, sn]), ("0", "1")),
-            DiagonalHamiltonian(np.array([-0.5 * model.omega, 0.5 * model.omega]), ("0", "1")),
-            ProjectiveMeasurement((("+", np.array([[c, sn]])), ("-", np.array([[-sn, c]])))),
-        )
+        c, sn = math.cos(model.mixing_angle), math.sin(model.mixing_angle)
+        return [c, sn], [-0.5 * model.omega, 0.5 * model.omega], [[c, sn], [-sn, c]]
     if model.kind == "two-qubit":
-        w, big = model.omega, model.Omega
-        return (
-            PureState(np.full(4, 0.5), ("00", "01", "10", "11")),
-            DiagonalHamiltonian(
-                np.array([0.5 * w, -0.5 * w, 0.5 * big, -0.5 * big]), ("00", "01", "10", "11")
-            ),
-            ProjectiveMeasurement(
-                (
-                    ("0+", np.array([[s, s, 0.0, 0.0]])),
-                    ("0-", np.array([[s, -s, 0.0, 0.0]])),
-                    ("1+", np.array([[0.0, 0.0, s, s]])),
-                    ("1-", np.array([[0.0, 0.0, s, -s]])),
-                )
-            ),
-        )
+        w, big = 0.5 * model.omega, 0.5 * model.Omega
+        rows = [[s, s, 0.0, 0.0], [s, -s, 0.0, 0.0], [0.0, 0.0, s, s], [0.0, 0.0, s, -s]]
+        return [0.5] * 4, [w, -w, big, -big], rows
     n = model.n_entangled
-    index = np.arange(2**n)
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = amps[-1] = s
-    ones = clocks._popcount(index, n)
-    signs = 1.0 - 2.0 * (clocks._popcount(index[:, np.newaxis] & index, n) % 2)
-    rows = 2.0 ** (-n / 2.0) * signs
-    labels = [format(i, f"0{n}b").replace("0", "+").replace("1", "-") for i in range(2**n)]
-    return (
-        PureState(amps),
-        DiagonalHamiltonian(-0.5 * model.omega * (n - 2 * ones)),
-        ProjectiveMeasurement(
-            tuple((label, row[np.newaxis, :]) for label, row in zip(labels, rows))
-        ),
-    )
+    dim = 2**n
+    amps = [s if i in (0, dim - 1) else 0.0 for i in range(dim)]
+    energies = [-0.5 * model.omega * (n - 2 * bin(i).count("1")) for i in range(dim)]
+    rows = [
+        [(-1.0) ** bin(i & j).count("1") / 2.0 ** (n / 2.0) for i in range(dim)]
+        for j in range(dim)
+    ]
+    return amps, energies, rows
 
 
 def _probe_battery():
@@ -777,51 +757,62 @@ def _probe_battery():
     return models
 
 
-def test_evolved_distribution_matches_per_call_probe_bit_for_bit():
+def test_evolved_distribution_matches_dense_readout():
     models = _probe_battery()
     assert len(models) >= 60
     for model in models:
-        state, hamiltonian, readout = _per_call_probe(model)
+        amps, energies, rows = (np.array(x) for x in _dense_probe(model))
         for t in np.linspace(-0.5, 3.0 * model.window_top, 31):
             t = float(t)
+            expected = np.abs(rows @ (np.exp(-1j * energies * t) * amps)) ** 2
             got = evolved_distribution(model, t)
-            expected = OutcomeDistribution(t, readout.probabilities(evolve(state, hamiltonian, t)))
-            assert got.labels == expected.labels == model.outcome_labels
-            assert all(got[x] == expected[x] for x in got.labels), (model, t)
+            assert got.labels == model.outcome_labels
+            assert max(abs(got[x] - p) for x, p in zip(got.labels, expected)) < 1e-15, (model, t)
+
+
+@pytest.mark.parametrize("n", (12, 16))
+def test_evolved_distribution_reads_out_large_ghz(n):
+    # The product readout never forms the 2^n x 2^n matrix (64 GiB at n = 16).
+    model = GhzClock(omega=1.0, n_entangled=n)
+    tracemalloc.start()
+    try:
+        got = evolved_distribution(model, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    expected = model.distribution(0.3)
+    assert max(abs(got[x] - expected[x]) for x in expected.labels) < 1e-12
 
 
 def test_probes_are_shared_per_structure():
+    # The local readouts, and per GHZ size the amplitudes, are shared; the
+    # energies are built per call and follow each model's frequencies.
     slow, fast = TwoQubitClock(omega=0.5, Omega=1.0), TwoQubitClock(omega=0.7, Omega=1.9)
-    assert slow.initial_state() is fast.initial_state()
-    assert slow.measurement() is fast.measurement()
+    assert all(a is b for a, b in zip(slow.probe()[2], fast.probe()[2]))
     ghz_a, ghz_b, ghz_4 = (
         GhzClock(omega=w, n_entangled=n) for w, n in ((0.8, 3), (1.3, 3), (0.8, 4))
     )
-    assert ghz_a.initial_state() is ghz_b.initial_state()
-    assert ghz_a.measurement() is ghz_b.measurement()
-    assert ghz_a.initial_state() is not ghz_4.initial_state()
-    assert ghz_a.measurement() is not ghz_4.measurement()
-    # The Hamiltonian is built per call and follows each model's frequencies.
+    assert ghz_a.probe()[0] is ghz_b.probe()[0]
+    assert ghz_a.probe()[0] is not ghz_4.probe()[0]
+    assert ghz_a.probe()[2][0] is ghz_4.probe()[2][0] is slow.probe()[2][1]
     for model in (slow, fast, ghz_a, ghz_b, ghz_4):
-        hamiltonian = model.hamiltonian()
-        assert np.array_equal(hamiltonian.energies, _per_call_probe(model)[1].energies)
-        assert hamiltonian.basis_labels == model.initial_state().basis_labels
-    assert not np.array_equal(slow.hamiltonian().energies, fast.hamiltonian().energies)
-    assert not np.array_equal(ghz_a.hamiltonian().energies, ghz_b.hamiltonian().energies)
+        assert np.array_equal(model.probe()[1], _dense_probe(model)[1])
+    assert not np.array_equal(slow.probe()[1], fast.probe()[1])
+    assert not np.array_equal(ghz_a.probe()[1], ghz_b.probe()[1])
 
 
 @pytest.mark.parametrize("model", PROTOCOL_BATTERY, ids=repr)
 def test_probe_arrays_are_read_only(model):
-    # Shared probes must not be writable through any array they hold.
-    readout = model.measurement()
-    arrays = [
-        model.initial_state().amplitudes,
-        model.hamiltonian().energies,
-        readout._rows,
-        readout._row_outcome,
-        *(rows for _, rows in readout.outcomes),
-    ]
-    for arr in arrays:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 0
+    # An array a probe shares with later probes (a local readout, the GHZ
+    # amplitudes) must not be writable; the others are built per call.
+    def arrays(probe):
+        amplitudes, energies, readouts = probe
+        return (amplitudes, energies, *readouts)
+
+    for arr, again in zip(arrays(model.probe()), arrays(model.probe())):
+        if arr.flags.writeable:
+            assert not np.shares_memory(arr, again)
+        else:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0

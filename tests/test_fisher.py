@@ -63,9 +63,9 @@ def _qfi_spectral(rho: np.ndarray, generator: np.ndarray) -> float:
     return total
 
 
-def _qfi_pure(state, energies: np.ndarray) -> float:
+def _qfi_pure(amplitudes: np.ndarray, energies: np.ndarray) -> float:
     # The first-principles route: 4 Var(H) over the probe state's |a|^2.
-    weights = np.abs(state.amplitudes) ** 2
+    weights = np.abs(amplitudes) ** 2
     mean = float(np.dot(weights, energies))
     second = float(np.dot(weights, energies * energies))
     return 4.0 * (second - mean * mean)
@@ -170,7 +170,7 @@ def test_quantum_fisher_closed_forms_match_energy_variance():
     models += [TwoQubitClock(omega=w, Omega=r * w) for r in (2.0, 2.6) for w in (0.4, 1.0, 2.3)]
     models += [GhzClock(omega=w, n_entangled=n) for n in range(2, 7) for w in (0.4, 1.0, 2.3)]
     for model in models:
-        expected = _qfi_pure(model.initial_state(), model.hamiltonian().energies)
+        expected = _qfi_pure(*model.probe()[:2])
         value = quantum_fisher(model, 0.7).value
         assert abs(value - expected) <= 1e-12 * abs(expected), model
         with pytest.raises(ValueError, match="finite"):
@@ -215,8 +215,8 @@ def test_quantum_bounds_classical_over_random_bases():
         basis, _ = np.linalg.qr(gauss)
 
         def probs(at: float) -> np.ndarray:
-            state = evolve(model.initial_state(), model.hamiltonian(), at)
-            amps = basis.conj().T @ state.amplitudes
+            state = evolve(*model.probe()[:2], at)
+            amps = basis.conj().T @ state
             return np.abs(amps) ** 2
 
         p = probs(t)
@@ -232,12 +232,9 @@ def test_qfi_pure_matches_spectral_formula():
         dim = int(rng.choice((2, 4, 8)))
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         amps = amps / np.linalg.norm(amps)
-        from qclock import PureState
-
-        state = PureState(amps)
         energies = rng.normal(scale=2.0, size=dim)
-        pure = _qfi_pure(state, energies)
-        spectral = _qfi_spectral(state.density_matrix(), np.diag(energies).astype(complex))
+        pure = _qfi_pure(amps, energies)
+        spectral = _qfi_spectral(np.outer(amps, amps.conj()), np.diag(energies).astype(complex))
         assert spectral == pytest.approx(pure, abs=1e-8)
 
 
@@ -254,6 +251,17 @@ def test_degenerate_time_flagging():
     assert at_zero.degenerate
     with pytest.raises(DegenerateTimeError):
         at_zero.crb(100)
+
+
+def test_overflowed_phase_is_named():
+    # omega t = 1e310 overflows to inf; the error names the phase, not cos().
+    for call in (
+        lambda: classical_fisher(OneQubitClock(omega=1e10), 1e300),
+        lambda: fisher_one_qubit_analytic(0.5, 1e10, -1e300),
+    ):
+        with pytest.raises(ValueError, match="phase omega t overflows"):
+            call()
+    assert classical_fisher(OneQubitClock(omega=1e-10), 1e300).value >= 0.0
 
 
 MODELS = (
