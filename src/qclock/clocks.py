@@ -53,7 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from typing import Union
 
 import numpy as np
@@ -83,6 +83,23 @@ def _check_time(t: float) -> float:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     return t
+
+
+def _finite_fisher(formula):
+    # A Fisher information formula that raises ValueError where it is not
+    # finite. Each scales as a frequency squared: past about 1.3e154, ** on a
+    # float raises OverflowError, and products and sums overflow to inf.
+    @wraps(formula)
+    def checked(model) -> float:
+        try:
+            value = formula(model)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"Fisher information overflows: {model!r}")
+        return value
+
+    return checked
 
 
 def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
@@ -187,6 +204,7 @@ class OneQubitClock(_Clock):
         return (d1, -d1), (d2, -d2)
 
     @property
+    @_finite_fisher
     def qfi(self) -> float:
         return self.chi * self.omega**2
 
@@ -201,7 +219,7 @@ class OneQubitClock(_Clock):
         if not math.isfinite(half_phase):
             raise ValueError(f"phase omega t overflows: omega = {self.omega!r}, t = {t!r}")
         c2 = math.cos(half_phase) ** 2
-        return self.chi * self.omega**2 * c2 / ((1.0 - self.chi) + self.chi * c2)
+        return self.qfi * c2 / ((1.0 - self.chi) + self.chi * c2)
 
     @property
     def window_top(self) -> float:
@@ -269,6 +287,7 @@ class TwoQubitClock(_Clock):
         return (f1, -f1, s1, -s1), (f2, -f2, s2, -s2)
 
     @property
+    @_finite_fisher
     def qfi(self) -> float:
         return 0.5 * (self.omega**2 + self.Omega**2)
 
@@ -391,6 +410,7 @@ class GhzClock(_Clock):
         return tuple((1 - _ghz_register(self.n_entangled)[1] % 2).tolist())
 
     @property
+    @_finite_fisher
     def qfi(self) -> float:
         return (self.n_entangled * self.omega) ** 2
 

@@ -113,6 +113,21 @@ class TestFisher:
         assert not out
         assert "phase omega t overflows" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--model", "one-qubit", "--omega", "1e200", "--t", "1"),
+            ("--model", "ghz", "--n", "3", "--omega", "1e200", "--t", "1e-200"),
+            ("--model", "two-qubit", "--omega", "1e200", "--t", "1e-200"),
+        ],
+        ids=["one-qubit", "ghz", "two-qubit"],
+    )
+    def test_overflowed_fisher_information_exits_two(self, capsys, flags):
+        code, out, err = run_cli(capsys, "fisher", *flags)
+        assert code == 2
+        assert not out
+        assert "Fisher information overflows" in err
+
 
 class TestEstimate:
     def test_one_qubit_balanced_counts(self, capsys):

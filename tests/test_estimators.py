@@ -4,8 +4,10 @@ mle_numeric (grid scan plus Newton refinement on the closed-form score) is
 the oracle for every closed form: the one-qubit and parity inversions, the
 coarse slow-sector estimate, and the two-branch quartic roots. The batched
 kernels are checked against the scalar estimators on whole count spaces,
-the lock-step refinement against its rule written out for one row, and the
-Newton estimates against the golden-section search they replaced.
+the numeric kernel's certified product against a product that rounds
+differently on purpose, the lock-step refinement against its rule written
+out for one row, and the Newton estimates against the golden-section search
+they replaced.
 """
 
 import math
@@ -33,6 +35,7 @@ from qclock import (
     two_qubit_distribution,
     two_qubit_score,
 )
+from qclock import estimators
 from qclock.counts import reduce_counts
 from qclock.estimators import (
     GRID_POINTS,
@@ -473,10 +476,16 @@ NUMERIC_BATTERY = pytest.mark.parametrize(
         (TWO_QUBIT, count_spaces(4, range(1, 9))),
         *[(model, count_spaces(2, range(1, 33))) for model in ONE_QUBIT_PARTIAL],
         (OneQubitClock(omega=1.0, chi=0.0), count_spaces(2, range(0, 5))),
+        # Near-flat clocks: a gcd-reduced (0, 1) row's likelihood varies by
+        # about chi over the window, below the 1e-12 flat threshold at
+        # 1e-13 and above it at 1e-11, where the grid maximum is a run of
+        # exactly tied values.
+        *[(OneQubitClock(omega=1.0, chi=chi), count_spaces(2, range(0, 33)))
+          for chi in (1e-13, 1e-11)],
         *[(model, count_spaces(2, range(1, 33))) for model in GHZ_CLOCKS],
     ],
     ids=["two-qubit-2.6", "two-qubit-harmonic", "one-qubit-chi0.3", "one-qubit-chi0.75",
-         "one-qubit-chi0", "ghz2", "ghz3"],
+         "one-qubit-chi0", "one-qubit-chi1e-13", "one-qubit-chi1e-11", "ghz2", "ghz3"],
 )
 
 
@@ -488,16 +497,62 @@ def test_numeric_kernel_matches_mle_numeric_on_count_spaces(model, rows):
     assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
 
 
-@NUMERIC_BATTERY
-def test_numeric_kernel_equals_mle_numeric_bit_for_bit(model, rows):
-    # The kernel adds the likelihood's terms in the scalar order and steps
-    # each row's search as the scalar search does, so no tolerance applies.
+def bitwise_mismatches(model, rows):
+    """Rows where mle_numeric_batch's (t_hat, valid) is not mle_numeric's exactly."""
     t_hat, valid = mle_numeric_batch(model, rows)
     bad = []
     for row, t, ok in zip(rows, t_hat, valid):
         report = mle_numeric(model, as_counts(model, row))
         if not (t == report.t_hat and ok == report.valid):
             bad.append((tuple(row), t, report.t_hat, bool(ok), report.valid))
+    return bad
+
+
+@NUMERIC_BATTERY
+def test_numeric_kernel_equals_mle_numeric_bit_for_bit(model, rows):
+    # The kernel's grid decisions are certified against, or taken from, the
+    # likelihood added in the scalar order, and it steps each row's search
+    # as the scalar search does, so no tolerance applies.
+    bad = bitwise_mismatches(model, rows)
+    assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
+
+
+def reordered_product(seed: int = 0):
+    """A stand-in for the kernel's BLAS product that rounds differently.
+
+    Each entry adds its terms in reverse tally order and then moves one ulp
+    up or down, or stays, in a fixed pseudo-random pattern; exact zeros stay
+    zero. Every entry stays within 2 gamma_K |s| of the exact sum s, the
+    distance the kernel's certificate allows a product.
+    """
+    rng = np.random.default_rng(seed)
+
+    def product(block, log_probs, out):
+        out[...] = np.add.reduce(block[:, ::-1, np.newaxis] * log_probs[::-1], axis=1)
+        shift = np.where(out == 0.0, 0, rng.integers(-1, 2, out.shape))
+        out[...] = np.where(shift > 0, np.nextafter(out, np.inf), out)
+        out[...] = np.where(shift < 0, np.nextafter(out, -np.inf), out)
+        return out
+
+    return product
+
+
+@pytest.mark.parametrize(
+    "model, rows",
+    [
+        (TWO_QUBIT, count_space(24, 4)),
+        (TwoQubitClock(omega=0.5, Omega=1.3), count_space(32, 4)),
+    ],
+    ids=["two-qubit-harmonic", "two-qubit-2.6"],
+)
+def test_numeric_kernel_certificate_holds_for_any_close_product(model, rows, monkeypatch):
+    # Whatever the installed BLAS does, a product that rounds differently
+    # must not move an estimate. The harmonic space has exactly tied grid
+    # maxima, which a reordered sum breaks either way: this case fails when
+    # the kernel keeps its product's decisions instead of summing such rows
+    # again in tally order.
+    monkeypatch.setattr(estimators, "_grid_product", reordered_product())
+    bad = bitwise_mismatches(model, rows)
     assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
 
 

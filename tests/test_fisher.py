@@ -264,6 +264,33 @@ def test_overflowed_phase_is_named():
     assert classical_fisher(OneQubitClock(omega=1e-10), 1e300).value >= 0.0
 
 
+@pytest.mark.parametrize(
+    "model, t",
+    [
+        (OneQubitClock(omega=1e200), 1.0),
+        (OneQubitClock(omega=1e200, chi=0.0), 1.0),
+        (GhzClock(omega=1e200, n_entangled=3), 1e-200),
+        (GhzClock(omega=1e307, n_entangled=16), 1e-310),
+        (TwoQubitClock(omega=1e200, Omega=1e200), 1e-200),
+        (TwoQubitClock(omega=1.3e154, Omega=1.3e154), 1e-154),
+    ],
+    ids=["one-qubit", "one-qubit-chi0", "ghz", "ghz-n-omega", "two-qubit", "two-qubit-sum"],
+)
+def test_overflowed_fisher_information_is_named(model, t):
+    # The frequency squared overflows: ** raises OverflowError past about
+    # 1.3e154, n omega or the two-qubit sum overflow to inf; each is named.
+    for call in (lambda: model.qfi, lambda: quantum_fisher(model, t), lambda: model.cfi(t),
+                 lambda: classical_fisher(model, t)):
+        with pytest.raises(ValueError, match="Fisher information overflows"):
+            call()
+
+
+def test_largest_frequencies_keep_finite_fisher_information():
+    assert OneQubitClock(omega=1e154).qfi == 1e154**2
+    assert TwoQubitClock(omega=1e153, Omega=1e154).qfi == 0.5 * (1e153**2 + 1e154**2)
+    assert GhzClock(omega=1e153, n_entangled=10).qfi == 1e154**2
+
+
 MODELS = (
     OneQubitClock(omega=1.0),
     OneQubitClock(omega=0.7, chi=0.36),

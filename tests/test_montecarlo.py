@@ -38,6 +38,8 @@ from qclock import (
 from qclock import estimators
 from qclock.montecarlo import MAX_EXACT_PROBES, _summarize
 
+from test_estimators import count_space, reordered_product
+
 
 def small_config(**overrides) -> ExperimentConfig:
     base = dict(
@@ -287,17 +289,17 @@ class TestDeterminism:
         assert moved[1] != base[1]
 
     def test_numeric_blocks_do_not_change_estimates(self, monkeypatch):
-        # Every count vector of 32 pairs: with this many rows, some grid
-        # maxima sit within rounding of a tie, so rounding that depended on
-        # the block a row falls in would move their estimates.
+        # Every count vector of 32 pairs at Omega / omega = 2.6, where some
+        # grid maxima sit within rounding of a tie, and of 24 pairs at
+        # Omega = 2 omega, where some are exact ties. A BLAS product may round
+        # a row differently in blocks of another size, and a product that
+        # reorders its sums rounds differently again. Under every blocking,
+        # the certificate must send each row whose grid decision such
+        # rounding could move to the tally-order sum.
         model = TwoQubitClock(omega=0.5, Omega=1.3)
-        rows = np.array(
-            [
-                (a, b, c, 32 - a - b - c)
-                for a in range(33)
-                for b in range(33 - a)
-                for c in range(33 - a - b)
-            ]
+        spaces = (
+            (model, count_space(32, 4)),
+            (TwoQubitClock(omega=0.5, Omega=1.0), count_space(24, 4)),
         )
         cfg = small_config(
             model=model,
@@ -307,10 +309,15 @@ class TestDeterminism:
             estimator=EstimatorKind.NUMERIC,
         )
         runs = []
-        for block_rows in (1, 7, estimators.BLOCK_ROWS, 10_000):
-            monkeypatch.setattr(estimators, "BLOCK_ROWS", block_rows)
-            t_hat, valid = estimators.mle_numeric_batch(model, rows)
-            runs.append((t_hat.tobytes(), valid.tobytes(), error_curve(cfg)))
+        blockings = (1, 7, 32, estimators.BLOCK_ROWS, 10_000)
+        for product in (estimators._grid_product, reordered_product()):
+            monkeypatch.setattr(estimators, "_grid_product", product)
+            for block_rows in blockings:
+                monkeypatch.setattr(estimators, "BLOCK_ROWS", block_rows)
+                estimates = [
+                    b.tobytes() for m, rows in spaces for b in estimators.mle_numeric_batch(m, rows)
+                ]
+                runs.append((estimates, error_curve(cfg)))
         assert all(run == runs[0] for run in runs[1:])
 
     def test_one_generator_call_per_cell(self, monkeypatch):
