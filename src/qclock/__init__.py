@@ -12,11 +12,8 @@ from .clocks import (
     OneQubitClock,
     TwoQubitClock,
     evolved_distribution,
-    ghz_distribution,
     n_probe_count_distribution,
-    one_qubit_distribution,
     recurrence_time,
-    two_qubit_distribution,
 )
 from .counts import (
     CountVector,
@@ -36,7 +33,6 @@ from .estimators import (
     mle_numeric,
     mle_one_qubit,
     mle_two_qubit_roots,
-    two_qubit_score,
 )
 from .fisher import (
     DegenerateTimeError,
@@ -103,7 +99,6 @@ __all__ = [
     "evolve",
     "evolved_distribution",
     "fisher_one_qubit_analytic",
-    "ghz_distribution",
     "log_likelihood",
     "mean_estimator_curve",
     "mle_ghz",
@@ -111,11 +106,8 @@ __all__ = [
     "mle_one_qubit",
     "mle_two_qubit_roots",
     "n_probe_count_distribution",
-    "one_qubit_distribution",
     "quantum_fisher",
     "recurrence_time",
     "reduce_counts",
     "sample_counts",
-    "two_qubit_distribution",
-    "two_qubit_score",
 ]

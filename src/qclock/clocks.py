@@ -289,7 +289,7 @@ class TwoQubitClock(_Clock):
     @property
     @_finite_fisher
     def qfi(self) -> float:
-        return 0.5 * (self.omega**2 + self.Omega**2)
+        return 0.5 * self.omega**2 + 0.5 * self.Omega**2
 
     @property
     def window_top(self) -> float:
@@ -471,30 +471,6 @@ def _ghz_register(n: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
 
 
 ClockModel = Union[OneQubitClock, TwoQubitClock, GhzClock]
-
-
-def one_qubit_distribution(chi: float, omega: float, t: float) -> OutcomeDistribution:
-    """Single-qubit readout statistics: P_-(t) = chi sin^2(omega t / 2)."""
-    return OneQubitClock(omega=omega, chi=chi).distribution(t)
-
-
-def two_qubit_distribution(omega: float, Omega: float, t: float) -> OutcomeDistribution:
-    """Four-outcome statistics of the two-frequency register.
-
-    P_{0+} = cos^2(omega t/2)/2,  P_{0-} = sin^2(omega t/2)/2,
-    P_{1+} = cos^2(Omega t/2)/2,  P_{1-} = sin^2(Omega t/2)/2.
-    """
-    return TwoQubitClock(omega=omega, Omega=Omega).distribution(t)
-
-
-def ghz_distribution(omega: float, n_entangled: int, t: float) -> OutcomeDistribution:
-    """Product-basis statistics of the GHZ clock.
-
-    An outcome string with an even number of '-' signs has probability
-    cos^2(n omega t / 2) / 2^(n-1); odd parity gets sin^2(n omega t / 2)
-    / 2^(n-1). Each parity class holds 2^(n-1) outcomes.
-    """
-    return GhzClock(omega=omega, n_entangled=n_entangled).distribution(t)
 
 
 def evolved_distribution(model: ClockModel, t: float) -> OutcomeDistribution:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import ClockModel, GhzClock, OneQubitClock, TwoQubitClock, _check_positive
+from .clocks import ClockModel, GhzClock, OneQubitClock, _check_positive
 from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts, reduce_counts
 
 # Grid resolution and convergence target for the numeric maximizer.
@@ -236,24 +236,6 @@ def combined_estimator(
     return EstimateReport(t_hat, branch, window, coarse_t=coarse.t_hat)
 
 
-def two_qubit_score(
-    counts: TwoQubitCounts, t, omega: float = 0.5, Omega: float = 1.0
-):
-    """Derivative of the two-qubit log-likelihood at time t.
-
-        score(t) = k1 Omega cot(Omega t/2) - k2 Omega tan(Omega t/2)
-                 + k3 omega cot(omega t/2) - k4 omega tan(omega t/2)
-
-    Terms with a zero tally are omitted entirely so their poles do not
-    contaminate the value. Accepts scalar or array t. A view of the score
-    that ``mle_numeric`` refines its estimates with.
-    """
-    _require(counts, TwoQubitCounts, "two_qubit_score")
-    t_arr = np.asarray(t, dtype=float)
-    score, _ = _tally_score(counts.tallies, TwoQubitClock(omega=omega, Omega=Omega), t_arr)
-    return float(score) if t_arr.ndim == 0 else score
-
-
 def _tally_log_likelihood(tallies: np.ndarray, probs) -> np.ndarray:
     # sum_j k_j log p_j over the leading (tally) axis, added in tally order,
     # with k log p = 0 where k = 0 and -inf where p = 0 < k.
@@ -339,7 +321,6 @@ def mle_numeric(
     model: ClockModel,
     counts: CountVector,
     window: tuple[float, float] | None = None,
-    grid_points: int = GRID_POINTS,
 ) -> EstimateReport:
     """Grid-plus-Newton maximizer of the log-likelihood over a window.
 
@@ -360,11 +341,9 @@ def mle_numeric(
         raise ValueError(f"window bounds must be finite, got {window!r}")
     if not hi > lo:
         raise ValueError(f"empty window {window!r}")
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
     branch = Branch.GHZ_WINDOW if model.kind == "ghz" else Branch.SINGLE_WINDOW
 
-    ts = np.linspace(lo, hi, grid_points)
+    ts = np.linspace(lo, hi, GRID_POINTS)
     ll = log_likelihood(model, counts, ts)
     finite = np.isfinite(ll)
     midpoint = 0.5 * (lo + hi)
@@ -380,7 +359,7 @@ def mle_numeric(
         lambda x: _tally_score(counts.tallies, model, x),
         float(ts[i]),
         float(ts[max(i - 1, 0)]),
-        float(ts[min(i + 1, grid_points - 1)]),
+        float(ts[min(i + 1, GRID_POINTS - 1)]),
         REFINE_TOL * max(1.0, abs(hi)),
     )
     return EstimateReport(t_hat, branch, (lo, hi))

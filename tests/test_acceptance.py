@@ -40,9 +40,8 @@ from qclock import (
     mle_two_qubit_roots,
     quantum_fisher,
     recurrence_time,
-    two_qubit_distribution,
-    two_qubit_score,
 )
+from qclock.estimators import _tally_score
 from test_fisher import _fd_fisher
 
 HALF_WINDOW = math.pi
@@ -60,7 +59,7 @@ def verdict(capsys, number: int, description: str, ok: bool, detail: str = ""):
 def random_pair_counts(rng: np.random.Generator) -> TwoQubitCounts:
     n = int(rng.integers(4, 201))
     t = float(rng.uniform(0.05, FULL_WINDOW - 0.05))
-    dist = two_qubit_distribution(0.5, 1.0, t)
+    dist = TwoQubitClock(omega=0.5, Omega=1.0).distribution(t)
     draw = rng.multinomial(n, [dist["1-"], dist["1+"], dist["0-"], dist["0+"]])
     return TwoQubitCounts(
         fast_minus=int(draw[0]), fast_plus=int(draw[1]),
@@ -166,7 +165,7 @@ def exact_mean_estimates(n: int, grid) -> np.ndarray:
     log_coef = -log_fact[counts].sum(axis=0)
     means = []
     for t in grid:
-        dist = two_qubit_distribution(0.5, 1.0, t)
+        dist = TwoQubitClock(omega=0.5, Omega=1.0).distribution(t)
         log_p = np.log([dist["1-"], dist["1+"], dist["0-"], dist["0+"]])
         log_w = log_coef + log_p @ counts
         w = np.exp(log_w - log_w.max())
@@ -284,7 +283,7 @@ def test_criterion_5_root_stationarity(capsys):
         for root in mle_two_qubit_roots(counts):
             if abs(math.sin(0.5 * root)) < 1e-9 or abs(math.cos(0.5 * root)) < 1e-9:
                 continue
-            ok &= abs(two_qubit_score(counts, root)) < 1e-8
+            ok &= abs(_tally_score(counts.tallies, TwoQubitClock(0.5, 1.0), root)[0]) < 1e-8
             roots_checked += 1
         if counts.slow_minus + counts.slow_plus == 0:
             continue

@@ -27,11 +27,8 @@ from qclock import (
     TwoQubitClock,
     TwoQubitCounts,
     evolved_distribution,
-    ghz_distribution,
     n_probe_count_distribution,
-    one_qubit_distribution,
     recurrence_time,
-    two_qubit_distribution,
 )
 
 ALL_MODELS = (
@@ -45,10 +42,11 @@ ALL_MODELS = (
 
 
 def test_one_qubit_distribution_anchor_points():
-    assert one_qubit_distribution(1.0, 1.0, math.pi)["-"] == pytest.approx(1.0, abs=1e-12)
-    assert one_qubit_distribution(1.0, 1.0, 0.0)["-"] == 0.0
-    assert one_qubit_distribution(1.0, 1.0, 0.0)["+"] == 1.0
-    half = one_qubit_distribution(0.5, 1.0, math.pi)
+    clock = OneQubitClock(omega=1.0, chi=1.0)
+    assert clock.distribution(math.pi)["-"] == pytest.approx(1.0, abs=1e-12)
+    assert clock.distribution(0.0)["-"] == 0.0
+    assert clock.distribution(0.0)["+"] == 1.0
+    half = OneQubitClock(omega=1.0, chi=0.5).distribution(math.pi)
     assert half["+"] == pytest.approx(0.5, abs=1e-12)
     assert half["-"] == pytest.approx(0.5, abs=1e-12)
 
@@ -59,7 +57,7 @@ def test_one_qubit_distribution_formula():
         chi = float(rng.uniform(0.0, 1.0))
         omega = float(rng.uniform(0.1, 3.0))
         t = float(rng.uniform(0.0, 20.0))
-        dist = one_qubit_distribution(chi, omega, t)
+        dist = OneQubitClock(omega=omega, chi=chi).distribution(t)
         assert dist["-"] == pytest.approx(chi * math.sin(omega * t / 2) ** 2, abs=1e-12)
         assert dist["-"] + dist["+"] == pytest.approx(1.0, abs=1e-12)
 
@@ -76,12 +74,12 @@ def test_one_qubit_parameter_validation():
 
 
 def test_two_qubit_distribution_anchor_points():
-    at_zero = two_qubit_distribution(0.5, 1.0, 0.0)
+    at_zero = TwoQubitClock(omega=0.5, Omega=1.0).distribution(0.0)
     assert at_zero["0+"] == 0.5
     assert at_zero["0-"] == 0.0
     assert at_zero["1+"] == 0.5
     assert at_zero["1-"] == 0.0
-    at_pi = two_qubit_distribution(0.5, 1.0, math.pi)
+    at_pi = TwoQubitClock(omega=0.5, Omega=1.0).distribution(math.pi)
     assert at_pi["0+"] == pytest.approx(0.25, abs=1e-12)
     assert at_pi["0-"] == pytest.approx(0.25, abs=1e-12)
     assert at_pi["1+"] == pytest.approx(0.0, abs=1e-12)
@@ -91,19 +89,19 @@ def test_two_qubit_distribution_anchor_points():
 def test_two_qubit_equal_frequencies_allowed():
     # Degenerate omega = Omega is a valid model; only the closed-form
     # coarse/fine estimators refuse it.
-    dist = two_qubit_distribution(1.0, 1.0, 0.7)
+    dist = TwoQubitClock(omega=1.0, Omega=1.0).distribution(0.7)
     assert dist["0-"] == pytest.approx(dist["1-"], abs=1e-12)
 
 
 def test_ghz_distribution_anchor_points():
-    at_zero = ghz_distribution(1.0, 2, 0.0)
+    at_zero = GhzClock(omega=1.0, n_entangled=2).distribution(0.0)
     assert at_zero["++"] == 0.5
     assert at_zero["--"] == 0.5
     assert at_zero["+-"] == 0.0
     assert at_zero["-+"] == 0.0
     # Three entangled qubits, argument 3*omega*t/2 = pi/2: the four
     # odd-parity outcomes carry 1/4 each, even-parity outcomes vanish.
-    dist = ghz_distribution(1.0, 3, math.pi / 3)
+    dist = GhzClock(omega=1.0, n_entangled=3).distribution(math.pi / 3)
     for label in dist.labels:
         parity = label.count("-") & 1
         expected = 0.25 if parity else 0.0
@@ -114,7 +112,7 @@ def test_ghz_n2_pattern():
     rng = np.random.default_rng(22)
     for _ in range(25):
         t = float(rng.uniform(0.0, 10.0))
-        dist = ghz_distribution(1.0, 2, t)
+        dist = GhzClock(omega=1.0, n_entangled=2).distribution(t)
         assert dist["++"] == pytest.approx(0.5 * math.cos(t) ** 2, abs=1e-12)
         assert dist["--"] == pytest.approx(0.5 * math.cos(t) ** 2, abs=1e-12)
         assert dist["+-"] == pytest.approx(0.5 * math.sin(t) ** 2, abs=1e-12)
@@ -146,7 +144,7 @@ def test_ghz_frequency_scaling():
         for _ in range(25):
             omega = float(rng.uniform(0.2, 2.0))
             t = float(rng.uniform(0.0, 10.0))
-            dist = ghz_distribution(omega, n, t)
+            dist = GhzClock(omega=omega, n_entangled=n).distribution(t)
             half = n * omega * t / 2
             even = math.cos(half) ** 2 / 2 ** (n - 1)
             odd = math.sin(half) ** 2 / 2 ** (n - 1)
@@ -203,11 +201,12 @@ def test_one_qubit_periodicity_and_symmetry():
     rng = np.random.default_rng(25)
     for chi, omega in ((1.0, 1.0), (0.5, 0.7), (0.36, 2.0)):
         period = 2.0 * math.pi / omega
+        clock = OneQubitClock(omega=omega, chi=chi)
         for _ in range(50):
             t = float(rng.uniform(0.0, period))
-            here = one_qubit_distribution(chi, omega, t)
-            shifted = one_qubit_distribution(chi, omega, t + period)
-            mirrored = one_qubit_distribution(chi, omega, period - t)
+            here = clock.distribution(t)
+            shifted = clock.distribution(t + period)
+            mirrored = clock.distribution(period - t)
             assert abs(here["-"] - shifted["-"]) < 1e-10
             assert abs(here["-"] - mirrored["-"]) < 1e-10
 

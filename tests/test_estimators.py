@@ -32,8 +32,6 @@ from qclock import (
     mle_numeric,
     mle_one_qubit,
     mle_two_qubit_roots,
-    two_qubit_distribution,
-    two_qubit_score,
 )
 from qclock import estimators
 from qclock.counts import reduce_counts
@@ -60,7 +58,7 @@ def random_two_qubit_counts(rng: np.random.Generator) -> TwoQubitCounts:
     """Multinomial tallies drawn at a random true time."""
     n = int(rng.integers(4, 201))
     t = float(rng.uniform(0.05, FULL_WINDOW - 0.05))
-    dist = two_qubit_distribution(0.5, 1.0, t)
+    dist = TwoQubitClock(omega=0.5, Omega=1.0).distribution(t)
     draw = rng.multinomial(n, [dist["1-"], dist["1+"], dist["0-"], dist["0+"]])
     return TwoQubitCounts(
         fast_minus=int(draw[0]), fast_plus=int(draw[1]),
@@ -157,7 +155,7 @@ def test_two_qubit_roots_are_stationary():
         for root in mle_two_qubit_roots(counts):
             if abs(math.sin(0.5 * root)) < 1e-9 or abs(math.cos(0.5 * root)) < 1e-9:
                 continue  # pole of the score expression, not an interior root
-            score = two_qubit_score(counts, root)
+            score, _ = _tally_score(counts.tallies, TWO_QUBIT, root)
             assert abs(score) < 1e-8, (counts, root, score)
             checked += 1
     assert checked > 3000
@@ -224,7 +222,7 @@ def test_coarse_estimator_printed_form_discrepancy():
 def test_combined_estimator_reports_branch_and_coarse():
     rng = np.random.default_rng(46)
     # Counts at true t = 1.0: coarse lands low, fine root refines it.
-    dist = two_qubit_distribution(0.5, 1.0, 1.0)
+    dist = TwoQubitClock(omega=0.5, Omega=1.0).distribution(1.0)
     draw = rng.multinomial(200, [dist["1-"], dist["1+"], dist["0-"], dist["0+"]])
     counts = TwoQubitCounts(int(draw[0]), int(draw[1]), int(draw[2]), int(draw[3]))
     report = combined_estimator(counts, 0.5, 1.0)
@@ -234,7 +232,7 @@ def test_combined_estimator_reports_branch_and_coarse():
     crb_200 = 1.0 / math.sqrt(200 * 0.625)
     assert abs(report.t_hat - 1.0) < 3.0 * crb_200
     # And at true t = 5.0 the upper branch is selected.
-    dist = two_qubit_distribution(0.5, 1.0, 5.0)
+    dist = TwoQubitClock(omega=0.5, Omega=1.0).distribution(5.0)
     draw = rng.multinomial(200, [dist["1-"], dist["1+"], dist["0-"], dist["0+"]])
     counts = TwoQubitCounts(int(draw[0]), int(draw[1]), int(draw[2]), int(draw[3]))
     report = combined_estimator(counts, 0.5, 1.0)
@@ -328,8 +326,6 @@ def test_mle_numeric_flat_likelihood_flagged():
 def test_mle_numeric_validation():
     with pytest.raises(ValueError):
         mle_numeric(TWO_QUBIT, TwoQubitCounts(1, 1, 1, 1), window=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        mle_numeric(TWO_QUBIT, TwoQubitCounts(1, 1, 1, 1), grid_points=2)
     model = TwoQubitClock(omega=0.5, Omega=1.3)
     for window in ((0.0, math.inf), (-math.inf, 1.0)):
         with pytest.raises(ValueError, match="finite"):
@@ -360,10 +356,10 @@ def test_log_likelihood_rejects_non_finite_time():
 def test_two_qubit_score_accepts_arrays():
     counts = TwoQubitCounts(3, 7, 2, 9)
     ts = np.array([0.5, 1.5, 2.5])
-    values = two_qubit_score(counts, ts)
+    values, _ = _tally_score(counts.tallies, TWO_QUBIT, ts)
     assert values.shape == ts.shape
     for i, t in enumerate(ts):
-        assert values[i] == pytest.approx(two_qubit_score(counts, float(t)))
+        assert values[i] == pytest.approx(_tally_score(counts.tallies, TWO_QUBIT, float(t))[0])
 
 
 def count_space(n: int, k: int) -> np.ndarray:

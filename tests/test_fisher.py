@@ -272,13 +272,15 @@ def test_overflowed_phase_is_named():
         (GhzClock(omega=1e200, n_entangled=3), 1e-200),
         (GhzClock(omega=1e307, n_entangled=16), 1e-310),
         (TwoQubitClock(omega=1e200, Omega=1e200), 1e-200),
-        (TwoQubitClock(omega=1.3e154, Omega=1.3e154), 1e-154),
+        (TwoQubitClock(omega=1.3e154, Omega=1.35e154), 1e-154),
     ],
     ids=["one-qubit", "one-qubit-chi0", "ghz", "ghz-n-omega", "two-qubit", "two-qubit-sum"],
 )
 def test_overflowed_fisher_information_is_named(model, t):
     # The frequency squared overflows: ** raises OverflowError past about
-    # 1.3e154, n omega or the two-qubit sum overflow to inf; each is named.
+    # 1.3e154, or n omega overflows to inf; each is named. In the two-qubit
+    # sum, halving each square cannot save a term that overflows by itself,
+    # even beside a finite term at the top of the range.
     for call in (lambda: model.qfi, lambda: quantum_fisher(model, t), lambda: model.cfi(t),
                  lambda: classical_fisher(model, t)):
         with pytest.raises(ValueError, match="Fisher information overflows"):
@@ -288,6 +290,9 @@ def test_overflowed_fisher_information_is_named(model, t):
 def test_largest_frequencies_keep_finite_fisher_information():
     assert OneQubitClock(omega=1e154).qfi == 1e154**2
     assert TwoQubitClock(omega=1e153, Omega=1e154).qfi == 0.5 * (1e153**2 + 1e154**2)
+    # Each square is halved before the sum, so a finite value near the top
+    # of the float range does not overflow on the way.
+    assert TwoQubitClock(omega=1.3e154, Omega=1.3e154).qfi == 1.3e154**2
     assert GhzClock(omega=1e153, n_entangled=10).qfi == 1e154**2
 
 
