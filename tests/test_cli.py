@@ -322,7 +322,8 @@ class TestSweep:
             out=str(tmp_path / "curve.csv"),
         )
         values.update(overrides)
-        lines = [f"[{name}]"] + [f"{k} = {v}" for k, v in values.items()]
+        # An override of None leaves the key out.
+        lines = [f"[{name}]"] + [f"{k} = {v}" for k, v in values.items() if v is not None]
         return "\n".join(lines) + "\n"
 
     def test_runs_sections_and_writes_manifest(self, capsys, tmp_path):
@@ -343,11 +344,31 @@ class TestSweep:
 
     def test_manifest_replay_is_byte_identical(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, self.basic_section(tmp_path))
-        assert main(["sweep", str(cfg)]) == 0
-        first = (tmp_path / "curve.csv").read_bytes()
-        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
-        assert main(manifest["argv"]) == 0
-        assert (tmp_path / "curve.csv").read_bytes() == first
+        model = ["--model", "two-qubit", "--omega", "0.5"]
+        runs = {
+            "curve.csv": ["sweep", str(cfg)],
+            "probs.csv": ["probs", *model, "--t-grid", "0:6:5"],
+            "fisher.json": ["fisher", *model, "--t-grid", "0.5:5:4", "--format", "json"],
+            "estimate.json": ["estimate", *model, "--counts", "3,1,2,4"],
+            "compare.csv": ["compare", "--budget", "8", "--t-grid", "0.9:1.4:2",
+                            "--trials", "5", "--seed", "7"],
+            "recurrence.json": ["recurrence", "--model", "ghz", "--n", "3"],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / name
+            if argv[0] != "sweep":
+                argv = [*argv, "--out", str(out)]
+            assert main(argv) == 0, argv
+            first = out.read_bytes()
+            manifest_path = tmp_path / f"{name}.manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            assert manifest["argv"] == argv
+            assert manifest["outputs"] == [str(out)]
+            out.unlink()
+            manifest_path.unlink()
+            assert main(manifest["argv"]) == 0, argv
+            assert out.read_bytes() == first, argv
+        assert capsys.readouterr().out == ""
 
     def test_two_qubit_defaults_and_multi_section(self, capsys, tmp_path):
         body = self.basic_section(tmp_path) + self.basic_section(
@@ -422,6 +443,32 @@ class TestSweep:
         code, _, err = main(["sweep", str(cfg)]), *capsys.readouterr()
         assert code == 2
         assert "seed" in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"model": "bogus"}, "invalid value for 'model' in section [run-a]: 'bogus'"),
+            ({"estimator": "bogus"}, "invalid value for 'estimator' in section [run-a]: 'bogus'"),
+            ({"curve": "median"}, "invalid value for 'curve' in section [run-a]: 'median'"),
+            ({"format": "xml"}, "invalid value for 'format' in section [run-a]: 'xml'"),
+            ({"probes": "many"}, "invalid value for 'probes' in section [run-a]: 'many'"),
+            ({"omega": "fast"}, "invalid value for 'omega' in section [run-a]: 'fast'"),
+            ({"model": "ghz", "n": "two"}, "invalid value for 'n' in section [run-a]: 'two'"),
+            ({"model": None}, "missing key 'model' in section [run-a]"),
+            ({"seed": None}, "missing key 'seed' in section [run-a]"),
+            ({"out": None}, "missing key 'out' in section [run-a]"),
+            ({"probess": 3}, "unknown key 'probess' in section [run-a]"),
+        ],
+        ids=[
+            "model", "estimator", "curve", "format", "probes", "omega", "n",
+            "missing-model", "missing-seed", "missing-out", "unknown",
+        ],
+    )
+    def test_single_fault_message(self, capsys, tmp_path, overrides, message):
+        cfg = self.write_config(tmp_path, self.basic_section(tmp_path, **overrides))
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert (code, out, err) == (2, "", f"qclock: error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
 
     def test_missing_file_and_empty_config(self, capsys, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.cfg")]) == 2
