@@ -20,6 +20,7 @@ import configparser
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import sys
@@ -48,22 +49,26 @@ from .montecarlo import (
 # files are stable across platforms.
 FLOAT_FMT = ".12g"
 
-_SWEEP_KEYS = {
-    "model",
-    "omega",
-    "Omega",
-    "chi",
-    "n",
-    "probes",
-    "trials",
-    "seed",
-    "estimator",
-    "curve",
-    "t_start",
-    "t_stop",
-    "t_steps",
-    "out",
-    "format",
+_MODELS = ("one-qubit", "two-qubit", "ghz")
+_FORMATS = ("csv", "json")
+_ESTIMATORS = tuple(kind.value for kind in EstimatorKind)
+
+# Stands in for the default of a key that has none.
+_REQUIRED = object()
+
+# Every sweep-section key besides the model's, in the order it is read:
+# (cast, default or _REQUIRED, allowed values or None for any).
+_SECTION_KEYS = {
+    "estimator": (str, EstimatorKind.CLOSED_FORM.value, _ESTIMATORS),
+    "curve": (str, "error", ("error", "mean")),
+    "format": (str, "csv", _FORMATS),
+    "t_start": (float, _REQUIRED, None),
+    "t_stop": (float, _REQUIRED, None),
+    "t_steps": (int, _REQUIRED, None),
+    "probes": (int, _REQUIRED, None),
+    "trials": (int, _REQUIRED, None),
+    "seed": (int, _REQUIRED, None),
+    "out": (str, _REQUIRED, None),
 }
 
 
@@ -92,67 +97,27 @@ def _json_ready(value):
     return value
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _json_text(payload) -> str:
+    return json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _emit(out: str | None, text: str) -> list[str]:
+    """Write text to stdout, or to the file `out`; returns the files written."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return []
+    Path(out).write_text(text)
+    return [out]
 
 
-def _csv_text(header, rows) -> str:
-    import io
-
+def _emit_table(out: str | None, fmt: str, header, rows) -> list[str]:
+    if fmt == "json":
+        return _emit(out, _json_text({"columns": header, "rows": rows}))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
-
-
-def _json_table_text(header, rows) -> str:
-    payload = {"columns": list(header), "rows": [_json_ready(list(r)) for r in rows]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _emit_table(args, header, rows) -> list[str]:
-    if args.format == "json":
-        text = _json_table_text(header, rows)
-    else:
-        text = _csv_text(header, rows)
-    _write_text(args.out, text)
-    return [args.out] if args.out else []
-
-
-def _write_manifest(
-    command: str,
-    argv: list[str],
-    config: dict,
-    seed,
-    outputs: list[str],
-    started: str,
-    stream_layout: str | None = None,
-) -> None:
-    if not outputs:
-        return
-    payload = {
-        "command": command,
-        "argv": argv,
-        "config": _json_ready(config),
-        "seed": seed,
-        "version": __version__,
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
-    }
-    if stream_layout is not None:
-        payload["stream_layout"] = stream_layout
-    path = outputs[0] + ".manifest.json"
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    return _emit(out, buf.getvalue())
 
 
 def _model(kind: str, value) -> ClockModel:
@@ -177,6 +142,12 @@ def _build_model(args, kind: str | None = None) -> ClockModel:
 
 # Flag and config key of a model field, where the two names differ.
 _FIELD_KEYS = {"n_entangled": "n"}
+# The config keys that set a model: its kind and every clock's fields.
+_MODEL_KEYS = {"model"} | {
+    _FIELD_KEYS.get(field.name, field.name)
+    for clock in (OneQubitClock, TwoQubitClock, GhzClock)
+    for field in dataclasses.fields(clock)
+}
 
 
 def _model_config(model: ClockModel) -> dict:
@@ -230,8 +201,11 @@ def _parse_counts(args, model: ClockModel):
     return model.counts_type.from_tallies(tallies[::-1])
 
 
-def cmd_probs(args, argv) -> int:
-    started = _now()
+# Each cmd_* function returns the files it wrote, the resolved configuration,
+# the seed and the RNG stream layout, for the run manifest.
+
+
+def cmd_probs(args):
     model = _build_model(args)
     labels = model.outcome_labels
     header = ["t", *labels, "sum"]
@@ -240,13 +214,10 @@ def cmd_probs(args, argv) -> int:
         dist = model.distribution(t)
         values = [dist[label] for label in labels]
         rows.append([t, *values, sum(values)])
-    outputs = _emit_table(args, header, rows)
-    _write_manifest("probs", argv, _model_config(model), None, outputs, started)
-    return 0
+    return _emit_table(args.out, args.format, header, rows), _model_config(model), None, None
 
 
-def cmd_fisher(args, argv) -> int:
-    started = _now()
+def cmd_fisher(args):
     model = _build_model(args)
     # classical_fisher is the closed form: "analytic" repeats it, kept for layout.
     header = ["t", "classical_fisher", "analytic", "qfi", "crb", "degenerate"]
@@ -268,14 +239,11 @@ def cmd_fisher(args, argv) -> int:
                 int(degenerate),
             ]
         )
-    outputs = _emit_table(args, header, rows)
-    config = {**_model_config(model), "probes": args.probes}
-    _write_manifest("fisher", argv, config, None, outputs, started)
-    return 0
+    outputs = _emit_table(args.out, args.format, header, rows)
+    return outputs, {**_model_config(model), "probes": args.probes}, None, None
 
 
-def cmd_estimate(args, argv) -> int:
-    started = _now()
+def cmd_estimate(args):
     model = _build_model(args)
     counts = _parse_counts(args, model)
     report = apply_estimator(model, counts, EstimatorKind(args.estimator))
@@ -283,84 +251,52 @@ def cmd_estimate(args, argv) -> int:
         **_model_config(model),
         "estimator": args.estimator,
         "counts": args.counts,
-        "t_hat": _round12(report.t_hat),
+        "t_hat": report.t_hat,
         "branch": report.branch.value,
-        "window": [_round12(report.window[0]), _round12(report.window[1])],
-        "coarse_t": None if report.coarse_t is None else _round12(report.coarse_t),
+        "window": report.window,
+        "coarse_t": report.coarse_t,
         "valid": report.valid,
     }
-    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n"
-    _write_text(args.out, text)
-    outputs = [args.out] if args.out else []
-    _write_manifest("estimate", argv, payload, None, outputs, started)
-    return 0
+    return _emit(args.out, _json_text(payload)), payload, None, None
 
 
-def _config_value(section, key: str, cast, default=None, required: bool = False):
+def _config_value(section, key: str, cast, default=_REQUIRED, choices=None):
     if key not in section:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing key '{key}' in section [{section.name}]")
         return default
     raw = section[key]
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError):
-        raise ConfigError(
-            f"invalid value for '{key}' in section [{section.name}]: {raw!r}"
-        )
+        pass
+    else:
+        if choices is None or value in choices:
+            return value
+    raise ConfigError(f"invalid value for '{key}' in section [{section.name}]: {raw!r}")
 
 
-def _sweep_section(section) -> tuple[ExperimentConfig, str, str, str, dict]:
-    unknown = sorted(set(section.keys()) - _SWEEP_KEYS)
+def _sweep_section(section) -> tuple[ExperimentConfig, dict]:
+    # The section's experiment, and its resolved keys for the manifest.
+    unknown = sorted(set(section) - _MODEL_KEYS - set(_SECTION_KEYS))
     if unknown:
         raise ConfigError(f"unknown key '{unknown[0]}' in section [{section.name}]")
-    kind = _config_value(section, "model", str, required=True)
-    if kind not in ("one-qubit", "two-qubit", "ghz"):
-        raise ConfigError(f"invalid value for 'model' in section [{section.name}]: {kind!r}")
-    model = _model(kind, lambda key, cast, default: _config_value(section, key, cast, default))
-    estimator = _config_value(section, "estimator", str, default="closed-form")
-    try:
-        estimator_kind = EstimatorKind(estimator)
-    except ValueError:
-        raise ConfigError(
-            f"invalid value for 'estimator' in section [{section.name}]: {estimator!r}"
-        )
-    curve = _config_value(section, "curve", str, default="error")
-    if curve not in ("error", "mean"):
-        raise ConfigError(f"invalid value for 'curve' in section [{section.name}]: {curve!r}")
-    fmt = _config_value(section, "format", str, default="csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"invalid value for 'format' in section [{section.name}]: {fmt!r}")
-    t_start = _config_value(section, "t_start", float, required=True)
-    t_stop = _config_value(section, "t_stop", float, required=True)
-    t_steps = _config_value(section, "t_steps", int, required=True)
+    value = functools.partial(_config_value, section)
+    model = _model(value("model", str, _REQUIRED, _MODELS), value)
+    values = {key: value(key, *spec) for key, spec in _SECTION_KEYS.items()}
+    grid = (values["t_start"], values["t_stop"], values["t_steps"])
     config = ExperimentConfig(
         model=model,
-        n_probes=_config_value(section, "probes", int, required=True),
-        t_grid=_grid(t_start, t_stop, t_steps, f"time grid of section [{section.name}]"),
-        trials=_config_value(section, "trials", int, required=True),
-        seed=_config_value(section, "seed", int, required=True),
-        estimator=estimator_kind,
+        n_probes=values["probes"],
+        t_grid=_grid(*grid, f"time grid of section [{section.name}]"),
+        trials=values["trials"],
+        seed=values["seed"],
+        estimator=EstimatorKind(values["estimator"]),
     )
-    out = _config_value(section, "out", str, required=True)
-    resolved = {
-        **_model_config(model),
-        "probes": config.n_probes,
-        "trials": config.trials,
-        "seed": config.seed,
-        "estimator": estimator_kind.value,
-        "curve": curve,
-        "t_start": t_start,
-        "t_stop": t_stop,
-        "t_steps": t_steps,
-        "out": out,
-        "format": fmt,
-    }
-    return config, curve, out, fmt, resolved
+    return config, {**_model_config(model), **values}
 
 
-def cmd_sweep(args, argv) -> int:
-    started = _now()
+def cmd_sweep(args):
     parser = configparser.ConfigParser(default_section="", interpolation=None)
     parser.optionxform = str
     path = Path(args.config)
@@ -372,37 +308,22 @@ def cmd_sweep(args, argv) -> int:
         raise ConfigError(f"malformed config {args.config}: {exc}")
     if not parser.sections():
         raise ConfigError(f"config {args.config} defines no experiment sections")
+    # Every section is checked before any runs, so a bad one writes nothing.
+    sections = {name: _sweep_section(parser[name]) for name in parser.sections()}
     outputs = []
-    resolved_sections = {}
-    seeds = []
-    for name in parser.sections():
-        config, curve, out, fmt, resolved = _sweep_section(parser[name])
-        runner = mean_estimator_curve if curve == "mean" else error_curve
-        result: ErrorCurve = runner(config)
-        rows = result.rows()
-        text = (
-            _json_table_text(ErrorCurve.COLUMNS, rows)
-            if fmt == "json"
-            else _csv_text(ErrorCurve.COLUMNS, rows)
-        )
-        Path(out).write_text(text)
-        outputs.append(out)
-        resolved_sections[name] = resolved
-        seeds.append(config.seed)
-    _write_manifest(
-        "sweep",
-        argv,
-        {"config_file": args.config, "sections": resolved_sections},
-        seeds[0] if len(seeds) == 1 else seeds,
-        outputs,
-        started,
-        STREAM_LAYOUT,
-    )
-    return 0
+    for config, resolved in sections.values():
+        runner = mean_estimator_curve if resolved["curve"] == "mean" else error_curve
+        rows = runner(config).rows()
+        outputs += _emit_table(resolved["out"], resolved["format"], ErrorCurve.COLUMNS, rows)
+    seeds = [config.seed for config, _ in sections.values()]
+    config = {
+        "config_file": args.config,
+        "sections": {name: resolved for name, (_, resolved) in sections.items()},
+    }
+    return outputs, config, seeds[0] if len(seeds) == 1 else seeds, STREAM_LAYOUT
 
 
-def cmd_compare(args, argv) -> int:
-    started = _now()
+def cmd_compare(args):
     grid = _parse_grid(args.t_grid)
     pair = _build_model(args, "two-qubit")
     table = compare_resources(
@@ -413,7 +334,7 @@ def cmd_compare(args, argv) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    outputs = _emit_table(args, table.COLUMNS, table.as_rows())
+    outputs = _emit_table(args.out, args.format, table.COLUMNS, table.as_rows())
     config = {
         "budget": args.budget,
         "omega": pair.omega,
@@ -421,31 +342,24 @@ def cmd_compare(args, argv) -> int:
         "t_grid": args.t_grid,
         "trials": args.trials,
     }
-    _write_manifest("compare", argv, config, args.seed, outputs, started, STREAM_LAYOUT)
-    return 0
+    return outputs, config, args.seed, STREAM_LAYOUT
 
 
-def cmd_recurrence(args, argv) -> int:
-    started = _now()
+def cmd_recurrence(args):
     model = _build_model(args)
-    value = recurrence_time(model, epsilon=args.epsilon, t_max=args.t_max)
     payload = {
         **_model_config(model),
         "epsilon": args.epsilon,
         "t_max": args.t_max,
-        "recurrence_time": None if value is None else _round12(value),
+        "recurrence_time": recurrence_time(model, epsilon=args.epsilon, t_max=args.t_max),
     }
-    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n"
-    _write_text(args.out, text)
-    outputs = [args.out] if args.out else []
-    _write_manifest("recurrence", argv, payload, None, outputs, started)
-    return 0
+    return _emit(args.out, _json_text(payload)), payload, None, None
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model",
-        choices=("one-qubit", "two-qubit", "ghz"),
+        choices=_MODELS,
         required=True,
         help="clock design",
     )
@@ -468,7 +382,7 @@ def _add_time_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--format", choices=_FORMATS, default="csv")
 
 
 @functools.cache
@@ -504,13 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
             "two-qubit 'k0+,k0-,k1+,k1-'; ghz 'k_even,k_odd'"
         ),
     )
-    p.add_argument(
-        "--estimator",
-        choices=tuple(kind.value for kind in EstimatorKind),
-        default=EstimatorKind.CLOSED_FORM.value,
-    )
+    p.add_argument("--estimator", choices=_ESTIMATORS, default=EstimatorKind.CLOSED_FORM.value)
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=cmd_estimate, format="json")
+    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="run the experiments in a config file")
     p.add_argument("config", help="INI-style experiment file")
@@ -538,10 +448,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, list(argv))
+        started = datetime.now(timezone.utc).isoformat()
+        outputs, config, seed, stream_layout = args.func(args)
+        if outputs:
+            manifest = {
+                "command": args.command,
+                "argv": list(argv),
+                "config": config,
+                "seed": seed,
+                "version": __version__,
+                "started": started,
+                "finished": datetime.now(timezone.utc).isoformat(),
+                "outputs": outputs,
+            }
+            if stream_layout is not None:
+                manifest["stream_layout"] = stream_layout
+            Path(outputs[0] + ".manifest.json").write_text(_json_text(manifest))
+        return 0
     except DegenerateCountsError as exc:
         print(f"qclock: degenerate input: {exc}", file=sys.stderr)
         return 3

@@ -91,16 +91,6 @@ class TwoQubitCounts:
     def from_tallies(cls, tallies) -> "TwoQubitCounts":
         return cls(*tallies)
 
-    @property
-    def coarse_plus(self) -> int:
-        """Slow-sector |+> tally (the coarse likelihood's cosine count)."""
-        return self.slow_plus
-
-    @property
-    def coarse_minus(self) -> int:
-        """Slow-sector |-> tally (the coarse likelihood's sine count)."""
-        return self.slow_minus
-
 
 @dataclass(frozen=True)
 class GhzCounts:

@@ -201,7 +201,7 @@ def coarse_estimator(counts: TwoQubitCounts, omega: float = 0.5) -> EstimateRepo
     _require(counts, TwoQubitCounts, "coarse_estimator")
     counts = reduce_counts(counts)
     omega = _check_positive("omega", omega)
-    kp, km = counts.coarse_plus, counts.coarse_minus
+    kp, km = counts.slow_plus, counts.slow_minus
     if kp + km == 0:
         raise DegenerateCountsError("no slow-sector events recorded")
     if kp == 0:

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -125,13 +126,10 @@ class ErrorCurvePoint:
 class ErrorCurve:
     points: tuple[ErrorCurvePoint, ...]
 
-    COLUMNS = ("t", "mean_estimate", "std_error", "bias", "crb", "n_valid")
+    COLUMNS = tuple(field.name for field in fields(ErrorCurvePoint))
 
     def rows(self) -> list[tuple]:
-        return [
-            (p.t, p.mean_estimate, p.std_error, p.bias, p.crb, p.n_valid)
-            for p in self.points
-        ]
+        return list(map(attrgetter(*self.COLUMNS), self.points))
 
 
 @dataclass(frozen=True)
@@ -156,29 +154,10 @@ class ResourceComparison:
     budget_qubits: int
     rows: tuple[ResourceRow, ...]
 
-    COLUMNS = (
-        "t",
-        "dt_one_qubit",
-        "dt_two_qubit",
-        "dt_ghz",
-        "crb_one_qubit",
-        "crb_two_qubit",
-        "crb_ghz",
-    )
+    COLUMNS = tuple(field.name for field in fields(ResourceRow))
 
     def as_rows(self) -> list[tuple]:
-        return [
-            (
-                r.t,
-                r.dt_one_qubit,
-                r.dt_two_qubit,
-                r.dt_ghz,
-                r.crb_one_qubit,
-                r.crb_two_qubit,
-                r.crb_ghz,
-            )
-            for r in self.rows
-        ]
+        return list(map(attrgetter(*self.COLUMNS), self.rows))
 
 
 def cell_rng(seed: int, t_index: int) -> np.random.Generator:

@@ -470,6 +470,16 @@ class TestSweep:
         assert (code, out, err) == (2, "", f"qclock: error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
 
+    def test_bad_later_section_writes_nothing(self, capsys, tmp_path):
+        body = self.basic_section(tmp_path) + self.basic_section(
+            tmp_path, name="run-b", curve="median", out=str(tmp_path / "b.csv")
+        )
+        cfg = self.write_config(tmp_path, body)
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "qclock: error: invalid value for 'curve' in section [run-b]: 'median'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
+
     def test_missing_file_and_empty_config(self, capsys, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.cfg")]) == 2
         capsys.readouterr()

@@ -35,8 +35,6 @@ def test_one_qubit_counts_fields():
 def test_two_qubit_counts_fields():
     counts = TwoQubitCounts(fast_minus=1, fast_plus=2, slow_minus=3, slow_plus=4)
     assert counts.n == 10
-    assert counts.coarse_minus == 3
-    assert counts.coarse_plus == 4
     with pytest.raises(ValueError):
         TwoQubitCounts(fast_minus=-1, fast_plus=0, slow_minus=0, slow_plus=0)
 
