@@ -49,7 +49,14 @@ from .montecarlo import (
 # files are stable across platforms.
 FLOAT_FMT = ".12g"
 
-_MODELS = ("one-qubit", "two-qubit", "ghz")
+# Flag and config key of a model field, where the two names differ.
+_FIELD_KEYS = {"n_entangled": "n"}
+# The flags and config keys that set each model's parameters.
+_MODEL_PARAMS = {
+    clock.kind: {_FIELD_KEYS.get(field.name, field.name) for field in dataclasses.fields(clock)}
+    for clock in (OneQubitClock, TwoQubitClock, GhzClock)
+}
+_MODELS = tuple(_MODEL_PARAMS)
 _FORMATS = ("csv", "json")
 _ESTIMATORS = tuple(kind.value for kind in EstimatorKind)
 
@@ -131,23 +138,24 @@ def _model(kind: str, value) -> ClockModel:
     return GhzClock(omega=omega, n_entangled=value("n", int, 2))
 
 
+def _is_foreign(kind: str, key: str) -> bool:
+    # Whether `key` sets another model's parameter but none of kind's.
+    return key not in _MODEL_PARAMS[kind] and any(key in p for p in _MODEL_PARAMS.values())
+
+
 def _build_model(args, kind: str | None = None) -> ClockModel:
-    # A flag the subcommand lacks, or --Omega left out, takes the default.
+    # A flag the subcommand lacks, or left out, takes the default; a flag of
+    # another model is a fault.
+    kind = kind or args.model
+    for key in sorted(key for key, given in vars(args).items() if given is not None):
+        if _is_foreign(kind, key):
+            raise ConfigError(f"--{key} does not apply to model '{kind}'")
+
     def value(key, cast, default):
         given = getattr(args, key, None)
         return default if given is None else given
 
-    return _model(kind or args.model, value)
-
-
-# Flag and config key of a model field, where the two names differ.
-_FIELD_KEYS = {"n_entangled": "n"}
-# The config keys that set a model: its kind and every clock's fields.
-_MODEL_KEYS = {"model"} | {
-    _FIELD_KEYS.get(field.name, field.name)
-    for clock in (OneQubitClock, TwoQubitClock, GhzClock)
-    for field in dataclasses.fields(clock)
-}
+    return _model(kind, value)
 
 
 def _model_config(model: ClockModel) -> dict:
@@ -278,11 +286,14 @@ def _config_value(section, key: str, cast, default=_REQUIRED, choices=None):
 
 def _sweep_section(section) -> tuple[ExperimentConfig, dict]:
     # The section's experiment, and its resolved keys for the manifest.
-    unknown = sorted(set(section) - _MODEL_KEYS - set(_SECTION_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown key '{unknown[0]}' in section [{section.name}]")
     value = functools.partial(_config_value, section)
-    model = _model(value("model", str, _REQUIRED, _MODELS), value)
+    kind = value("model", str, _REQUIRED, _MODELS)
+    where = f"in section [{section.name}]"
+    for key in sorted(set(section) - {"model"} - _MODEL_PARAMS[kind] - set(_SECTION_KEYS)):
+        if _is_foreign(kind, key):
+            raise ConfigError(f"key '{key}' does not apply to model '{kind}' {where}")
+        raise ConfigError(f"unknown key '{key}' {where}")
+    model = _model(kind, value)
     values = {key: value(key, *spec) for key, spec in _SECTION_KEYS.items()}
     grid = (values["t_start"], values["t_stop"], values["t_steps"])
     config = ExperimentConfig(
@@ -370,8 +381,8 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="fast splitting of the two-qubit clock (default 2*omega)",
     )
-    parser.add_argument("--chi", type=float, default=1.0, help="one-qubit visibility")
-    parser.add_argument("--n", type=int, default=2, help="entangled qubits per GHZ probe")
+    parser.add_argument("--chi", type=float, help="one-qubit visibility (default 1)")
+    parser.add_argument("--n", type=int, help="entangled qubits per GHZ probe (default 2)")
 
 
 def _add_time_flags(parser: argparse.ArgumentParser) -> None:

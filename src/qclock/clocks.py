@@ -17,43 +17,38 @@ eigenbasis, and a fixed projective readout. Three designs are covered:
   amplified frequency n*omega.
 
 Each design groups its outcomes into classes of equally likely outcomes, in
-the order of its count vector's ``tallies`` (counts.py), and holds what the
-rest of the package needs to know about it:
+the order of its count vector's ``tallies`` (counts.py), and the classes
+come in oscillating pairs: one outcome of a pair's classes has probability
+a sin^2(f t / 2) and c - a sin^2(f t / 2). A design is its pairs (a, c, f)
+in tally order: (chi, 1, omega) for one qubit; (1/2, 1/2, Omega), then
+(1/2, 1/2, omega) for two qubits; (2^-(n-1), 2^-(n-1), n omega) for GHZ.
+``class_probs(t)`` and its closed-form derivatives ``dprobs(t)``, the
+quantum Fisher information ``qfi`` (4 Var(H)), the classical ``cfi(t)``,
+``window_top`` and a single pair's ``first_return(epsilon)`` are written
+once over the pairs. A design adds ``class_sizes`` (the outcomes per class),
+``label_classes`` (the class of each outcome label), ``counts_type`` (the
+count vector class whose tallies follow the classes), the one-qubit
+``cfi``, and the two-qubit ``first_return``, from the continued fraction
+of the frequency ratio (epsilon < 3/4).
 
-* ``class_probs(t)`` -- the probability of one outcome of each class, for
-  scalar or array t: the one probability formula per design;
-* ``dprobs(t)`` -- the first and second time derivatives of ``class_probs``,
-  in closed form and in the same order;
-* ``class_sizes`` -- the outcomes per class (2^(n-1) for each GHZ parity
-  class, 1 otherwise);
-* ``label_classes`` -- the class of each outcome label;
-* ``counts_type`` -- the count vector class whose tallies follow the classes;
-* ``qfi`` -- the probe state's quantum Fisher information 4 Var(H), in closed form;
-* ``cfi(t)`` -- the readout's classical Fisher information at scalar t, in
-  closed form (``qfi`` for two qubits and GHZ);
-* ``first_return(epsilon)`` -- the first time the statistics return within
-  infidelity epsilon in (0, 1) of their start, with no time grid: in closed
-  form for one qubit and GHZ, from the continued fraction of the frequency
-  ratio for two qubits (epsilon < 3/4);
-* ``probe()`` -- the clock from first principles: its initial amplitudes and
-  diagonal energies over the computational basis (qubit 0 the most
-  significant bit), and its readout as one real 2 x 2 orthogonal matrix per
-  qubit, outcomes as rows, in the order of ``outcome_labels``.
+``probe()`` stays per design: it is the clock from first principles, its
+initial amplitudes and diagonal energies over the computational basis
+(qubit 0 the most significant bit) and its readout as one real 2 x 2
+orthogonal matrix per qubit, outcomes as rows, in the order of
+``outcome_labels``. ``evolved_distribution`` computes the statistics from
+it through explicit evolution and the Born rule, independently of the
+pairs, so tests can hold the pairs to first principles.
 
 ``distribution``, count sampling and enumeration, the likelihood and Fisher
 information are written once over these members; ``recurrence_time``
 validates its arguments and caps ``first_return`` at a horizon.
-``evolved_distribution`` computes the same statistics from ``probe()``
-through explicit evolution and the Born rule, so tests can cross-check the
-closed forms against first principles.
 """
-
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, wraps
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
@@ -85,37 +80,18 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _finite_fisher(formula):
-    # A Fisher information formula that raises ValueError where it is not
-    # finite. Each scales as a frequency squared: past about 1.3e154, ** on a
-    # float raises OverflowError, and products and sums overflow to inf.
-    @wraps(formula)
-    def checked(model) -> float:
-        try:
-            value = formula(model)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"Fisher information overflows: {model!r}")
-        return value
-
-    return checked
-
-
 def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
     # The number of ones among the low `bits` bits of each entry, by shifting
     # (np.bitwise_count needs numpy 2).
     return sum((x >> b) & 1 for b in range(bits))
 
 
-def _sin2_derivatives(f: float, t, scale: float):
-    # The first and second time derivatives of 2 scale sin^2(f t / 2) =
-    # scale (1 - cos(f t)): scale f sin(f t) and scale f^2 cos(f t).
-    return scale * f * np.sin(f * t), scale * f * f * np.cos(f * t)
-
-
 class _Clock:
-    """The statistics every design derives from its class probabilities."""
+    """The statistics every design derives from its pairs (a, c, f), which
+    its ``__post_init__`` builds once as ``_pairs``.
+    """
+
+    _pairs: tuple[tuple[float, float, float], ...]
 
     def distribution(self, t: float) -> OutcomeDistribution:
         """Outcome probabilities at time t, a labelled view of ``class_probs``."""
@@ -125,13 +101,78 @@ class _Clock:
             t, {x: probs[c] for x, c in zip(self.outcome_labels, self.label_classes)}
         )
 
+    def class_probs(self, t):
+        """The probability of one outcome of each class at scalar or array t.
+
+        s * s, not s ** 2, which on a 0-d array calls pow() and can differ in
+        the last bit from the same time inside an array.
+        """
+        probs = ()
+        for a, c, f in self._pairs:
+            s = np.sin(0.5 * f * t)
+            minus = a * (s * s)
+            probs += (minus, c - minus)
+        return probs
+
+    def dprobs(self, t):
+        """The first and second time derivatives of ``class_probs``, in its
+        order: (a f / 2) sin(f t) and (a f^2 / 2) cos(f t) for the first
+        class of a pair, negated for the second.
+        """
+        first = second = ()
+        sin, cos = np.sin, np.cos  # looked up once for all pairs
+        for a, _, f in self._pairs:
+            phase, slope = f * t, 0.5 * a * f
+            d1, d2 = slope * sin(phase), slope * f * cos(phase)
+            first += (d1, -d1)
+            second += (d2, -d2)
+        return first, second
+
+    @cached_property
+    def qfi(self) -> float:
+        """The probe state's quantum Fisher information 4 Var(H): the sum of
+        m a f^2 over the pairs, m the outcomes per class (the same for every
+        class of a design).
+
+        Each pair is one two-level sector split by f, and m a is the
+        sector's weight times its contrast, so m a f^2 is its share of
+        4 Var(H). A frequency past about 1.3e154 overflows the square and
+        raises ValueError on every access; a finite value is kept.
+        """
+        total, m = 0.0, self.class_sizes[0]
+        try:
+            for a, _, f in self._pairs:
+                total += m * a * f**2
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValueError(f"Fisher information overflows: {self!r}")
+        return total
+
     def cfi(self, t: float) -> float:
-        """Classical Fisher information at scalar t: ``qfi`` at every t where
-        the classes pair up as a sin^2(f t / 2), a cos^2(f t / 2), since a pair
-        adds p'^2 / p + p'^2 / (a - p) = a f^2 (two qubits: a = 1/2 per
-        sector; GHZ: a = 1 per parity, f = n omega). One qubit overrides it.
+        """Classical Fisher information at scalar t: ``qfi`` at every t when
+        each pair has c = a (two qubits, GHZ), since the pair's classes, a
+        sin^2 and a cos^2 of f t / 2, add p'^2 / p + p'^2 / (a - p) = a f^2
+        per outcome. One qubit overrides it.
         """
         return self.qfi
+
+    @property
+    def window_top(self) -> float:
+        """Largest time identifiable from the statistics: pi / f of the last
+        pair in tally order (for two qubits the omega pair, the slow one).
+        """
+        return math.pi / self._pairs[-1][2]
+
+    def first_return(self, epsilon: float) -> float | None:
+        """For a single pair, the infidelity (a / c) sin^2(f t / 2) falls back
+        below epsilon at (2 / f)(pi - asin sqrt(epsilon c / a)); None when
+        a / c <= epsilon, as it then never reaches epsilon.
+        """
+        ((a, c, f),) = self._pairs
+        if a / c <= epsilon:
+            return None
+        return 2.0 / f * (math.pi - math.asin(math.sqrt(epsilon * c / a)))
 
 
 @dataclass(frozen=True)
@@ -154,6 +195,7 @@ class OneQubitClock(_Clock):
         if not 0.0 <= chi <= 1.0:
             raise ValueError(f"chi must lie in [0, 1], got {chi!r}")
         object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "_pairs", ((chi, 1.0, self.omega),))
 
     @classmethod
     def from_mixing_angle(cls, theta: float, omega: float) -> "OneQubitClock":
@@ -166,7 +208,7 @@ class OneQubitClock(_Clock):
 
     @classmethod
     def from_eigenbasis(
-        cls, a: float, b: float, c: float, d: float, omega: float, tol: float = 1e-9
+        cls, a: float, b: float, c: float, d: float, omega: float
     ) -> "OneQubitClock":
         """Clock from eigenvector coefficients |e0> = a|+> - b|->, |e1> = c|+> + d|->.
 
@@ -176,6 +218,7 @@ class OneQubitClock(_Clock):
         and on the constraint surface (b d)^2 = a b c d, so
         chi = 4 a b c d / (a d + b c)^2.
         """
+        tol = 1e-9  # on each constraint
         if abs(a * a + b * b - 1.0) > tol or abs(c * c + d * d - 1.0) > tol:
             raise ValueError("eigenvector coefficients are not normalized")
         if abs(a * c - b * d) > tol:
@@ -186,27 +229,6 @@ class OneQubitClock(_Clock):
         chi = 4.0 * a * b * c * d / denom
         chi = min(max(chi, 0.0), 1.0)
         return cls(omega=omega, chi=chi)
-
-    def class_probs(self, t):
-        """(P_-, P_+) with P_-(t) = chi sin^2(omega t / 2).
-
-        np.square, not ** 2, which on a 0-d array calls pow() and can differ
-        in the last bit from the same time inside an array.
-        """
-        p_minus = self.chi * np.square(np.sin(0.5 * self.omega * t))
-        return (p_minus, 1.0 - p_minus)
-
-    def dprobs(self, t):
-        """((P_-', P_+'), (P_-'', P_+'')): P_-' = (chi omega / 2) sin(omega t),
-        P_-'' = (chi omega^2 / 2) cos(omega t), and P_+ = 1 - P_-.
-        """
-        d1, d2 = _sin2_derivatives(self.omega, t, 0.5 * self.chi)
-        return (d1, -d1), (d2, -d2)
-
-    @property
-    @_finite_fisher
-    def qfi(self) -> float:
-        return self.chi * self.omega**2
 
     def cfi(self, t: float) -> float:
         """chi omega^2 c^2 / ((1 - chi) + chi c^2), c = cos(omega t / 2).
@@ -220,20 +242,6 @@ class OneQubitClock(_Clock):
             raise ValueError(f"phase omega t overflows: omega = {self.omega!r}, t = {t!r}")
         c2 = math.cos(half_phase) ** 2
         return self.qfi * c2 / ((1.0 - self.chi) + self.chi * c2)
-
-    @property
-    def window_top(self) -> float:
-        """Largest time identifiable from the statistics: pi / omega."""
-        return math.pi / self.omega
-
-    def first_return(self, epsilon: float) -> float | None:
-        """The infidelity chi sin^2(omega t / 2) falls back below epsilon at
-        (2 / omega)(pi - asin sqrt(epsilon / chi)); None when chi <= epsilon,
-        as it then never reaches epsilon.
-        """
-        if self.chi <= epsilon:
-            return None
-        return 2.0 / self.omega * (math.pi - math.asin(math.sqrt(epsilon / self.chi)))
 
     @property
     def mixing_angle(self) -> float:
@@ -266,35 +274,7 @@ class TwoQubitClock(_Clock):
     def __post_init__(self):
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
         object.__setattr__(self, "Omega", _check_positive("Omega", self.Omega))
-
-    def class_probs(self, t):
-        """(P_1-, P_1+, P_0-, P_0+): the fast pair oscillates at Omega, the slow at omega.
-
-        P_{1-} = sin^2(Omega t/2)/2,  P_{1+} = cos^2(Omega t/2)/2,
-        P_{0-} = sin^2(omega t/2)/2,  P_{0+} = cos^2(omega t/2)/2.
-        """
-        fast = np.square(np.sin(0.5 * self.Omega * t))
-        slow = np.square(np.sin(0.5 * self.omega * t))
-        return (0.5 * fast, 0.5 * (1.0 - fast), 0.5 * slow, 0.5 * (1.0 - slow))
-
-    def dprobs(self, t):
-        """First and second derivatives of ``class_probs``, in its order:
-        P_1-' = (Omega / 4) sin(Omega t), P_1-'' = (Omega^2 / 4) cos(Omega t),
-        the slow pair likewise at omega, and each '+' the negated '-'.
-        """
-        f1, f2 = _sin2_derivatives(self.Omega, t, 0.25)
-        s1, s2 = _sin2_derivatives(self.omega, t, 0.25)
-        return (f1, -f1, s1, -s1), (f2, -f2, s2, -s2)
-
-    @property
-    @_finite_fisher
-    def qfi(self) -> float:
-        return 0.5 * self.omega**2 + 0.5 * self.Omega**2
-
-    @property
-    def window_top(self) -> float:
-        """Top of the slow sector's one-to-one window: pi / omega."""
-        return math.pi / self.omega
+        object.__setattr__(self, "_pairs", ((0.5, 0.5, self.Omega), (0.5, 0.5, self.omega)))
 
     def first_return(self, epsilon: float) -> float:
         """First return of the infidelity 1 - (|cos(omega t/2)| + |cos(Omega t/2)|)^2 / 4.
@@ -369,36 +349,13 @@ class GhzClock(_Clock):
             raise ValueError(f"n_entangled must be an integer >= 2, got {n!r}")
         if n > MAX_GHZ_QUBITS:
             raise ValueError(f"n_entangled = {n} exceeds the supported maximum {MAX_GHZ_QUBITS}")
-        object.__setattr__(self, "n_entangled", int(n))
-
-    def class_probs(self, t):
-        """(P_odd, P_even) per outcome: an outcome string with an odd number
-        of '-' signs has probability sin^2(n omega t / 2) / 2^(n-1), an even
-        one cos^2(n omega t / 2) / 2^(n-1).
-        """
-        scale = 2.0 ** (self.n_entangled - 1)
-        p_odd = np.square(np.sin(0.5 * self.n_entangled * self.omega * t))
-        return (p_odd / scale, (1.0 - p_odd) / scale)
-
-    def dprobs(self, t):
-        """First and second derivatives of ``class_probs``: P_odd' =
-        (n omega / 2^n) sin(n omega t), P_odd'' = ((n omega)^2 / 2^n)
-        cos(n omega t), and P_even' = -P_odd', P_even'' = -P_odd''.
-        """
-        d1, d2 = _sin2_derivatives(
-            self.n_entangled * self.omega, t, 2.0 ** -self.n_entangled
-        )
-        return (d1, -d1), (d2, -d2)
-
-    def first_return(self, epsilon: float) -> float:
-        """The infidelity sin^2(n omega t / 2) falls back below epsilon at
-        (2 / (n omega))(pi - asin sqrt(epsilon)).
-        """
-        return 2.0 / (self.n_entangled * self.omega) * (math.pi - math.asin(math.sqrt(epsilon)))
-
-    @property
-    def class_sizes(self) -> tuple[int, int]:
-        return (2 ** (self.n_entangled - 1),) * 2
+        n = int(n)
+        f, scale = n * self.omega, 2.0 ** (1 - n)
+        if not math.isfinite(f):
+            raise ValueError(f"the GHZ frequency n * omega overflows: {n} * {self.omega!r}")
+        object.__setattr__(self, "n_entangled", n)
+        object.__setattr__(self, "class_sizes", (2 ** (n - 1),) * 2)
+        object.__setattr__(self, "_pairs", ((scale, scale, f),))
 
     @cached_property
     def outcome_labels(self) -> tuple[str, ...]:
@@ -408,16 +365,6 @@ class GhzClock(_Clock):
     def label_classes(self) -> tuple[int, ...]:
         # Odd parity is class 0 (k_odd), even parity class 1 (k_even).
         return tuple((1 - _ghz_register(self.n_entangled)[1] % 2).tolist())
-
-    @property
-    @_finite_fisher
-    def qfi(self) -> float:
-        return (self.n_entangled * self.omega) ** 2
-
-    @property
-    def window_top(self) -> float:
-        """One-to-one window shrinks with the amplified frequency: pi / (n omega)."""
-        return math.pi / (self.n_entangled * self.omega)
 
     def probe(self):
         """(|0...0> + |1...1>)/sqrt(2) under H = -(omega/2) sum_i sigma_z^(i),

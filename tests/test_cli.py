@@ -51,6 +51,13 @@ class TestProbs:
         for row in rows:
             assert float(row[-1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_flag_of_another_model_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "probs", "--model", "two-qubit", "--chi", "0.3", "--n", "5", "--t", "1"
+        )
+        message = "--chi does not apply to model 'two-qubit'"
+        assert (code, out, err) == (2, "", f"qclock: error: {message}\n")
+
     def test_twelve_digit_cells_and_line_endings(self, capsys):
         _, out, _ = run_cli(capsys, "probs", "--model", "one-qubit", "--t", "1")
         assert "0.229848847066" in out
@@ -266,6 +273,15 @@ class TestRecurrence:
             assert code == 2, flags
             assert not out and err
 
+    def test_overflowing_ghz_frequency_exits_two(self, capsys):
+        # An infinite n omega would make window_top 0: a recurrence time of 0
+        # and a math domain error in fisher. The clock is rejected instead.
+        flags = ("--model", "ghz", "--n", "2", "--omega", "1e308")
+        for argv in (("recurrence", *flags), ("fisher", *flags, "--t", "1e-309")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "n * omega overflows" in err, argv
+
 
 class TestCompare:
     def test_budget_table_and_manifest(self, capsys, tmp_path):
@@ -469,6 +485,23 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", str(cfg))
         assert (code, out, err) == (2, "", f"qclock: error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
+
+    def test_key_of_another_model_is_rejected(self, capsys, tmp_path):
+        # One-qubit reads neither n nor Omega: the first, in sorted order, is
+        # named with the model, and nothing is written.
+        cfg = self.write_config(tmp_path, self.basic_section(tmp_path, n=3, Omega=7))
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        message = "key 'Omega' does not apply to model 'one-qubit' in section [run-a]"
+        assert (code, out, err) == (2, "", f"qclock: error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
+
+    def test_model_is_checked_before_the_other_keys(self, capsys, tmp_path):
+        # The model's own keys decide which keys are unknown, so a bad model
+        # is reported before an unknown key.
+        cfg = self.write_config(tmp_path, self.basic_section(tmp_path, model="bogus", probess=3))
+        code, _, err = run_cli(capsys, "sweep", str(cfg))
+        message = "invalid value for 'model' in section [run-a]: 'bogus'"
+        assert (code, err) == (2, f"qclock: error: {message}\n")
 
     def test_bad_later_section_writes_nothing(self, capsys, tmp_path):
         body = self.basic_section(tmp_path) + self.basic_section(

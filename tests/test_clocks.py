@@ -6,7 +6,8 @@ binomial parity law. The model protocol (class_probs, dprobs, class_sizes,
 label_classes, counts_type, probe) is checked on a battery of all three
 designs, the closed-form derivatives against central differences. The
 product readout of ``evolved_distribution`` is checked against each probe's
-dense readout, written out entry by entry.
+dense readout, written out entry by entry. Every statistic is also pinned
+bit for bit to its per-design expression, written out from the paper.
 """
 
 import math
@@ -126,6 +127,14 @@ def test_ghz_parameter_validation():
         GhzClock(omega=1.0, n_entangled=17)  # register cap
     with pytest.raises(ValueError):
         GhzClock(omega=0.0, n_entangled=2)
+
+
+def test_ghz_rejects_an_overflowing_frequency():
+    # An infinite n omega would make window_top = pi / inf = 0.
+    for omega, n in ((1e308, 2), (1.5e307, 16)):
+        with pytest.raises(ValueError, match=r"n \* omega overflows"):
+            GhzClock(omega=omega, n_entangled=n)
+    assert GhzClock(omega=1e307, n_entangled=16).window_top == math.pi / 1.6e308
 
 
 def test_ghz_accepts_numpy_integers():
@@ -815,3 +824,105 @@ def test_probe_arrays_are_read_only(model):
         else:
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 0
+
+
+def _paper_statistics(model):
+    # Oracle: each design's statistics written out in the paper's form, one
+    # expression per design, for a bit-for-bit comparison with the clocks'
+    # members: (class_probs, dprobs, qfi, cfi, window_top, first_return).
+    def sin2_derivatives(f, t, scale):
+        return scale * f * np.sin(f * t), scale * f * f * np.cos(f * t)
+
+    if isinstance(model, OneQubitClock):
+        chi, omega = model.chi, model.omega
+
+        def probs(t):
+            p_minus = chi * np.square(np.sin(0.5 * omega * t))
+            return (p_minus, 1.0 - p_minus)
+
+        def dprobs(t):
+            d1, d2 = sin2_derivatives(omega, t, 0.5 * chi)
+            return (d1, -d1), (d2, -d2)
+
+        qfi = chi * omega**2
+
+        def cfi(t):
+            c2 = math.cos(0.5 * omega * t) ** 2
+            return qfi * c2 / ((1.0 - chi) + chi * c2)
+
+        def first_return(epsilon):
+            if chi <= epsilon:
+                return None
+            return 2.0 / omega * (math.pi - math.asin(math.sqrt(epsilon / chi)))
+
+        return probs, dprobs, qfi, cfi, math.pi / omega, first_return
+    if isinstance(model, TwoQubitClock):
+        omega, big = model.omega, model.Omega
+
+        def probs(t):
+            fast = np.square(np.sin(0.5 * big * t))
+            slow = np.square(np.sin(0.5 * omega * t))
+            return (0.5 * fast, 0.5 * (1.0 - fast), 0.5 * slow, 0.5 * (1.0 - slow))
+
+        def dprobs(t):
+            f1, f2 = sin2_derivatives(big, t, 0.25)
+            s1, s2 = sin2_derivatives(omega, t, 0.25)
+            return (f1, -f1, s1, -s1), (f2, -f2, s2, -s2)
+
+        qfi = 0.5 * omega**2 + 0.5 * big**2
+        return probs, dprobs, qfi, lambda t: qfi, math.pi / omega, None
+    n, omega = model.n_entangled, model.omega
+
+    def probs(t):
+        scale = 2.0 ** (n - 1)
+        p_odd = np.square(np.sin(0.5 * n * omega * t))
+        return (p_odd / scale, (1.0 - p_odd) / scale)
+
+    def dprobs(t):
+        d1, d2 = sin2_derivatives(n * omega, t, 2.0**-n)
+        return (d1, -d1), (d2, -d2)
+
+    def first_return(epsilon):
+        return 2.0 / (n * omega) * (math.pi - math.asin(math.sqrt(epsilon)))
+
+    qfi = (n * omega) ** 2
+    return probs, dprobs, qfi, lambda t: qfi, math.pi / (n * omega), first_return
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+STATISTICS_BATTERY = (
+    *PROTOCOL_BATTERY,
+    *(OneQubitClock(omega=w, chi=chi) for w in (1e150, 1e-150) for chi in (0.0, 1e-13, 1.0)),
+    TwoQubitClock(omega=1e150, Omega=3e149),
+    TwoQubitClock(omega=1e-150, Omega=7e-151),
+    TwoQubitClock(omega=2.0, Omega=0.3),
+    GhzClock(omega=1e150, n_entangled=16),
+    GhzClock(omega=1e-150, n_entangled=16),
+    GhzClock(omega=0.45, n_entangled=16),
+)
+
+
+@pytest.mark.parametrize("model", STATISTICS_BATTERY, ids=repr)
+def test_statistics_match_the_paper_bit_for_bit(model):
+    probs, dprobs, qfi, cfi, window_top, first_return = _paper_statistics(model)
+    top = model.window_top
+    assert _same_bits(top, window_top)
+    ts = np.concatenate((np.linspace(-1.0, 3.0, 41) * top, [0.0, 1e-3 * top, 1e3 * top]))
+    for got, want in zip(model.class_probs(ts), probs(ts)):
+        assert _same_bits(got, want)
+    for got, want in zip(model.dprobs(ts), dprobs(ts)):
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+    assert _same_bits(model.qfi, qfi)
+    for t in ts.tolist():
+        assert all(_same_bits(g, w) for g, w in zip(model.class_probs(t), probs(t)))
+        for got, want in zip(model.dprobs(t), dprobs(t)):
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+        assert _same_bits(model.cfi(t), cfi(t))
+    if first_return is not None:
+        for epsilon in (1e-300, 1e-13, 1e-6, 0.01, 0.5, 0.999):
+            got, want = model.first_return(epsilon), first_return(epsilon)
+            assert got is want is None or _same_bits(got, want)
