@@ -29,9 +29,8 @@ from .estimators import (
     coarse_estimator,
     combined_estimator,
     log_likelihood,
-    mle_ghz,
     mle_numeric,
-    mle_one_qubit,
+    mle_single_pair,
     mle_two_qubit_roots,
 )
 from .fisher import (
@@ -101,9 +100,8 @@ __all__ = [
     "fisher_one_qubit_analytic",
     "log_likelihood",
     "mean_estimator_curve",
-    "mle_ghz",
     "mle_numeric",
-    "mle_one_qubit",
+    "mle_single_pair",
     "mle_two_qubit_roots",
     "n_probe_count_distribution",
     "quantum_fisher",

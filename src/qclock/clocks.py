@@ -88,10 +88,18 @@ def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
 
 class _Clock:
     """The statistics every design derives from its pairs (a, c, f), which
-    its ``__post_init__`` builds once as ``_pairs``.
+    its ``__post_init__`` stores once as ``_pairs`` through ``_set_pairs``.
     """
 
     _pairs: tuple[tuple[float, float, float], ...]
+
+    def _set_pairs(self, *pairs: tuple[float, float, float]) -> None:
+        # A frequency so small that pi / f overflows would leave an infinite
+        # window, and estimates and times of infinity that JSON cannot hold.
+        for _, _, f in pairs:
+            if not math.isfinite(math.pi / f):
+                raise ValueError(f"the window pi / f overflows: f = {f!r} in {self!r}")
+        object.__setattr__(self, "_pairs", pairs)
 
     def distribution(self, t: float) -> OutcomeDistribution:
         """Outcome probabilities at time t, a labelled view of ``class_probs``."""
@@ -195,7 +203,7 @@ class OneQubitClock(_Clock):
         if not 0.0 <= chi <= 1.0:
             raise ValueError(f"chi must lie in [0, 1], got {chi!r}")
         object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "_pairs", ((chi, 1.0, self.omega),))
+        self._set_pairs((chi, 1.0, self.omega))
 
     @classmethod
     def from_mixing_angle(cls, theta: float, omega: float) -> "OneQubitClock":
@@ -274,7 +282,7 @@ class TwoQubitClock(_Clock):
     def __post_init__(self):
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
         object.__setattr__(self, "Omega", _check_positive("Omega", self.Omega))
-        object.__setattr__(self, "_pairs", ((0.5, 0.5, self.Omega), (0.5, 0.5, self.omega)))
+        self._set_pairs((0.5, 0.5, self.Omega), (0.5, 0.5, self.omega))
 
     def first_return(self, epsilon: float) -> float:
         """First return of the infidelity 1 - (|cos(omega t/2)| + |cos(Omega t/2)|)^2 / 4.
@@ -355,7 +363,7 @@ class GhzClock(_Clock):
             raise ValueError(f"the GHZ frequency n * omega overflows: {n} * {self.omega!r}")
         object.__setattr__(self, "n_entangled", n)
         object.__setattr__(self, "class_sizes", (2 ** (n - 1),) * 2)
-        object.__setattr__(self, "_pairs", ((scale, scale, f),))
+        self._set_pairs((scale, scale, f))
 
     @cached_property
     def outcome_labels(self) -> tuple[str, ...]:

@@ -1,12 +1,14 @@
 """Maximum-likelihood time estimators for the clock readouts.
 
-Each estimator maps an observed count vector to a time estimate inside the
-window where the clock's statistics identify t uniquely:
+Every estimator, ``estimator(model, counts)``, maps the counts observed on
+a clock to a time estimate inside the window where the clock's statistics
+identify t uniquely; a clock of another design raises TypeError.
 
-* one-qubit:  t_hat = (2/omega) asin sqrt(k_minus / (n chi)),
-  window [0, pi/omega];
-* GHZ:        t_hat = (2/(n omega)) asin sqrt(k_odd / shots),
-  window [0, pi/(n omega)];
+* one oscillating pair (a, c, f) (clocks.py): the one-qubit clock (chi, 1,
+  omega) and the GHZ clock, whose parity oscillates at n omega. With m =
+  ``class_sizes[0]``, m a is chi for one qubit and 1 for GHZ, and
+  ``mle_single_pair`` gives t_hat = (2/f) asin sqrt(k_0 / (n m a)) on the
+  window [0, pi/f];
 * two-qubit with Omega = 2 omega: the score has four stationary points per
   period, found exactly as roots of a quartic in u = tan(omega t / 2). The
   coarse (slow-sector) tally picks the correct branch, extending the usable
@@ -17,13 +19,16 @@ grid argmax by safeguarded Newton-Raphson on the score, whose closed form
 comes from each design's ``dprobs``; it is the reference the closed forms
 are checked against.
 
-Each estimator has a ``*_batch`` kernel that applies it to every row of an
-integer tally array (one count vector per row, in the ``tallies`` order of
-counts.py), as a Monte-Carlo cell holds its trials. A kernel returns
-``(t_hat, valid)``: t_hat is NaN on the rows where the scalar estimator
-raises DegenerateCountsError, and valid is False there and wherever the
-scalar report is flagged invalid. The scalar functions stay the path for a
-single count vector and the reference the kernels are tested against.
+Each estimator has a ``*_batch`` kernel, ``estimator_batch(model, counts)``,
+that applies it to every row of an integer tally array (one count vector
+per row, in the ``tallies`` order of counts.py), as a Monte-Carlo cell
+holds its trials. A kernel returns ``(t_hat, valid)``: t_hat is NaN on
+the rows where the scalar estimator raises DegenerateCountsError, and
+valid is False there and wherever the scalar report is flagged invalid.
+The scalar functions stay the path for a single count vector and the
+reference the kernels are tested against: the closed-form kernels agree
+with them to 1e-12, since numpy's array loops and the math module may
+round asin and atan differently in the last bits.
 
 ``mle_numeric_batch`` matches ``mle_numeric`` bit for bit. Its grid stage
 is one BLAS product per block of rows with the log class probabilities,
@@ -45,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocks import ClockModel, GhzClock, OneQubitClock, _check_positive
-from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts, reduce_counts
+from .clocks import ClockModel, TwoQubitClock
+from .counts import CountVector, TwoQubitCounts, reduce_counts
 
 # Grid resolution and convergence target for the numeric maximizer.
 GRID_POINTS = 2001
@@ -85,48 +90,50 @@ class EstimateReport:
     valid: bool = True
 
 
-def _require(counts, kind, name: str):
-    if not isinstance(counts, kind):
-        raise TypeError(f"{name} expects {kind.__name__}, got {type(counts).__name__}")
+def _require(value, kind, name: str):
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} expects {kind.__name__}, got {type(value).__name__}")
 
 
-def mle_one_qubit(counts: OneQubitCounts, omega: float, chi: float = 1.0) -> EstimateReport:
-    """Closed-form MLE for the one-qubit clock.
+def _window_branch(model: ClockModel) -> Branch:
+    # The branch of an estimate over the model's whole window.
+    return Branch.GHZ_WINDOW if model.kind == "ghz" else Branch.SINGLE_WINDOW
 
-    Inverts the observed |-> fraction through P_- = chi sin^2(omega t / 2);
-    fractions exceeding chi clip to the window edge pi/omega and are flagged
-    invalid (possible only for chi < 1). chi = 0 leaves t unidentifiable and
-    raises.
-    """
-    _require(counts, OneQubitCounts, "mle_one_qubit")
-    counts = reduce_counts(counts)
-    clock = OneQubitClock(omega=omega, chi=chi)
-    if clock.chi == 0.0:
+
+def _single_pair(model: ClockModel, name: str) -> tuple[float, float]:
+    # m a and f of a clock with one pair (a, c, f), m = class_sizes[0]: the
+    # first class holds a share m a sin^2(f t / 2) of the probes.
+    pairs = getattr(model, "_pairs", ())
+    if len(pairs) != 1:
+        raise TypeError(
+            f"{name} expects a clock with one oscillating pair, got {type(model).__name__}"
+        )
+    ((a, _, f),) = pairs
+    if a == 0.0:
         raise ValueError("chi = 0 statistics carry no time dependence")
-    if counts.n == 0:
-        raise DegenerateCountsError("no probes recorded")
-    ratio = counts.k_minus / (counts.n * clock.chi)
-    clipped = ratio > 1.0
-    t_hat = 2.0 / clock.omega * math.asin(math.sqrt(min(1.0, ratio)))
-    return EstimateReport(
-        t_hat, Branch.SINGLE_WINDOW, (0.0, math.pi / clock.omega), valid=not clipped
-    )
+    return model.class_sizes[0] * a, f
 
 
-def mle_ghz(counts: GhzCounts, omega: float, n_entangled: int) -> EstimateReport:
-    """Closed-form MLE for the GHZ clock.
+def mle_single_pair(model: ClockModel, counts: CountVector) -> EstimateReport:
+    """Closed-form MLE for a clock with one oscillating pair (a, c, f).
 
-    The parity tally is binomial with p_odd = sin^2(n omega t / 2), so the
-    estimate is the one-qubit form at the amplified frequency n omega.
+    The first class's tally k_0 of n probes is binomial with p = m a
+    sin^2(f t / 2), m = ``class_sizes[0]``, so t_hat = (2/f) asin sqrt(k_0 /
+    (n m a)) on the window [0, pi/f]. For one qubit m a = chi and f = omega;
+    for GHZ m a = 1 and f = n omega, the amplified frequency. Fractions
+    exceeding m a clip to the window edge and are flagged invalid (possible
+    only for chi < 1). chi = 0 leaves t unidentifiable and raises.
     """
-    _require(counts, GhzCounts, "mle_ghz")
-    counts = reduce_counts(counts)
-    clock = GhzClock(omega=omega, n_entangled=n_entangled)
-    if counts.n == 0:
+    scale, f = _single_pair(model, "mle_single_pair")
+    _require(counts, model.counts_type, "mle_single_pair")
+    k0, k1 = reduce_counts(counts).tallies
+    if k0 + k1 == 0:
         raise DegenerateCountsError("no probes recorded")
-    eff = clock.n_entangled * clock.omega
-    t_hat = 2.0 / eff * math.asin(math.sqrt(counts.k_odd / counts.n))
-    return EstimateReport(t_hat, Branch.GHZ_WINDOW, (0.0, math.pi / eff))
+    ratio = k0 / ((k0 + k1) * scale)
+    t_hat = 2.0 / f * math.asin(math.sqrt(min(1.0, ratio)))
+    return EstimateReport(
+        t_hat, _window_branch(model), (0.0, model.window_top), valid=ratio <= 1.0
+    )
 
 
 def is_harmonic(omega: float, Omega: float, require: bool = False) -> bool:
@@ -147,7 +154,7 @@ def is_harmonic(omega: float, Omega: float, require: bool = False) -> bool:
 
 
 def mle_two_qubit_roots(
-    counts: TwoQubitCounts, omega: float = 0.5, Omega: float = 1.0
+    model: TwoQubitClock, counts: TwoQubitCounts
 ) -> tuple[float, float, float, float]:
     """Stationary points of the two-qubit log-likelihood, in closed form.
 
@@ -167,10 +174,11 @@ def mle_two_qubit_roots(
     fast tallies being absent (k1 = k4 = 0) leaves the quartic degenerate
     and raises.
     """
+    _require(model, TwoQubitClock, "mle_two_qubit_roots")
     _require(counts, TwoQubitCounts, "mle_two_qubit_roots")
     counts = reduce_counts(counts)
-    omega, Omega = float(omega), float(Omega)
-    is_harmonic(omega, Omega, require=True)
+    omega = model.omega
+    is_harmonic(omega, model.Omega, require=True)
     k1, k2 = counts.fast_minus, counts.fast_plus
     k3, k4 = counts.slow_minus, counts.slow_plus
     lead = k1 + k4
@@ -190,7 +198,7 @@ def mle_two_qubit_roots(
     return (t1, -t1, t3, -t3)
 
 
-def coarse_estimator(counts: TwoQubitCounts, omega: float = 0.5) -> EstimateReport:
+def coarse_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> EstimateReport:
     """MLE from the slow sector alone, resolving the full window [0, pi/omega].
 
     Conditioned on landing in the slow sector the '-' tally is binomial with
@@ -198,9 +206,10 @@ def coarse_estimator(counts: TwoQubitCounts, omega: float = 0.5) -> EstimateRepo
     with the k_plus = 0 edge mapping to the window top. No slow-sector
     events at all leave t unidentified and raise.
     """
+    _require(model, TwoQubitClock, "coarse_estimator")
     _require(counts, TwoQubitCounts, "coarse_estimator")
     counts = reduce_counts(counts)
-    omega = _check_positive("omega", omega)
+    omega = model.omega
     kp, km = counts.slow_plus, counts.slow_minus
     if kp + km == 0:
         raise DegenerateCountsError("no slow-sector events recorded")
@@ -211,9 +220,7 @@ def coarse_estimator(counts: TwoQubitCounts, omega: float = 0.5) -> EstimateRepo
     return EstimateReport(t_hat, Branch.COARSE_ONLY, (0.0, math.pi / omega))
 
 
-def combined_estimator(
-    counts: TwoQubitCounts, omega: float = 0.5, Omega: float = 1.0
-) -> EstimateReport:
+def combined_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> EstimateReport:
     """Two-qubit MLE on the half of the slow period picked by the coarse tally.
 
     The quartic yields one stationary maximum in each half of the window
@@ -224,9 +231,10 @@ def combined_estimator(
     the coarse tally's half that is returned. The report's window is the
     full slow period.
     """
-    omega = float(omega)
-    roots = mle_two_qubit_roots(counts, omega, Omega)  # checks Omega = 2 omega
-    coarse = coarse_estimator(counts, omega)
+    _require(model, TwoQubitClock, "combined_estimator")
+    roots = mle_two_qubit_roots(model, counts)  # checks the counts and Omega = 2 omega
+    coarse = coarse_estimator(model, counts)
+    omega = model.omega
     window = (0.0, math.pi / omega)
     half = 0.5 * math.pi / omega
     if coarse.t_hat <= half:
@@ -341,7 +349,7 @@ def mle_numeric(
         raise ValueError(f"window bounds must be finite, got {window!r}")
     if not hi > lo:
         raise ValueError(f"empty window {window!r}")
-    branch = Branch.GHZ_WINDOW if model.kind == "ghz" else Branch.SINGLE_WINDOW
+    branch = _window_branch(model)
 
     ts = np.linspace(lo, hi, GRID_POINTS)
     ll = log_likelihood(model, counts, ts)
@@ -374,38 +382,26 @@ def _reduce_rows(counts) -> np.ndarray:
     return counts // np.maximum(g, 1)[:, np.newaxis]
 
 
-def mle_one_qubit_batch(counts, omega: float, chi: float = 1.0):
-    """``mle_one_qubit`` on every row of a (k_minus, k_plus) tally array."""
-    clock = OneQubitClock(omega=omega, chi=chi)
-    if clock.chi == 0.0:
-        raise ValueError("chi = 0 statistics carry no time dependence")
-    k_minus, k_plus = _reduce_rows(counts).T
+def mle_single_pair_batch(model: ClockModel, counts):
+    """``mle_single_pair`` on every row of a two-column tally array."""
+    scale, f = _single_pair(model, "mle_single_pair_batch")
+    k0, k1 = _reduce_rows(counts).T
     # n = 0 gives ratio NaN, so t_hat NaN and valid False.
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = k_minus / ((k_minus + k_plus) * clock.chi)
-    t_hat = 2.0 / clock.omega * np.arcsin(np.sqrt(np.minimum(1.0, ratio)))
+        ratio = k0 / ((k0 + k1) * scale)
+    t_hat = 2.0 / f * np.arcsin(np.sqrt(np.minimum(1.0, ratio)))
     return t_hat, ratio <= 1.0
 
 
-def mle_ghz_batch(counts, omega: float, n_entangled: int):
-    """``mle_ghz`` on every row of a (k_odd, k_even) tally array."""
-    clock = GhzClock(omega=omega, n_entangled=n_entangled)
-    k_odd, k_even = _reduce_rows(counts).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fraction = k_odd / (k_odd + k_even)
-    eff = clock.n_entangled * clock.omega
-    return 2.0 / eff * np.arcsin(np.sqrt(fraction)), ~np.isnan(fraction)
-
-
-def coarse_estimator_batch(counts, omega: float = 0.5):
+def coarse_estimator_batch(model: TwoQubitClock, counts):
     """``coarse_estimator`` on every row of a two-qubit tally array."""
+    _require(model, TwoQubitClock, "coarse_estimator_batch")
     _, _, km, kp = _reduce_rows(counts).T
-    return _coarse_columns(km, kp, omega)
+    return _coarse_columns(km, kp, model.omega)
 
 
 def _coarse_columns(km, kp, omega: float):
     # coarse_estimator_batch on gcd-reduced slow-sector tally columns.
-    omega = _check_positive("omega", omega)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_hat = np.where(kp == 0, math.pi / omega, 2.0 / omega * np.arctan(np.sqrt(km / kp)))
     valid = kp + km > 0
@@ -413,14 +409,15 @@ def _coarse_columns(km, kp, omega: float):
     return t_hat, valid
 
 
-def combined_estimator_batch(counts, omega: float = 0.5, Omega: float = 1.0):
+def combined_estimator_batch(model: TwoQubitClock, counts):
     """``combined_estimator`` on every row of a two-qubit tally array.
 
     The quartic roots of ``mle_two_qubit_roots`` on whole columns, with the
     coarse estimate picking the half of the window for each row.
     """
-    omega, Omega = float(omega), float(Omega)
-    is_harmonic(omega, Omega, require=True)
+    _require(model, TwoQubitClock, "combined_estimator_batch")
+    omega = model.omega
+    is_harmonic(omega, model.Omega, require=True)
     k1, k2, k3, k4 = _reduce_rows(counts).T
     coarse, valid = _coarse_columns(k3, k4, omega)
     lead = k1 + k4

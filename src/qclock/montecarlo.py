@@ -14,9 +14,11 @@ on the other grid times.
 when it is small enough, replacing sampling noise with the true estimator
 expectation: it estimates the whole space once as a tally array and weights
 it at each grid time. ``apply_estimator`` estimates a single count vector.
-One resolver maps a (model, estimator kind) pair to the scalar and batch
-estimators all of these use. ``compare_resources`` runs the three
-designs side by side at an equal total qubit budget.
+One resolver maps a (model, estimator kind) pair to the name of an
+estimator in estimators.py and binds its scalar form and batch kernel,
+both ``estimator(model, counts)``, to the model for all of these to use.
+``compare_resources`` runs the three designs side by side at an equal
+total qubit budget.
 """
 
 from __future__ import annotations
@@ -39,12 +41,7 @@ from .clocks import (
 )
 from . import estimators
 from .counts import CountVector, is_integer
-from .estimators import (
-    EstimateReport,
-    is_harmonic,
-    mle_numeric,
-    mle_numeric_batch,
-)
+from .estimators import EstimateReport, is_harmonic
 from .fisher import DegenerateTimeError, classical_fisher
 
 # How a sweep's random numbers are laid out, as stamped into run manifests.
@@ -184,17 +181,16 @@ def sample_counts(
     return rng.multinomial(n_probes, pvals / pvals.sum(), size=trials)
 
 
-# Closed-form estimators by (model kind, estimator kind): the scalar
-# estimator's name (the batch kernel's is the same plus "_batch") and the
-# model parameters both take after the counts.
-_CLOSED_FORMS = {
-    ("one-qubit", EstimatorKind.CLOSED_FORM): ("mle_one_qubit", lambda m: (m.omega, m.chi)),
-    ("ghz", EstimatorKind.CLOSED_FORM): ("mle_ghz", lambda m: (m.omega, m.n_entangled)),
-    **{
-        ("two-qubit", kind): ("combined_estimator", lambda m: (m.omega, m.Omega))
-        for kind in (EstimatorKind.CLOSED_FORM, EstimatorKind.COMBINED)
-    },
-    ("two-qubit", EstimatorKind.COARSE): ("coarse_estimator", lambda m: (m.omega,)),
+# The estimator of each (model kind, estimator kind) pair, by the name of
+# its scalar form in estimators.py; its batch kernel's is the same plus
+# "_batch". Both take the model, then the counts.
+_ESTIMATORS = {
+    **{(kind, EstimatorKind.NUMERIC): "mle_numeric" for kind in ("one-qubit", "two-qubit", "ghz")},
+    ("one-qubit", EstimatorKind.CLOSED_FORM): "mle_single_pair",
+    ("ghz", EstimatorKind.CLOSED_FORM): "mle_single_pair",
+    ("two-qubit", EstimatorKind.CLOSED_FORM): "combined_estimator",
+    ("two-qubit", EstimatorKind.COMBINED): "combined_estimator",
+    ("two-qubit", EstimatorKind.COARSE): "coarse_estimator",
 }
 
 
@@ -205,20 +201,17 @@ def _estimators_for(model: ClockModel, kind: EstimatorKind):
     array for the batch one. Raises ConfigError when the model has no such
     estimator, or when the combined estimator meets Omega != 2 omega.
     """
-    if kind is EstimatorKind.NUMERIC:
-        return partial(mle_numeric, model), partial(mle_numeric_batch, model)
-    entry = _CLOSED_FORMS.get((model.kind, kind))
-    if entry is None:
+    name = _ESTIMATORS.get((model.kind, kind))
+    if name is None:
         raise ConfigError(f"{kind.value} estimator requires the two-qubit model")
-    name, params = entry[0], entry[1](model)
-    if name == "combined_estimator" and not is_harmonic(*params):
+    if name == "combined_estimator" and not is_harmonic(model.omega, model.Omega):
         raise ConfigError(
             "closed-form two-qubit estimation requires Omega = 2 omega; "
             "use the numeric estimator otherwise"
         )
     # Looked up at each call, so a wrapped module attribute is what runs.
     scalar, batch = getattr(estimators, name), getattr(estimators, name + "_batch")
-    return (lambda counts: scalar(counts, *params)), (lambda counts: batch(counts, *params))
+    return partial(scalar, model), partial(batch, model)
 
 
 def apply_estimator(

@@ -183,7 +183,7 @@ def test_criterion_3_combined_estimator_sweep(capsys):
     oracle_gap = 0.0
     for i, ks in enumerate(zip(*tallies)):
         try:
-            report = combined_estimator(TwoQubitCounts(*map(int, ks)), 0.5, 1.0)
+            report = combined_estimator(TwoQubitClock(omega=0.5, Omega=1.0), TwoQubitCounts(*map(int, ks)))
         except DegenerateCountsError:
             oracle_ok &= not defined[i]
             continue
@@ -252,7 +252,7 @@ def test_criterion_4_coarse_estimator_oracle(capsys):
         k_plus = int(rng.integers(1, 201))
         k_minus = int(rng.integers(1, 201))
         counts = TwoQubitCounts(0, 0, slow_minus=k_minus, slow_plus=k_plus)
-        t_hat = coarse_estimator(counts, 0.5).t_hat
+        t_hat = coarse_estimator(TwoQubitClock(omega=0.5, Omega=1.0), counts).t_hat
         oracle = mle_numeric(
             slow_clock, OneQubitCounts(k_plus + k_minus, k_minus), window=(0.0, FULL_WINDOW)
         )
@@ -280,14 +280,14 @@ def test_criterion_5_root_stationarity(capsys):
         counts = random_pair_counts(rng)
         if counts.fast_minus + counts.slow_plus == 0:
             continue
-        for root in mle_two_qubit_roots(counts):
+        for root in mle_two_qubit_roots(TwoQubitClock(0.5, 1.0), counts):
             if abs(math.sin(0.5 * root)) < 1e-9 or abs(math.cos(0.5 * root)) < 1e-9:
                 continue
             ok &= abs(_tally_score(counts.tallies, TwoQubitClock(0.5, 1.0), root)[0]) < 1e-8
             roots_checked += 1
         if counts.slow_minus + counts.slow_plus == 0:
             continue
-        report = combined_estimator(counts, 0.5, 1.0)
+        report = combined_estimator(TwoQubitClock(omega=0.5, Omega=1.0), counts)
         window = (
             (0.0, HALF_WINDOW)
             if report.branch is Branch.ROOT1

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from qclock import TwoQubitCounts, __version__, combined_estimator
+from qclock import TwoQubitClock, TwoQubitCounts, __version__, combined_estimator
 from qclock.cli import build_parser, main
 from qclock.montecarlo import STREAM_LAYOUT
 
@@ -152,7 +152,7 @@ class TestEstimate:
     def test_two_qubit_count_order(self, capsys):
         # CLI order is k0+,k0-,k1+,k1-; the library grouping is by sector.
         counts = TwoQubitCounts(slow_plus=8, slow_minus=2, fast_plus=5, fast_minus=5)
-        report = combined_estimator(counts, 0.5, 1.0)
+        report = combined_estimator(TwoQubitClock(omega=0.5, Omega=1.0), counts)
         code, out, _ = run_cli(
             capsys,
             "estimate",
@@ -205,6 +205,20 @@ class TestEstimate:
         )
         assert code == 2 and not out
         assert "two-qubit" in err
+
+    def test_frequency_whose_window_overflows_exits_two(self, capsys):
+        # pi / omega = inf printed "t_hat": Infinity, which is not JSON.
+        tiny = ("--omega", "1e-320")
+        for argv in (
+            ("estimate", "--model", "one-qubit", *tiny, "--counts", "3,2"),
+            ("estimate", "--model", "ghz", *tiny, "--counts", "3,2"),
+            ("estimate", "--model", "two-qubit", *tiny, "--estimator", "coarse",
+             "--counts", "3,2,1,1"),
+            ("fisher", "--model", "one-qubit", *tiny, "--t", "1e-300"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "pi / f overflows" in err, argv
 
     def test_malformed_counts_exit_two(self, capsys):
         for counts in ("1,2,3", "a,b", "1,2,3,4,5"):

@@ -137,6 +137,26 @@ def test_ghz_rejects_an_overflowing_frequency():
     assert GhzClock(omega=1e307, n_entangled=16).window_top == math.pi / 1.6e308
 
 
+@pytest.mark.parametrize(
+    "build, frequency",
+    [
+        (lambda f: OneQubitClock(omega=f), 1.7e-308),
+        (lambda f: TwoQubitClock(omega=f, Omega=1.0), 1.7e-308),
+        (lambda f: TwoQubitClock(omega=1.0, Omega=f), 1.7e-308),
+        # GHZ's pair oscillates at n omega: 2 * 8e-309 overflows pi / f.
+        (lambda f: GhzClock(omega=f, n_entangled=2), 8e-309),
+    ],
+    ids=["one-qubit", "two-qubit-slow", "two-qubit-fast", "ghz"],
+)
+def test_a_frequency_whose_window_overflows_is_rejected(build, frequency):
+    # pi / f = inf would make window_top, and estimates at its edge, infinite.
+    for f in (frequency, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match=r"pi / f overflows"):
+            build(f)
+    model = build(1.8e-308)
+    assert math.isfinite(model.window_top) and math.isfinite(math.pi / model._pairs[0][2])
+
+
 def test_ghz_accepts_numpy_integers():
     model = GhzClock(omega=1.0, n_entangled=np.int64(3))
     assert type(model.n_entangled) is int and model == GhzClock(omega=1.0, n_entangled=3)

@@ -1,9 +1,11 @@
 """Time estimators against the numeric-likelihood oracle.
 
 mle_numeric (grid scan plus Newton refinement on the closed-form score) is
-the oracle for every closed form: the one-qubit and parity inversions, the
-coarse slow-sector estimate, and the two-branch quartic roots. The batched
-kernels are checked against the scalar estimators on whole count spaces,
+the oracle for every closed form: the single-pair inversion (one qubit and
+GHZ parity), the coarse slow-sector estimate, and the two-branch quartic
+roots. Each public estimator, called with the clock and the counts, must be
+what the estimator resolver binds for that clock. The batched kernels are
+checked against the scalar estimators on whole count spaces,
 the numeric kernel's certified product against a product that rounds
 differently on purpose, the lock-step refinement against its rule written
 out for one row, and the Newton estimates against the golden-section search
@@ -19,18 +21,19 @@ import pytest
 from qclock import (
     Branch,
     DegenerateCountsError,
+    EstimatorKind,
     GhzClock,
     GhzCounts,
     OneQubitClock,
     OneQubitCounts,
     TwoQubitClock,
     TwoQubitCounts,
+    apply_estimator,
     coarse_estimator,
     combined_estimator,
     log_likelihood,
-    mle_ghz,
     mle_numeric,
-    mle_one_qubit,
+    mle_single_pair,
     mle_two_qubit_roots,
 )
 from qclock import estimators
@@ -44,10 +47,10 @@ from qclock.estimators import (
     _tally_score,
     coarse_estimator_batch,
     combined_estimator_batch,
-    mle_ghz_batch,
     mle_numeric_batch,
-    mle_one_qubit_batch,
+    mle_single_pair_batch,
 )
+from qclock.montecarlo import ConfigError, _estimators_for
 
 TWO_QUBIT = TwoQubitClock(omega=0.5, Omega=1.0)
 HALF_WINDOW = math.pi
@@ -66,11 +69,15 @@ def random_two_qubit_counts(rng: np.random.Generator) -> TwoQubitCounts:
     )
 
 
+ONE_QUBIT = OneQubitClock(omega=1.0)
+
+
 def test_mle_one_qubit_anchor_points():
-    assert mle_one_qubit(OneQubitCounts(4, 0), 1.0).t_hat == 0.0
-    assert mle_one_qubit(OneQubitCounts(4, 4), 1.0).t_hat == pytest.approx(math.pi)
-    assert mle_one_qubit(OneQubitCounts(4, 2), 2.0).t_hat == pytest.approx(math.pi / 4)
-    report = mle_one_qubit(OneQubitCounts(4, 2), 1.0)
+    assert mle_single_pair(ONE_QUBIT, OneQubitCounts(4, 0)).t_hat == 0.0
+    assert mle_single_pair(ONE_QUBIT, OneQubitCounts(4, 4)).t_hat == pytest.approx(math.pi)
+    report = mle_single_pair(OneQubitClock(omega=2.0), OneQubitCounts(4, 2))
+    assert report.t_hat == pytest.approx(math.pi / 4)
+    report = mle_single_pair(ONE_QUBIT, OneQubitCounts(4, 2))
     assert report.branch is Branch.SINGLE_WINDOW
     assert report.window == (0.0, math.pi)
     assert report.valid
@@ -78,7 +85,7 @@ def test_mle_one_qubit_anchor_points():
 
 def test_mle_one_qubit_partial_visibility():
     # P_- = chi sin^2(t/2): the inversion divides the fraction by chi.
-    report = mle_one_qubit(OneQubitCounts(8, 2), 1.0, chi=0.5)
+    report = mle_single_pair(OneQubitClock(omega=1.0, chi=0.5), OneQubitCounts(8, 2))
     assert report.t_hat == pytest.approx(2.0 * math.asin(math.sqrt(0.5)), abs=1e-12)
     assert report.valid
 
@@ -86,18 +93,18 @@ def test_mle_one_qubit_partial_visibility():
 def test_mle_one_qubit_clip_flagged_invalid():
     # A '-' fraction above chi is impossible data; the estimate clips to the
     # window edge and is excluded from curve statistics downstream.
-    report = mle_one_qubit(OneQubitCounts(4, 4), 1.0, chi=0.5)
+    report = mle_single_pair(OneQubitClock(omega=1.0, chi=0.5), OneQubitCounts(4, 4))
     assert report.t_hat == pytest.approx(math.pi)
     assert not report.valid
 
 
 def test_mle_one_qubit_error_cases():
     with pytest.raises(DegenerateCountsError):
-        mle_one_qubit(OneQubitCounts(0, 0), 1.0)
-    with pytest.raises(ValueError):
-        mle_one_qubit(OneQubitCounts(4, 2), 1.0, chi=0.0)
+        mle_single_pair(ONE_QUBIT, OneQubitCounts(0, 0))
+    with pytest.raises(ValueError, match="chi = 0"):
+        mle_single_pair(OneQubitClock(omega=1.0, chi=0.0), OneQubitCounts(4, 2))
     with pytest.raises(TypeError):
-        mle_one_qubit(GhzCounts(4, 2), 1.0)
+        mle_single_pair(ONE_QUBIT, GhzCounts(4, 2))
 
 
 def test_mle_one_qubit_matches_numeric_oracle():
@@ -106,13 +113,13 @@ def test_mle_one_qubit_matches_numeric_oracle():
     for _ in range(200):
         n = int(rng.integers(1, 101))
         k = int(rng.integers(0, n + 1))
-        closed = mle_one_qubit(OneQubitCounts(n, k), 1.0)
+        closed = mle_single_pair(model, OneQubitCounts(n, k))
         numeric = mle_numeric(model, OneQubitCounts(n, k))
         assert closed.t_hat == pytest.approx(numeric.t_hat, abs=1e-6)
 
 
 def test_mle_ghz_anchor_and_oracle():
-    report = mle_ghz(GhzCounts(4, 4), 1.0, 2)
+    report = mle_single_pair(GhzClock(omega=1.0, n_entangled=2), GhzCounts(4, 4))
     assert report.t_hat == pytest.approx(math.pi / 2)
     assert report.branch is Branch.GHZ_WINDOW
     assert report.window == (0.0, math.pi / 2)
@@ -122,11 +129,11 @@ def test_mle_ghz_anchor_and_oracle():
         k = int(rng.integers(0, n + 1))
         for n_ent in (2, 3):
             model = GhzClock(omega=1.0, n_entangled=n_ent)
-            closed = mle_ghz(GhzCounts(n, k), 1.0, n_ent)
+            closed = mle_single_pair(model, GhzCounts(n, k))
             numeric = mle_numeric(model, GhzCounts(n, k))
             assert closed.t_hat == pytest.approx(numeric.t_hat, abs=1e-6)
     with pytest.raises(DegenerateCountsError):
-        mle_ghz(GhzCounts(0, 0), 1.0, 2)
+        mle_single_pair(GhzClock(omega=1.0, n_entangled=2), GhzCounts(0, 0))
 
 
 def test_two_qubit_roots_come_in_sign_pairs():
@@ -135,7 +142,7 @@ def test_two_qubit_roots_come_in_sign_pairs():
         counts = random_two_qubit_counts(rng)
         if counts.fast_minus + counts.slow_plus == 0:
             continue
-        t1, t2, t3, t4 = mle_two_qubit_roots(counts)
+        t1, t2, t3, t4 = mle_two_qubit_roots(TWO_QUBIT, counts)
         assert t2 == -t1
         assert t4 == -t3
         assert all(map(math.isfinite, (t1, t2, t3, t4)))
@@ -152,7 +159,7 @@ def test_two_qubit_roots_are_stationary():
         counts = random_two_qubit_counts(rng)
         if counts.fast_minus + counts.slow_plus == 0:
             continue
-        for root in mle_two_qubit_roots(counts):
+        for root in mle_two_qubit_roots(TWO_QUBIT, counts):
             if abs(math.sin(0.5 * root)) < 1e-9 or abs(math.cos(0.5 * root)) < 1e-9:
                 continue  # pole of the score expression, not an interior root
             score, _ = _tally_score(counts.tallies, TWO_QUBIT, root)
@@ -163,31 +170,31 @@ def test_two_qubit_roots_are_stationary():
 
 def test_two_qubit_roots_require_fast_minus_or_slow_plus():
     with pytest.raises(DegenerateCountsError):
-        mle_two_qubit_roots(TwoQubitCounts(0, 5, 3, 0))
+        mle_two_qubit_roots(TWO_QUBIT, TwoQubitCounts(0, 5, 3, 0))
 
 
 def test_two_qubit_roots_require_harmonic_frequencies():
     counts = TwoQubitCounts(3, 4, 5, 6)
     with pytest.raises(ValueError):
-        mle_two_qubit_roots(counts, omega=0.5, Omega=1.1)
+        mle_two_qubit_roots(TwoQubitClock(omega=0.5, Omega=1.1), counts)
     with pytest.raises(ValueError):
-        mle_two_qubit_roots(counts, omega=1.0, Omega=1.0)
+        mle_two_qubit_roots(TwoQubitClock(omega=1.0, Omega=1.0), counts)
 
 
 def test_coarse_estimator_anchor_points():
     # Equal slow tallies sit mid-window.
-    report = coarse_estimator(TwoQubitCounts(0, 0, 3, 3), 0.5)
+    report = coarse_estimator(TWO_QUBIT, TwoQubitCounts(0, 0, 3, 3))
     assert report.t_hat == pytest.approx(math.pi)
     assert report.branch is Branch.COARSE_ONLY
     # k1' = 3 (slow plus), k2' = 1 (slow minus).
-    report = coarse_estimator(TwoQubitCounts(0, 0, 1, 3), 0.5)
+    report = coarse_estimator(TWO_QUBIT, TwoQubitCounts(0, 0, 1, 3))
     assert report.t_hat == pytest.approx(4.0 * math.atan(math.sqrt(1.0 / 3.0)), abs=1e-12)
     assert report.t_hat == pytest.approx(2.0 * math.pi / 3.0, abs=1e-12)
     # Empty plus tally pins the estimate to the window top by continuity.
-    report = coarse_estimator(TwoQubitCounts(0, 0, 7, 0), 0.5)
+    report = coarse_estimator(TWO_QUBIT, TwoQubitCounts(0, 0, 7, 0))
     assert report.t_hat == pytest.approx(FULL_WINDOW)
     with pytest.raises(DegenerateCountsError):
-        coarse_estimator(TwoQubitCounts(4, 4, 0, 0), 0.5)
+        coarse_estimator(TWO_QUBIT, TwoQubitCounts(4, 4, 0, 0))
 
 
 def test_coarse_estimator_matches_slow_sector_mle():
@@ -201,7 +208,7 @@ def test_coarse_estimator_matches_slow_sector_mle():
         if kp + km == 0:
             continue
         counts = TwoQubitCounts(0, 0, km, kp)
-        coarse = coarse_estimator(counts, 0.5)
+        coarse = coarse_estimator(TWO_QUBIT, counts)
         oracle = mle_numeric(model, OneQubitCounts(kp + km, km), window=(0.0, FULL_WINDOW))
         assert coarse.t_hat == pytest.approx(oracle.t_hat, abs=1e-6)
 
@@ -212,10 +219,10 @@ def test_coarse_estimator_printed_form_discrepancy():
     # at ratio 1; elsewhere it is a different number.
     k1p, k2p = 3, 1  # slow_plus, slow_minus
     printed = 4.0 * math.atan(k1p / k2p)
-    derived = coarse_estimator(TwoQubitCounts(0, 0, k2p, k1p), 0.5).t_hat
+    derived = coarse_estimator(TWO_QUBIT, TwoQubitCounts(0, 0, k2p, k1p)).t_hat
     assert abs(printed - derived) > 0.5
     assert 4.0 * math.atan(1) == pytest.approx(
-        coarse_estimator(TwoQubitCounts(0, 0, 5, 5), 0.5).t_hat
+        coarse_estimator(TWO_QUBIT, TwoQubitCounts(0, 0, 5, 5)).t_hat
     )
 
 
@@ -225,7 +232,7 @@ def test_combined_estimator_reports_branch_and_coarse():
     dist = TwoQubitClock(omega=0.5, Omega=1.0).distribution(1.0)
     draw = rng.multinomial(200, [dist["1-"], dist["1+"], dist["0-"], dist["0+"]])
     counts = TwoQubitCounts(int(draw[0]), int(draw[1]), int(draw[2]), int(draw[3]))
-    report = combined_estimator(counts, 0.5, 1.0)
+    report = combined_estimator(TWO_QUBIT, counts)
     assert report.branch is Branch.ROOT1
     assert report.coarse_t is not None
     assert report.window == (0.0, FULL_WINDOW)
@@ -235,7 +242,7 @@ def test_combined_estimator_reports_branch_and_coarse():
     dist = TwoQubitClock(omega=0.5, Omega=1.0).distribution(5.0)
     draw = rng.multinomial(200, [dist["1-"], dist["1+"], dist["0-"], dist["0+"]])
     counts = TwoQubitCounts(int(draw[0]), int(draw[1]), int(draw[2]), int(draw[3]))
-    report = combined_estimator(counts, 0.5, 1.0)
+    report = combined_estimator(TWO_QUBIT, counts)
     assert report.branch is Branch.ROOT3
     assert abs(report.t_hat - 5.0) < 3.0 * crb_200
 
@@ -243,11 +250,11 @@ def test_combined_estimator_reports_branch_and_coarse():
 def test_combined_estimator_boundary_tie_takes_root1():
     # Equal slow tallies put the coarse estimate exactly at pi.
     counts = TwoQubitCounts(10, 10, 10, 10)
-    report = combined_estimator(counts, 0.5, 1.0)
+    report = combined_estimator(TWO_QUBIT, counts)
     assert report.coarse_t == pytest.approx(math.pi)
     assert report.branch is Branch.ROOT1
     # Both roots are stationary; near the boundary they agree to ~CRB scale.
-    roots = mle_two_qubit_roots(counts)
+    roots = mle_two_qubit_roots(TWO_QUBIT, counts)
     crb_40 = 1.0 / math.sqrt(40 * 0.625)
     assert abs(roots[0] - roots[2]) < 2.0 * crb_40 + 2.0 * abs(roots[0] - math.pi)
 
@@ -260,7 +267,7 @@ def test_combined_matches_numeric_oracle_on_branch_window():
             continue
         if counts.slow_minus + counts.slow_plus == 0:
             continue
-        report = combined_estimator(counts, 0.5, 1.0)
+        report = combined_estimator(TWO_QUBIT, counts)
         window = (
             (0.0, HALF_WINDOW) if report.branch is Branch.ROOT1
             else (HALF_WINDOW, FULL_WINDOW)
@@ -277,7 +284,7 @@ def test_estimates_stay_inside_window():
             continue
         if counts.slow_minus + counts.slow_plus == 0:
             continue
-        report = combined_estimator(counts, 0.5, 1.0)
+        report = combined_estimator(TWO_QUBIT, counts)
         if report.valid:
             assert report.window[0] - 1e-12 <= report.t_hat <= report.window[1] + 1e-12
 
@@ -289,18 +296,19 @@ def test_exact_scale_invariance():
     base_ghz = GhzCounts(9, 4)
     for factor in (2, 3, 7, 40):
         scaled = TwoQubitCounts(3 * factor, 7 * factor, 2 * factor, 9 * factor)
-        assert combined_estimator(scaled, 0.5, 1.0) == combined_estimator(base_two, 0.5, 1.0)
-        assert mle_two_qubit_roots(scaled) == mle_two_qubit_roots(base_two)
+        assert combined_estimator(TWO_QUBIT, scaled) == combined_estimator(TWO_QUBIT, base_two)
+        assert mle_two_qubit_roots(TWO_QUBIT, scaled) == mle_two_qubit_roots(TWO_QUBIT, base_two)
         assert (
-            coarse_estimator(scaled, 0.5).t_hat == coarse_estimator(base_two, 0.5).t_hat
+            coarse_estimator(TWO_QUBIT, scaled).t_hat == coarse_estimator(TWO_QUBIT, base_two).t_hat
         )
         assert (
             mle_numeric(TWO_QUBIT, scaled).t_hat == mle_numeric(TWO_QUBIT, base_two).t_hat
         )
         one_scaled = OneQubitCounts(12 * factor, 5 * factor)
-        assert mle_one_qubit(one_scaled, 1.0) == mle_one_qubit(base_one, 1.0)
+        assert mle_single_pair(ONE_QUBIT, one_scaled) == mle_single_pair(ONE_QUBIT, base_one)
         ghz_scaled = GhzCounts(9 * factor, 4 * factor)
-        assert mle_ghz(ghz_scaled, 1.0, 2) == mle_ghz(base_ghz, 1.0, 2)
+        ghz = GhzClock(omega=1.0, n_entangled=2)
+        assert mle_single_pair(ghz, ghz_scaled) == mle_single_pair(ghz, base_ghz)
 
 
 def test_mle_numeric_anchor_points():
@@ -420,48 +428,36 @@ ONE_QUBIT_PARTIAL = (OneQubitClock(omega=1.0, chi=0.3), OneQubitClock(omega=1.3,
 GHZ_CLOCKS = (GhzClock(omega=1.0, n_entangled=2), GhzClock(omega=0.7, n_entangled=3))
 
 
-@pytest.mark.parametrize(
-    "model, rows, kernel, scalar",
-    [
-        (
-            TWO_QUBIT,
-            count_spaces(4, range(1, 33)),
-            lambda m, rows: combined_estimator_batch(rows, m.omega, m.Omega),
-            lambda m, c: combined_estimator(c, m.omega, m.Omega),
-        ),
-        (
-            TWO_QUBIT,
-            count_spaces(4, range(1, 33)),
-            lambda m, rows: coarse_estimator_batch(rows, m.omega),
-            lambda m, c: coarse_estimator(c, m.omega),
-        ),
-        *[
-            (
-                model,
-                count_spaces(2, range(0, 33)),
-                lambda m, rows: mle_one_qubit_batch(rows, m.omega, m.chi),
-                lambda m, c: mle_one_qubit(c, m.omega, m.chi),
-            )
-            for model in ONE_QUBIT_PARTIAL
-        ],
-        *[
-            (
-                model,
-                count_spaces(2, range(0, 33)),
-                lambda m, rows: mle_ghz_batch(rows, m.omega, m.n_entangled),
-                lambda m, c: mle_ghz(c, m.omega, m.n_entangled),
-            )
-            for model in GHZ_CLOCKS
-        ],
-    ],
-    ids=["combined", "coarse", "one-qubit-chi0.3", "one-qubit-chi0.75", "ghz2", "ghz3"],
-)
-def test_closed_form_kernels_match_scalar_on_count_spaces(model, rows, kernel, scalar):
+def resolved_closed_forms():
+    """Every (clock, closed-form kind) pair the resolver accepts, with the
+    clock's count space. The numeric kernel is held to ``mle_numeric`` bit
+    for bit by NUMERIC_BATTERY below.
+    """
+    # A two-qubit clock serves several kinds; its id is the kind's.
+    two = count_spaces(4, range(1, 33))
+    clocks = [
+        ("{}", TWO_QUBIT, two),
+        ("{}-2.6", TwoQubitClock(omega=0.5, Omega=1.3), two),
+        *[(f"one-qubit-chi{m.chi}", m, count_spaces(2, range(0, 33))) for m in ONE_QUBIT_PARTIAL],
+        *[(f"ghz{m.n_entangled}", m, count_spaces(2, range(0, 33))) for m in GHZ_CLOCKS],
+    ]
+    for label, model, rows in clocks:
+        for kind in EstimatorKind:
+            if kind is EstimatorKind.NUMERIC:
+                continue
+            try:
+                _estimators_for(model, kind)
+            except ConfigError:
+                continue
+            yield pytest.param(model, kind, rows, id=label.format(kind.value))
+
+
+@pytest.mark.parametrize("model, kind, rows", resolved_closed_forms())
+def test_closed_form_kernels_match_scalar_on_count_spaces(model, kind, rows):
     # Degenerate rows are part of each space: n = 0, no slow-sector events,
     # k1 = k4 = 0, and (for chi < 1) clipped fractions flagged invalid.
-    bad = kernel_mismatches(
-        model, rows, kernel(model, rows), lambda c: scalar(model, c), closed_form_close
-    )
+    scalar, kernel = _estimators_for(model, kind)
+    bad = kernel_mismatches(model, rows, kernel(rows), scalar, closed_form_close)
     assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
 
 
@@ -639,11 +635,9 @@ def golden_section_estimates(model, rows):
 
 def closed_form_estimate(model, counts):
     """The exact maximizer over the full window, where a closed form gives it."""
-    if isinstance(model, OneQubitClock):
-        return mle_one_qubit(counts, model.omega, model.chi).t_hat
-    if isinstance(model, GhzClock):
-        return mle_ghz(counts, model.omega, model.n_entangled).t_hat
-    return None
+    if isinstance(model, TwoQubitClock):
+        return None
+    return mle_single_pair(model, counts).t_hat
 
 
 @NUMERIC_BATTERY
@@ -707,13 +701,49 @@ def test_log_likelihood_same_for_every_kind_of_single_time():
 def test_kernels_reject_what_the_scalar_estimators_reject():
     rows = np.array([[1, 2, 3, 4]])
     with pytest.raises(ValueError):
-        combined_estimator_batch(rows, 0.5, 1.3)
+        combined_estimator_batch(TwoQubitClock(omega=0.5, Omega=1.3), rows)
+    # The estimators take a clock, which rejects a frequency that is not
+    # positive and finite when it is built.
     for omega in (math.nan, math.inf, -math.inf, 0.0):
         with pytest.raises(ValueError, match="omega"):
-            coarse_estimator(TwoQubitCounts(1, 2, 3, 4), omega)
-        with pytest.raises(ValueError, match="omega"):
-            coarse_estimator_batch(rows, omega)
-    with pytest.raises(ValueError):
-        mle_one_qubit_batch(np.array([[1, 2]]), 1.0, chi=0.0)
+            TwoQubitClock(omega=omega, Omega=1.0)
+    with pytest.raises(ValueError, match="chi = 0"):
+        mle_single_pair_batch(OneQubitClock(omega=1.0, chi=0.0), np.array([[1, 2]]))
     with pytest.raises(ValueError):
         mle_numeric_batch(TWO_QUBIT, np.array([1, 2, 3, 4]))
+
+
+def test_public_estimators_take_the_clock_then_the_counts():
+    # Each public estimator, called as (model, counts), is what
+    # apply_estimator resolves for that model.
+    cases = [
+        (ONE_QUBIT, EstimatorKind.CLOSED_FORM, mle_single_pair, OneQubitCounts(7, 3)),
+        (ONE_QUBIT_PARTIAL[1], EstimatorKind.CLOSED_FORM, mle_single_pair, OneQubitCounts(4, 4)),
+        (GHZ_CLOCKS[1], EstimatorKind.CLOSED_FORM, mle_single_pair, GhzCounts(9, 4)),
+        (TWO_QUBIT, EstimatorKind.CLOSED_FORM, combined_estimator, TwoQubitCounts(3, 7, 2, 9)),
+        (TWO_QUBIT, EstimatorKind.COMBINED, combined_estimator, TwoQubitCounts(1, 0, 6, 2)),
+        (TWO_QUBIT, EstimatorKind.COARSE, coarse_estimator, TwoQubitCounts(3, 7, 2, 9)),
+        (TwoQubitClock(omega=0.5, Omega=1.3), EstimatorKind.NUMERIC, mle_numeric,
+         TwoQubitCounts(3, 7, 2, 9)),
+        (ONE_QUBIT_PARTIAL[0], EstimatorKind.NUMERIC, mle_numeric, OneQubitCounts(7, 2)),
+        (GHZ_CLOCKS[0], EstimatorKind.NUMERIC, mle_numeric, GhzCounts(9, 4)),
+    ]
+    for model, kind, estimator, counts in cases:
+        assert estimator(model, counts) == apply_estimator(model, counts, kind), (model, kind)
+    # A clock of a design the estimator does not serve, or the counts where
+    # the clock belongs, raise a TypeError that names the estimator.
+    one, ghz, two = OneQubitCounts(4, 2), GhzCounts(4, 2), TwoQubitCounts(1, 2, 3, 4)
+    wrong = [
+        (mle_single_pair, TWO_QUBIT, two),
+        (mle_single_pair, one, 1.0),
+        (mle_single_pair_batch, TWO_QUBIT, np.array([[1, 2, 3, 4]])),
+        (coarse_estimator, ONE_QUBIT, one),
+        (coarse_estimator, two, 0.5),
+        (coarse_estimator_batch, ONE_QUBIT, np.array([[2, 2]])),
+        (combined_estimator, GHZ_CLOCKS[0], ghz),
+        (combined_estimator_batch, GHZ_CLOCKS[0], np.array([[2, 2]])),
+        (mle_two_qubit_roots, ONE_QUBIT, one),
+    ]
+    for estimator, model, counts in wrong:
+        with pytest.raises(TypeError, match=f"^{estimator.__name__} expects"):
+            estimator(model, counts)

@@ -609,7 +609,7 @@ def test_exact_curve_matches_per_vector_oracle(model, kind):
 @pytest.mark.parametrize("grid_length", (1, 4, 15))
 def test_exact_curve_estimates_once_per_curve(grid_length, monkeypatch):
     calls = []
-    for name in ("combined_estimator_batch", "mle_one_qubit_batch"):
+    for name in ("combined_estimator_batch", "mle_single_pair_batch"):
         kernel = getattr(estimators, name)
 
         def counting(*args, _kernel=kernel, **kwargs):
@@ -621,7 +621,7 @@ def test_exact_curve_estimates_once_per_curve(grid_length, monkeypatch):
     def scalar(*args, **kwargs):
         raise AssertionError("the exact curve called a scalar estimator")
 
-    for name in ("combined_estimator", "mle_one_qubit"):
+    for name in ("combined_estimator", "mle_single_pair"):
         monkeypatch.setattr(estimators, name, scalar)
     for model, kind in (
         (HARMONIC, EstimatorKind.COMBINED),
