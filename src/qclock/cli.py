@@ -345,7 +345,7 @@ def cmd_compare(args):
         trials=args.trials,
         seed=args.seed,
     )
-    outputs = _emit_table(args.out, args.format, table.COLUMNS, table.as_rows())
+    outputs = _emit_table(args.out, args.format, table.COLUMNS, table.rows)
     config = {
         "budget": args.budget,
         "omega": pair.omega,

@@ -22,7 +22,9 @@ are checked against.
 Each estimator has a ``*_batch`` kernel, ``estimator_batch(model, counts)``,
 that applies it to every row of an integer tally array (one count vector
 per row, in the ``tallies`` order of counts.py), as a Monte-Carlo cell
-holds its trials. A kernel returns ``(t_hat, valid)``: t_hat is NaN on
+holds its trials; an array that is not 2-D and integer, has another width
+than the clock's classes or holds a negative tally raises a ValueError
+naming the kernel. A kernel returns ``(t_hat, valid)``: t_hat is NaN on
 the rows where the scalar estimator raises DegenerateCountsError, and
 valid is False there and wherever the scalar report is flagged invalid.
 The scalar functions stay the path for a single count vector and the
@@ -341,6 +343,7 @@ def mle_numeric(
     0, or counts that are impossible at every t) yields the window midpoint
     flagged invalid. A window bound that is not finite raises ValueError.
     """
+    _require(counts, model.counts_type, "mle_numeric")
     counts = reduce_counts(counts)
     if window is None:
         window = (0.0, model.window_top)
@@ -373,11 +376,20 @@ def mle_numeric(
     return EstimateReport(t_hat, branch, (lo, hi))
 
 
-def _reduce_rows(counts) -> np.ndarray:
-    # reduce_counts on every row: divide each row by the gcd of its tallies.
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 2:
-        raise ValueError(f"expected a 2-D tally array, got shape {counts.shape}")
+def _tally_rows(model: ClockModel, counts, name: str) -> np.ndarray:
+    # The kernel `name`'s tally array, checked before any arithmetic, then
+    # reduce_counts on every row: each row divided by the gcd of its tallies.
+    counts = np.asarray(counts)
+    width = len(model.class_sizes)
+    if counts.ndim != 2 or not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(
+            f"{name} expects a 2-D integer tally array, got {counts.dtype} of shape {counts.shape}"
+        )
+    if counts.shape[1] != width:
+        raise ValueError(f"{name} expects {width} tallies per row, got {counts.shape[1]}")
+    if (counts < 0).any():
+        raise ValueError(f"{name} expects non-negative tallies, got {counts.min()}")
+    counts = counts.astype(np.int64, copy=False)
     g = np.gcd.reduce(counts, axis=1)
     return counts // np.maximum(g, 1)[:, np.newaxis]
 
@@ -385,7 +397,7 @@ def _reduce_rows(counts) -> np.ndarray:
 def mle_single_pair_batch(model: ClockModel, counts):
     """``mle_single_pair`` on every row of a two-column tally array."""
     scale, f = _single_pair(model, "mle_single_pair_batch")
-    k0, k1 = _reduce_rows(counts).T
+    k0, k1 = _tally_rows(model, counts, "mle_single_pair_batch").T
     # n = 0 gives ratio NaN, so t_hat NaN and valid False.
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = k0 / ((k0 + k1) * scale)
@@ -396,7 +408,7 @@ def mle_single_pair_batch(model: ClockModel, counts):
 def coarse_estimator_batch(model: TwoQubitClock, counts):
     """``coarse_estimator`` on every row of a two-qubit tally array."""
     _require(model, TwoQubitClock, "coarse_estimator_batch")
-    _, _, km, kp = _reduce_rows(counts).T
+    _, _, km, kp = _tally_rows(model, counts, "coarse_estimator_batch").T
     return _coarse_columns(km, kp, model.omega)
 
 
@@ -418,7 +430,7 @@ def combined_estimator_batch(model: TwoQubitClock, counts):
     _require(model, TwoQubitClock, "combined_estimator_batch")
     omega = model.omega
     is_harmonic(omega, model.Omega, require=True)
-    k1, k2, k3, k4 = _reduce_rows(counts).T
+    k1, k2, k3, k4 = _tally_rows(model, counts, "combined_estimator_batch").T
     coarse, valid = _coarse_columns(k3, k4, omega)
     lead = k1 + k4
     valid &= lead > 0
@@ -480,7 +492,7 @@ def mle_numeric_batch(model: ClockModel, counts):
     the scalar rule.
     """
     # Float tallies multiply as the scalar path's ints do, without a cast per use.
-    counts = _reduce_rows(counts).astype(float)
+    counts = _tally_rows(model, counts, "mle_numeric_batch").astype(float)
     rows = len(counts)
     lo, hi = 0.0, float(model.window_top)
     ts = np.linspace(lo, hi, GRID_POINTS)

@@ -18,13 +18,15 @@ One resolver maps a (model, estimator kind) pair to the name of an
 estimator in estimators.py and binds its scalar form and batch kernel,
 both ``estimator(model, counts)``, to the model for all of these to use.
 ``compare_resources`` runs the three designs side by side at an equal
-total qubit budget.
+total qubit budget, one loop over its designs, whose labels
+(``RESOURCE_DESIGNS``) name the columns: t, dt_<label>, crb_<label>.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from operator import attrgetter
@@ -129,21 +131,24 @@ class ErrorCurve:
         return list(map(attrgetter(*self.COLUMNS), self.points))
 
 
-@dataclass(frozen=True)
-class ResourceRow:
+# The designs of the equal-budget comparison, in column order. A design's
+# label names its columns: dt_<label> and crb_<label>.
+RESOURCE_DESIGNS = ("one_qubit", "two_qubit", "ghz")
+
+
+class ResourceRow(
+    namedtuple(
+        "ResourceRow",
+        ("t", *(f"{stat}_{label}" for stat in ("dt", "crb") for label in RESOURCE_DESIGNS)),
+    )
+):
     """Measured precision of each design at one time, equal qubit budget.
 
     Columns are NaN where the grid time falls outside that design's
     identifiable window.
     """
 
-    t: float
-    dt_one_qubit: float
-    dt_two_qubit: float
-    dt_ghz: float
-    crb_one_qubit: float
-    crb_two_qubit: float
-    crb_ghz: float
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -151,10 +156,7 @@ class ResourceComparison:
     budget_qubits: int
     rows: tuple[ResourceRow, ...]
 
-    COLUMNS = tuple(field.name for field in fields(ResourceRow))
-
-    def as_rows(self) -> list[tuple]:
-        return list(map(attrgetter(*self.COLUMNS), self.rows))
+    COLUMNS = ResourceRow._fields
 
 
 def cell_rng(seed: int, t_index: int) -> np.random.Generator:
@@ -226,7 +228,8 @@ def apply_estimator_batch(
     """``apply_estimator`` on every row of a tally array: (t_hat, valid).
 
     t_hat is NaN on rows where apply_estimator raises DegenerateCountsError;
-    valid is False there and on rows whose report is flagged invalid.
+    valid is False there and on rows whose report is flagged invalid. A
+    malformed tally array raises a ValueError naming the kernel.
     """
     return _estimators_for(model, kind)[1](counts)
 
@@ -352,7 +355,7 @@ def compare_resources(
     The two-qubit column uses the combined estimator when Omega = 2 omega
     and the numeric maximizer otherwise. All columns share the master seed
     (common random numbers), and each is NaN at grid times outside that
-    design's window.
+    design's window. Columns follow the ``RESOURCE_DESIGNS`` order.
     """
     if not is_integer(budget_qubits) or budget_qubits < 2 or budget_qubits % 2:
         raise ConfigError(f"budget_qubits must be an even integer >= 2, got {budget_qubits!r}")
@@ -360,50 +363,22 @@ def compare_resources(
     grid = tuple(float(t) for t in t_grid)
     if not all(math.isfinite(t) for t in grid):
         raise ConfigError(f"t_grid must hold finite times, got {grid!r}")
-    models: list[tuple[ClockModel, int, EstimatorKind]] = [
+    pair_kind = EstimatorKind.COMBINED if is_harmonic(omega, Omega) else EstimatorKind.NUMERIC
+    # (clock, probes the budget buys, estimator), in RESOURCE_DESIGNS order.
+    designs = (
         (OneQubitClock(omega=omega), budget_qubits, EstimatorKind.CLOSED_FORM),
-        (
-            TwoQubitClock(omega=omega, Omega=Omega),
-            budget_qubits // 2,
-            EstimatorKind.COMBINED
-            if is_harmonic(omega, Omega)
-            else EstimatorKind.NUMERIC,
-        ),
+        (TwoQubitClock(omega=omega, Omega=Omega), budget_qubits // 2, pair_kind),
         (GhzClock(omega=omega, n_entangled=2), budget_qubits // 2, EstimatorKind.CLOSED_FORM),
-    ]
-    columns: list[dict[float, tuple[float, float]]] = []
-    for model, n_probes, kind in models:
+    )
+    columns = []
+    for model, n_probes, kind in designs:
         top = model.window_top * (1.0 + WINDOW_RTOL)
         inside = tuple(t for t in grid if 0.0 <= t <= top)
-        lookup: dict[float, tuple[float, float]] = {}
-        if inside:
-            config = ExperimentConfig(
-                model=model,
-                n_probes=n_probes,
-                t_grid=inside,
-                trials=trials,
-                seed=seed,
-                estimator=kind,
-            )
-            curve = error_curve(config)
-            for point in curve.points:
-                lookup[point.t] = (point.std_error, point.crb)
-        columns.append(lookup)
+        config = ExperimentConfig(model, n_probes, inside, trials, seed, kind) if inside else None
+        points = error_curve(config).points if config else ()
+        columns.append({point.t: (point.std_error, point.crb) for point in points})
     rows = []
-    nan = (math.nan, math.nan)
     for t in grid:
-        one = columns[0].get(t, nan)
-        two = columns[1].get(t, nan)
-        ghz = columns[2].get(t, nan)
-        rows.append(
-            ResourceRow(
-                t=t,
-                dt_one_qubit=one[0],
-                dt_two_qubit=two[0],
-                dt_ghz=ghz[0],
-                crb_one_qubit=one[1],
-                crb_two_qubit=two[1],
-                crb_ghz=ghz[1],
-            )
-        )
+        dts, crbs = zip(*(column.get(t, (math.nan, math.nan)) for column in columns))
+        rows.append(ResourceRow(t, *dts, *crbs))
     return ResourceComparison(budget_qubits=budget_qubits, rows=tuple(rows))

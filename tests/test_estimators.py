@@ -709,8 +709,39 @@ def test_kernels_reject_what_the_scalar_estimators_reject():
             TwoQubitClock(omega=omega, Omega=1.0)
     with pytest.raises(ValueError, match="chi = 0"):
         mle_single_pair_batch(OneQubitClock(omega=1.0, chi=0.0), np.array([[1, 2]]))
-    with pytest.raises(ValueError):
-        mle_numeric_batch(TWO_QUBIT, np.array([1, 2, 3, 4]))
+    # What the counts classes reject in one vector, each kernel rejects in a
+    # tally array, naming itself: a negative tally must not reach a square
+    # root or a logarithm, and a float tally must not be truncated. Warnings
+    # are errors here, so the check has to come before any arithmetic.
+    kernels = [
+        (mle_single_pair_batch, ONE_QUBIT),
+        (mle_single_pair_batch, GHZ_CLOCKS[0]),
+        (mle_numeric_batch, ONE_QUBIT),
+        (mle_numeric_batch, TwoQubitClock(omega=0.5, Omega=1.3)),
+        (coarse_estimator_batch, TWO_QUBIT),
+        (combined_estimator_batch, TWO_QUBIT),
+    ]
+    for kernel, model in kernels:
+        width = len(model.class_sizes)
+        good = np.arange(2, width + 2)[np.newaxis]
+        malformed = [
+            (good[0], "a 2-D integer tally array"),
+            (good - 0.5, "a 2-D integer tally array"),
+            (good > 0, "a 2-D integer tally array"),
+            (np.hstack([good, good]), f"{width} tallies per row, got {2 * width}"),
+            (good[:, 1:], f"{width} tallies per row, got {width - 1}"),
+            (np.hstack([-good[:, :1], good[:, 1:]]), "non-negative tallies, got -2"),
+        ]
+        for counts, message in malformed:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{kernel.__name__} expects {message}"):
+                    kernel(model, counts)
+        # Any integer dtype is read as the int64 tallies a cell samples.
+        expected = kernel(model, good)
+        for dtype in (np.int32, np.uint8):
+            for got, want in zip(kernel(model, good.astype(dtype)), expected):
+                assert np.array_equal(got, want, equal_nan=True), (kernel, dtype)
 
 
 def test_public_estimators_take_the_clock_then_the_counts():
@@ -743,6 +774,8 @@ def test_public_estimators_take_the_clock_then_the_counts():
         (combined_estimator, GHZ_CLOCKS[0], ghz),
         (combined_estimator_batch, GHZ_CLOCKS[0], np.array([[2, 2]])),
         (mle_two_qubit_roots, ONE_QUBIT, one),
+        (mle_numeric, ONE_QUBIT, two),
+        (mle_numeric, GHZ_CLOCKS[0], one),
     ]
     for estimator, model, counts in wrong:
         with pytest.raises(TypeError, match=f"^{estimator.__name__} expects"):

@@ -206,6 +206,27 @@ def test_dispatch_rejects_pairs_without_an_estimator():
             apply_estimator_batch(model, np.array([counts.tallies]), kind)
 
 
+def test_batch_dispatch_rejects_malformed_tallies():
+    # Each of these once returned a number (a negative tally estimated, a
+    # float tally truncated) or a bare numpy error; each now raises a
+    # ValueError that names the kernel apply_estimator_batch resolved.
+    cases = [
+        (OneQubitClock(omega=1.0), [[-1, 3]], EstimatorKind.CLOSED_FORM, "mle_single_pair_batch"),
+        (TwoQubitClock(omega=0.5, Omega=1.3), [[1, -2, 3, 4]], EstimatorKind.NUMERIC,
+         "mle_numeric_batch"),
+        (GhzClock(omega=1.0), [[0.5, 2.9]], EstimatorKind.CLOSED_FORM, "mle_single_pair_batch"),
+        (OneQubitClock(omega=1.0), [[1, 2, 3]], EstimatorKind.CLOSED_FORM, "mle_single_pair_batch"),
+        (OneQubitClock(omega=1.0), [[1, 2, 3, 4]], EstimatorKind.NUMERIC, "mle_numeric_batch"),
+        (TwoQubitClock(omega=0.5, Omega=1.0), [[1, 2]], EstimatorKind.COARSE,
+         "coarse_estimator_batch"),
+        (TwoQubitClock(omega=0.5, Omega=1.0), [[1, 2, 3]], EstimatorKind.COMBINED,
+         "combined_estimator_batch"),
+    ]
+    for model, counts, kind, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} expects"):
+            apply_estimator_batch(model, np.array(counts), kind)
+
+
 class TestExperimentConfig:
     def test_rejects_bad_counts_and_seed(self):
         for overrides in (
@@ -664,9 +685,46 @@ class TestCompareResources:
         args = (40, 1.0, 2.0, (0.9, 1.4), 25, 77)
         comp = compare_resources(*args)
         assert comp == compare_resources(*args)
-        rows = comp.as_rows()
+        rows = comp.rows
         assert len(rows) == 2
         assert all(len(row) == len(ResourceComparison.COLUMNS) for row in rows)
+
+    @pytest.mark.parametrize(
+        "omega, Omega, grid",
+        [
+            # Harmonic pair (combined estimator); GHZ's window ends at pi,
+            # and 7.0 lies past every window.
+            (0.5, 1.0, (0.3, 1.9, 3.5, 5.9, 7.0)),
+            # Non-harmonic pair (numeric maximizer); GHZ's window ends at 1.5.
+            (1.05, 1.3, (0.3, 1.1, 2.0, 2.9)),
+        ],
+    )
+    def test_columns_are_each_designs_own_curve(self, omega, Omega, grid):
+        # Each design's dt_/crb_ columns hold exactly its own error curve over
+        # the grid times inside its window, and NaN elsewhere.
+        budget, trials, seed = 40, 30, 11
+        comp = compare_resources(budget, omega, Omega, grid, trials, seed)
+        pair_kind = EstimatorKind.COMBINED if Omega == 2 * omega else EstimatorKind.NUMERIC
+        designs = {
+            "one_qubit": (OneQubitClock(omega=omega), budget, EstimatorKind.CLOSED_FORM),
+            "two_qubit": (TwoQubitClock(omega=omega, Omega=Omega), budget // 2, pair_kind),
+            "ghz": (GhzClock(omega=omega), budget // 2, EstimatorKind.CLOSED_FORM),
+        }
+        assert ResourceComparison.COLUMNS == (
+            "t", *(f"dt_{label}" for label in designs), *(f"crb_{label}" for label in designs)
+        )
+        assert [row.t for row in comp.rows] == list(grid)
+        for label, (model, n_probes, kind) in designs.items():
+            inside = tuple(t for t in grid if t <= model.window_top)
+            curve = error_curve(ExperimentConfig(model, n_probes, inside, trials, seed, kind))
+            own = {point.t: (point.std_error, point.crb) for point in curve.points}
+            for row in comp.rows:
+                cell = (getattr(row, f"dt_{label}"), getattr(row, f"crb_{label}"))
+                if row.t in own:
+                    assert cell == own[row.t], (label, row.t)
+                else:
+                    assert all(map(math.isnan, cell)), (label, row.t)
+        assert sum(math.isnan(row.dt_ghz) for row in comp.rows) >= 1
 
     def test_rejects_bad_budget(self):
         for budget in (41, 0, -2, True, 2.0, np.int64(41), np.bool_(True)):
