@@ -39,6 +39,7 @@ from .montecarlo import (
     ErrorCurve,
     EstimatorKind,
     ExperimentConfig,
+    _check_exact_size,
     apply_estimator,
     compare_resources,
     error_curve,
@@ -304,6 +305,8 @@ def _sweep_section(section) -> tuple[ExperimentConfig, dict]:
         seed=values["seed"],
         estimator=EstimatorKind(values["estimator"]),
     )
+    if values["curve"] == "mean":
+        _check_exact_size(config)
     return config, {**_model_config(model), **values}
 
 

@@ -10,10 +10,10 @@ tally array with the batched kernels of estimators.py. Results are a pure
 function of the configuration and seed, and a cell's numbers do not depend
 on the other grid times.
 
-``mean_estimator_curve`` switches to exact enumeration of the count space
-when it is small enough, replacing sampling noise with the true estimator
-expectation: it estimates the whole space once as a tally array and weights
-it at each grid time. ``apply_estimator`` estimates a single count vector.
+``mean_estimator_curve`` is the exact counterpart, with no sampling noise:
+it estimates the whole count space once as a tally array and weights it at
+each grid time, and rejects a count space too large to enumerate
+(``MAX_EXACT_DOUBLES``). ``apply_estimator`` estimates a single count vector.
 One resolver maps a (model, estimator kind) pair to the name of an
 estimator in estimators.py and binds its scalar form and batch kernel,
 both ``estimator(model, counts)``, to the model for all of these to use.
@@ -49,10 +49,10 @@ from .fisher import DegenerateTimeError, classical_fisher
 # How a sweep's random numbers are laid out, as stamped into run manifests.
 STREAM_LAYOUT = "per-cell SeedSequence(seed, spawn_key=(t_index,))"
 
-# Count spaces with n_probes at or below this are enumerated exactly in
-# mean_estimator_curve; the multinomial case then holds at most C(15,3) = 455
-# distinct count vectors.
-MAX_EXACT_PROBES = 12
+# The largest exact mean curve, in doubles (32 MB): its count table's rows x
+# (classes + grid times). At the bound (2 cores, numpy 2.4.6) peak RSS was
+# 108-127 MB over 15 grid times, up to 395 MB over one (numeric, 4 classes).
+MAX_EXACT_DOUBLES = 2**22
 
 
 class EstimatorKind(enum.Enum):
@@ -106,11 +106,11 @@ class ExperimentConfig:
 class ErrorCurvePoint:
     """Estimator statistics at one grid time.
 
-    n_valid counts the contributions that produced a usable estimate
-    (trials for sampled curves, count vectors for exact curves); mean,
-    std_error, and bias are NaN when nothing contributed. crb is NaN where
-    no Cramer-Rao bound exists: at a window edge (t = 0 or the window top)
-    and where the Fisher information vanishes (chi = 0).
+    n_valid counts the contributions that produced a usable estimate: trials
+    for sampled curves, count vectors of any nonzero probability for exact
+    ones. mean, std_error, and bias are NaN when nothing contributed; crb is
+    NaN where no Cramer-Rao bound exists: at a window edge (t = 0 or the
+    window top) and where the Fisher information vanishes (chi = 0).
     """
 
     t: float
@@ -277,11 +277,11 @@ def error_curve(config: ExperimentConfig) -> ErrorCurve:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _count_table(n_probes: int, classes: int) -> tuple[np.ndarray, np.ndarray]:
     # The count space's tally rows and the log multinomial coefficient of
-    # each, read-only, as every exact curve over it reuses them. The keys
-    # are bounded: n_probes <= MAX_EXACT_PROBES and 2 or 4 classes.
+    # each, read-only, for every exact curve over it. 16 spaces: n = 1..12 over
+    # 2 classes and four more, each <= MAX_EXACT_DOUBLES, so 512 MB at most.
     rows = count_tallies(n_probes, classes)
     log_factorial = np.array([math.lgamma(k + 1) for k in range(n_probes + 1)])
     log_coeff = log_factorial[n_probes] - log_factorial[rows].sum(axis=1)
@@ -290,54 +290,51 @@ def _count_table(n_probes: int, classes: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, log_coeff
 
 
-def _exact_curve(config: ExperimentConfig) -> ErrorCurve:
-    # Every tally row of the count space is estimated once, then weighted by
-    # its multinomial probability at each grid time. The pmf is taken in log
-    # space: k log p counts 0 where k = 0, and a row with k > 0 = p gets
-    # weight 0.
+def _check_exact_size(config: ExperimentConfig) -> None:
+    # mean_estimator_curve's size bound, checked before anything is enumerated.
+    classes, times = len(config.model.class_sizes), len(config.t_grid)
+    need = math.comb(config.n_probes + classes - 1, classes - 1) * (classes + times)
+    if need > MAX_EXACT_DOUBLES:
+        raise ConfigError(
+            f"the exact mean curve of {config.n_probes} probes over {times} grid times needs "
+            f"{need:,} doubles, more than {MAX_EXACT_DOUBLES:,}; use curve = error to sample it"
+        )
+
+
+def mean_estimator_curve(config: ExperimentConfig) -> ErrorCurve:
+    """Exact estimator expectation over the grid (trials and seed are ignored).
+
+    The count space is enumerated as one tally array (``count_tallies``) and
+    estimated once with the batch kernel; each grid time weights its rows by
+    their multinomial pmf, renormalized over the rows with a valid estimate,
+    and n_valid counts those of nonzero pmf, however small. A count table of
+    rows x (classes + grid times) above MAX_EXACT_DOUBLES raises ConfigError.
+    """
+    _check_exact_size(config)
     model, n = config.model, config.n_probes
     rows, log_coeff = _count_table(n, len(model.class_sizes))
     t_hat, valid = apply_estimator_batch(model, rows, config.estimator)
     rows, log_coeff, t_hat = rows[valid], log_coeff[valid], t_hat[valid]
-    # (grid times x classes): each class's probability times its size.
+    # (grid times x classes): each class's probability times its size. In log
+    # space k log p is 0 where k = 0, and a row with k > 0 = p gets -inf.
     probs = np.transpose(model.class_probs(np.array(config.t_grid))) * model.class_sizes
     zero = probs == 0.0
     log_weights = log_coeff[:, np.newaxis] + rows @ np.log(np.where(zero, 1.0, probs)).T
     if zero.any():
         log_weights[(rows > 0) @ zero.T] = -np.inf
-    weights = np.exp(log_weights)
+    n_valid = np.count_nonzero(np.isfinite(log_weights), axis=0)
+    weights = np.exp(log_weights, out=log_weights)
+    columns = (weights.sum(axis=0), t_hat @ weights, t_hat * t_hat @ weights, n_valid)
     points = []
-    for t, total, first, second, n_valid in zip(
-        config.t_grid,
-        weights.sum(axis=0).tolist(),
-        (t_hat @ weights).tolist(),
-        (t_hat * t_hat @ weights).tolist(),
-        np.count_nonzero(weights, axis=0).tolist(),
-    ):
+    for t, total, first, second, count in zip(config.t_grid, *(c.tolist() for c in columns)):
         crb = _crb_or_nan(model, t, n)
         if total == 0.0:
             points.append(ErrorCurvePoint(t, math.nan, math.nan, math.nan, crb, 0))
             continue
         mean = first / total
         var = max(second / total - mean * mean, 0.0)
-        points.append(ErrorCurvePoint(t, mean, math.sqrt(var), mean - t, crb, n_valid))
+        points.append(ErrorCurvePoint(t, mean, math.sqrt(var), mean - t, crb, count))
     return ErrorCurve(points=tuple(points))
-
-
-def mean_estimator_curve(config: ExperimentConfig) -> ErrorCurve:
-    """Estimator expectation over the grid, exactly where enumerable.
-
-    For n_probes <= MAX_EXACT_PROBES the moments are exact expectations over
-    the whole count space, renormalized over the count vectors that produce
-    a valid estimate (trials and seed are ignored). The space is enumerated
-    as one tally array (``count_tallies``) and estimated once with the batch
-    kernel, whatever the grid length; each grid time then weights the rows
-    by their multinomial probabilities. Larger probe counts fall back to the
-    sampled curve.
-    """
-    if config.n_probes <= MAX_EXACT_PROBES:
-        return _exact_curve(config)
-    return error_curve(config)
 
 
 def compare_resources(

@@ -488,10 +488,16 @@ class TestSweep:
             ({"seed": None}, "missing key 'seed' in section [run-a]"),
             ({"out": None}, "missing key 'out' in section [run-a]"),
             ({"probess": 3}, "unknown key 'probess' in section [run-a]"),
+            (
+                # (699,050 + 1) count vectors x (2 classes + 4 times) doubles.
+                {"curve": "mean", "probes": 699050},
+                "the exact mean curve of 699050 probes over 4 grid times needs 4,194,306 "
+                "doubles, more than 4,194,304; use curve = error to sample it",
+            ),
         ],
         ids=[
             "model", "estimator", "curve", "format", "probes", "omega", "n",
-            "missing-model", "missing-seed", "missing-out", "unknown",
+            "missing-model", "missing-seed", "missing-out", "unknown", "oversized-mean",
         ],
     )
     def test_single_fault_message(self, capsys, tmp_path, overrides, message):
@@ -525,6 +531,18 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", str(cfg))
         assert (code, out) == (2, "")
         assert err == "qclock: error: invalid value for 'curve' in section [run-b]: 'median'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
+
+    def test_oversized_later_mean_curve_writes_nothing(self, capsys, tmp_path):
+        # The exact curve's size bound is checked with the other keys, before
+        # the first section runs.
+        body = self.basic_section(tmp_path) + self.basic_section(
+            tmp_path, name="run-b", curve="mean", probes=699050, out=str(tmp_path / "b.csv")
+        )
+        cfg = self.write_config(tmp_path, body)
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("qclock: error: the exact mean curve of 699050 probes")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
 
     def test_missing_file_and_empty_config(self, capsys, tmp_path):

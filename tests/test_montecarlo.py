@@ -35,8 +35,8 @@ from qclock import (
     n_probe_count_distribution,
     sample_counts,
 )
-from qclock import estimators
-from qclock.montecarlo import MAX_EXACT_PROBES, _summarize
+from qclock import estimators, montecarlo
+from qclock.montecarlo import MAX_EXACT_DOUBLES, _summarize
 
 from test_estimators import count_space, reordered_product
 
@@ -568,25 +568,71 @@ class TestMeanEstimatorCurve:
         margin = 3.0 * sampled.std_error / math.sqrt(trials)
         assert abs(exact.mean_estimate - sampled.mean_estimate) <= margin
 
-    def test_large_probe_counts_fall_back_to_sampling(self):
-        cfg = small_config(n_probes=MAX_EXACT_PROBES + 1, trials=30)
-        assert mean_estimator_curve(cfg) == error_curve(cfg)
+    def test_size_bound_is_exact_inside_and_rejects_past_it(self, monkeypatch):
+        # Four classes at n = 12 have C(15, 3) = 455 count vectors; the grid
+        # length puts 455 x (4 + times) just inside the bound, then just past.
+        times = MAX_EXACT_DOUBLES // math.comb(15, 3) - 4
+        grid = tuple(np.linspace(0.1, HARMONIC.window_top - 0.1, times + 1).tolist())
+
+        def config(t_grid):
+            return small_config(
+                model=HARMONIC, n_probes=12, t_grid=t_grid, trials=1,
+                estimator=EstimatorKind.COMBINED,
+            )
+
+        inside = mean_estimator_curve(config(grid[:-1])).points
+        assert [point.t for point in inside] == list(grid[:-1])
+        for i in (0, times // 2, times - 1):
+            alone = mean_estimator_curve(config(grid[i : i + 1])).points[0]
+            assert alone.t == inside[i].t and alone.n_valid == inside[i].n_valid
+            assert abs(alone.mean_estimate - inside[i].mean_estimate) <= 1e-12
+            assert abs(alone.std_error**2 - inside[i].std_error**2) <= 1e-12
+
+        def enumerate_nothing(*args):
+            raise AssertionError("enumerated a count space past the bound")
+
+        monkeypatch.setattr(montecarlo, "count_tallies", enumerate_nothing)
+        monkeypatch.setattr(montecarlo, "_count_table", enumerate_nothing)
+        message = (
+            f"the exact mean curve of 12 probes over {times + 1} grid times needs "
+            f"{455 * (times + 5):,} doubles, more than {MAX_EXACT_DOUBLES:,}; "
+            "use curve = error to sample it"
+        )
+        with pytest.raises(ConfigError) as exc:
+            mean_estimator_curve(config(grid))
+        assert str(exc.value) == message
+
+    def test_n_valid_counts_underflowing_vectors(self):
+        # At n = 200 and t = 0.2 every k is possible, but most pmf values
+        # underflow in double precision.
+        cfg = small_config(
+            model=OneQubitClock(omega=1.0, chi=1.0), n_probes=200, t_grid=(0.2,), trials=1
+        )
+        assert mean_estimator_curve(cfg).points[0].n_valid == 201
 
 
-def _per_vector_exact_point(config, t):
+def _per_vector_exact_point(config, t, reports):
     # The exact moments one count vector at a time: the labelled count
-    # distribution and the scalar estimator, renormalized over the vectors
-    # with nonzero weight and a valid estimate. Returns (mean, var, n_valid).
+    # distribution and the scalar estimator, renormalized over the possible
+    # vectors (no tally on a class of probability 0) with a valid estimate.
+    # A possible vector whose weight underflows to 0 still counts in n_valid.
+    # An estimate depends on the counts alone, so `reports` keeps each
+    # vector's scalar report (None where degenerate) from one t to the next.
+    # Returns (mean, var, n_valid).
+    model = config.model
+    probs = np.multiply(model.class_sizes, model.class_probs(t))
     total_mass = first = second = 0.0
     n_valid = 0
-    for counts, weight in n_probe_count_distribution(config.model, config.n_probes, t).items():
-        if weight == 0.0:
+    for counts, weight in n_probe_count_distribution(model, config.n_probes, t).items():
+        if any(k and p == 0.0 for k, p in zip(counts.tallies, probs)):
             continue
-        try:
-            report = apply_estimator(config.model, counts, config.estimator)
-        except DegenerateCountsError:
-            continue
-        if not report.valid:
+        if counts not in reports:
+            try:
+                reports[counts] = apply_estimator(model, counts, config.estimator)
+            except DegenerateCountsError:
+                reports[counts] = None
+        report = reports[counts]
+        if report is None or not report.valid:
             continue
         total_mass += weight
         first += weight * report.t_hat
@@ -614,10 +660,12 @@ def test_exact_curve_matches_per_vector_oracle(model, kind):
     # Fifteen times from the window's bottom to its top, edges included,
     # where whole classes of count vectors get weight zero.
     grid = tuple(np.linspace(0.0, model.window_top, 15).tolist())
-    for n_probes in (1, 2, 7, 12):
+    closed_pair = model.kind == "two-qubit" and kind is not EstimatorKind.NUMERIC
+    for n_probes in (1, 2, 7, 12, 13, *((32,) if closed_pair else ())):
         cfg = small_config(model=model, n_probes=n_probes, t_grid=grid, trials=1, estimator=kind)
+        reports = {}
         for point in mean_estimator_curve(cfg).points:
-            mean, var, n_valid = _per_vector_exact_point(cfg, point.t)
+            mean, var, n_valid = _per_vector_exact_point(cfg, point.t, reports)
             where = (n_probes, point.t)
             assert point.n_valid == n_valid, where
             if n_valid == 0:
