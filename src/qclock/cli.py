@@ -81,23 +81,16 @@ _SECTION_KEYS = {
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
+    # bool is an int, and np.bool_ formats as a float: both print 1 or 0.
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), FLOAT_FMT)
 
 
-def _round12(value: float) -> float:
-    # Round-trip through the output precision so JSON numbers match CSV.
-    if value != value or math.isinf(value):
-        return value
-    return float(format(value, FLOAT_FMT))
-
-
 def _json_ready(value):
     if isinstance(value, float):
-        return None if value != value else _round12(value)
+        # Round-trip through the output precision so JSON numbers match CSV.
+        return None if value != value else float(format(value, FLOAT_FMT))
     if isinstance(value, (list, tuple)):
         return [_json_ready(v) for v in value]
     if isinstance(value, dict):
@@ -173,7 +166,7 @@ def _grid(start: float, stop: float, steps: int, where: str) -> tuple[float, ...
         raise ConfigError(f"{where} bounds must be finite, got {start!r} and {stop!r}")
     if steps < 1:
         raise ConfigError(f"{where} needs at least one step, got {steps}")
-    if steps == 1:
+    if steps == 1:  # linspace would print -0 as 0 and overflow on huge bounds
         return (start,)
     return tuple(float(t) for t in np.linspace(start, stop, steps))
 

@@ -29,7 +29,8 @@ once over the pairs. A design adds ``class_sizes`` (the outcomes per class),
 ``label_classes`` (the class of each outcome label), ``counts_type`` (the
 count vector class whose tallies follow the classes), the one-qubit
 ``cfi``, and the two-qubit ``first_return``, from the continued fraction
-of the frequency ratio (epsilon < 3/4).
+of the frequency ratio (epsilon < 3/4), and ``harmonic``: whether Omega =
+2 omega, the condition of the closed-form two-qubit estimators.
 
 ``probe()`` stays per design: it is the clock from first principles, its
 initial amplitudes and diagonal energies over the computational basis
@@ -78,12 +79,6 @@ def _check_time(t: float) -> float:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     return t
-
-
-def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
-    # The number of ones among the low `bits` bits of each entry, by shifting
-    # (np.bitwise_count needs numpy 2).
-    return sum((x >> b) & 1 for b in range(bits))
 
 
 class _Clock:
@@ -226,15 +221,13 @@ class OneQubitClock(_Clock):
         and on the constraint surface (b d)^2 = a b c d, so
         chi = 4 a b c d / (a d + b c)^2.
         """
-        tol = 1e-9  # on each constraint
-        if abs(a * a + b * b - 1.0) > tol or abs(c * c + d * d - 1.0) > tol:
+        tol = 1e-9  # on each constraint; a NaN coefficient fails them all
+        if not (abs(a * a + b * b - 1.0) <= tol and abs(c * c + d * d - 1.0) <= tol):
             raise ValueError("eigenvector coefficients are not normalized")
-        if abs(a * c - b * d) > tol:
+        if not abs(a * c - b * d) <= tol:
             raise ValueError("eigenvectors are not orthogonal (a c - b d != 0)")
-        denom = (a * d + b * c) ** 2
-        if denom <= tol * tol:
-            raise ValueError("degenerate eigenbasis: a d + b c = 0")
-        chi = 4.0 * a * b * c * d / denom
+        # (a d + b c)^2 = (a^2 + b^2)(c^2 + d^2) - (a c - b d)^2, about 1 here.
+        chi = 4.0 * a * b * c * d / (a * d + b * c) ** 2
         chi = min(max(chi, 0.0), 1.0)
         return cls(omega=omega, chi=chi)
 
@@ -283,6 +276,11 @@ class TwoQubitClock(_Clock):
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
         object.__setattr__(self, "Omega", _check_positive("Omega", self.Omega))
         self._set_pairs((0.5, 0.5, self.Omega), (0.5, 0.5, self.omega))
+
+    @property
+    def harmonic(self) -> bool:
+        """Whether Omega = 2 omega to 1e-9, as the closed-form two-qubit estimators need."""
+        return abs(self.Omega - 2.0 * self.omega) <= 1e-9 * self.Omega
 
     def first_return(self, epsilon: float) -> float:
         """First return of the infidelity 1 - (|cos(omega t/2)| + |cos(Omega t/2)|)^2 / 4.
@@ -419,9 +417,9 @@ def _ghz_register(n: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     amplitudes = np.zeros(2**n)
     amplitudes[0] = amplitudes[-1] = 1.0 / math.sqrt(2.0)
     amplitudes.setflags(write=False)
-    ones = _popcount(np.arange(2**n), n)
-    ones.setflags(write=False)
     labels = tuple(format(i, f"0{n}b").replace("0", "+").replace("1", "-") for i in range(2**n))
+    ones = np.array([label.count("-") for label in labels], dtype=np.int64)
+    ones.setflags(write=False)
     return amplitudes, ones, labels
 
 
@@ -463,14 +461,14 @@ def count_tallies(n_probes: int, classes: int) -> np.ndarray:
     """Every tally row of n_probes outcomes over `classes` classes.
 
     An integer array of shape (C(n + classes - 1, classes - 1), classes), the
-    rows in lexicographic order, the first tally varying slowest. Each row
-    places classes - 1 bars among n_probes + classes - 1 slots (stars and
-    bars), and its tallies are the runs of stars between them.
+    rows in lexicographic order, the first tally varying slowest: the
+    differences of running sums, whose first classes - 1 run over the
+    non-decreasing tuples of 0..n_probes in that order.
     """
-    slots = n_probes + classes - 1
-    bars = np.array(list(itertools.combinations(range(slots), classes - 1)), dtype=np.int64)
-    edges = np.column_stack((np.full(len(bars), -1), bars, np.full(len(bars), slots)))
-    return np.diff(edges, axis=1) - 1
+    rows, width = math.comb(n_probes + classes - 1, classes - 1), classes - 1
+    sums = itertools.combinations_with_replacement(range(n_probes + 1), width)
+    sums = np.fromiter(itertools.chain.from_iterable(sums), np.int64, rows * width)
+    return np.diff(sums.reshape(rows, width), axis=1, prepend=0, append=n_probes)
 
 
 def n_probe_count_distribution(

@@ -9,10 +9,11 @@ identify t uniquely; a clock of another design raises TypeError.
   ``class_sizes[0]``, m a is chi for one qubit and 1 for GHZ, and
   ``mle_single_pair`` gives t_hat = (2/f) asin sqrt(k_0 / (n m a)) on the
   window [0, pi/f];
-* two-qubit with Omega = 2 omega: the score has four stationary points per
-  period, found exactly as roots of a quartic in u = tan(omega t / 2). The
-  coarse (slow-sector) tally picks the correct branch, extending the usable
-  window to the full slow period [0, pi/omega].
+* two-qubit with Omega = 2 omega (``TwoQubitClock.harmonic``; the quartic
+  forms raise ValueError on any other clock): the score has four stationary
+  points per period, found exactly as roots of a quartic in u = tan(omega t
+  / 2). The coarse (slow-sector) tally picks the correct branch, extending
+  the usable window to the full slow period [0, pi/omega].
 
 ``mle_numeric`` maximizes the log-likelihood on a grid, then refines the
 grid argmax by safeguarded Newton-Raphson on the score, whose closed form
@@ -138,21 +139,12 @@ def mle_single_pair(model: ClockModel, counts: CountVector) -> EstimateReport:
     )
 
 
-def is_harmonic(omega: float, Omega: float, require: bool = False) -> bool:
-    """Whether Omega = 2 omega, as the closed two-qubit forms require.
-
-    Frequencies that are not both positive raise ValueError, and so does a
-    non-harmonic pair when ``require`` is set.
-    """
-    if not (omega > 0.0 and Omega > 0.0):
-        raise ValueError("frequencies must be positive")
-    harmonic = abs(Omega - 2.0 * omega) <= 1e-9 * Omega
-    if require and not harmonic:
+def _require_harmonic(model: TwoQubitClock) -> None:
+    if not model.harmonic:
         raise ValueError(
             f"closed-form two-qubit estimators require Omega = 2 omega, "
-            f"got omega={omega}, Omega={Omega}"
+            f"got omega={model.omega}, Omega={model.Omega}"
         )
-    return harmonic
 
 
 def mle_two_qubit_roots(
@@ -178,9 +170,9 @@ def mle_two_qubit_roots(
     """
     _require(model, TwoQubitClock, "mle_two_qubit_roots")
     _require(counts, TwoQubitCounts, "mle_two_qubit_roots")
+    _require_harmonic(model)
     counts = reduce_counts(counts)
     omega = model.omega
-    is_harmonic(omega, model.Omega, require=True)
     k1, k2 = counts.fast_minus, counts.fast_plus
     k3, k4 = counts.slow_minus, counts.slow_plus
     lead = k1 + k4
@@ -234,7 +226,8 @@ def combined_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> Estimate
     full slow period.
     """
     _require(model, TwoQubitClock, "combined_estimator")
-    roots = mle_two_qubit_roots(model, counts)  # checks the counts and Omega = 2 omega
+    _require(counts, TwoQubitCounts, "combined_estimator")
+    roots = mle_two_qubit_roots(model, counts)  # checks Omega = 2 omega
     coarse = coarse_estimator(model, counts)
     omega = model.omega
     window = (0.0, math.pi / omega)
@@ -428,8 +421,8 @@ def combined_estimator_batch(model: TwoQubitClock, counts):
     coarse estimate picking the half of the window for each row.
     """
     _require(model, TwoQubitClock, "combined_estimator_batch")
+    _require_harmonic(model)
     omega = model.omega
-    is_harmonic(omega, model.Omega, require=True)
     k1, k2, k3, k4 = _tally_rows(model, counts, "combined_estimator_batch").T
     coarse, valid = _coarse_columns(k3, k4, omega)
     lead = k1 + k4

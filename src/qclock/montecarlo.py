@@ -43,7 +43,7 @@ from .clocks import (
 )
 from . import estimators
 from .counts import CountVector, is_integer
-from .estimators import EstimateReport, is_harmonic
+from .estimators import EstimateReport
 from .fisher import DegenerateTimeError, classical_fisher
 
 # How a sweep's random numbers are laid out, as stamped into run manifests.
@@ -206,7 +206,7 @@ def _estimators_for(model: ClockModel, kind: EstimatorKind):
     name = _ESTIMATORS.get((model.kind, kind))
     if name is None:
         raise ConfigError(f"{kind.value} estimator requires the two-qubit model")
-    if name == "combined_estimator" and not is_harmonic(model.omega, model.Omega):
+    if name == "combined_estimator" and not model.harmonic:
         raise ConfigError(
             "closed-form two-qubit estimation requires Omega = 2 omega; "
             "use the numeric estimator otherwise"
@@ -360,11 +360,12 @@ def compare_resources(
     grid = tuple(float(t) for t in t_grid)
     if not all(math.isfinite(t) for t in grid):
         raise ConfigError(f"t_grid must hold finite times, got {grid!r}")
-    pair_kind = EstimatorKind.COMBINED if is_harmonic(omega, Omega) else EstimatorKind.NUMERIC
+    pair = TwoQubitClock(omega=omega, Omega=Omega)
+    pair_kind = EstimatorKind.COMBINED if pair.harmonic else EstimatorKind.NUMERIC
     # (clock, probes the budget buys, estimator), in RESOURCE_DESIGNS order.
     designs = (
         (OneQubitClock(omega=omega), budget_qubits, EstimatorKind.CLOSED_FORM),
-        (TwoQubitClock(omega=omega, Omega=Omega), budget_qubits // 2, pair_kind),
+        (pair, budget_qubits // 2, pair_kind),
         (GhzClock(omega=omega, n_entangled=2), budget_qubits // 2, EstimatorKind.CLOSED_FORM),
     )
     columns = []

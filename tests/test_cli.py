@@ -11,12 +11,14 @@ import json
 import math
 import shutil
 import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from qclock import TwoQubitClock, TwoQubitCounts, __version__, combined_estimator
-from qclock.cli import build_parser, main
+from qclock.cli import _fmt, _json_ready, build_parser, main, main_entry
 from qclock.montecarlo import STREAM_LAYOUT
 
 
@@ -51,6 +53,13 @@ class TestProbs:
         for row in rows:
             assert float(row[-1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_step_grid_is_its_start(self, capsys):
+        # np.linspace(-0.0, 5.0, 1) is [0.0]: a one-step grid keeps its start.
+        code, out, _ = run_cli(capsys, "probs", "--model", "one-qubit", "--t-grid=-0:5:1")
+        _, rows = parse_csv(out)
+        assert code == 0
+        assert [row[0] for row in rows] == ["-0"]
+
     def test_flag_of_another_model_exits_two(self, capsys):
         code, out, err = run_cli(
             capsys, "probs", "--model", "two-qubit", "--chi", "0.3", "--n", "5", "--t", "1"
@@ -63,6 +72,12 @@ class TestProbs:
         assert "0.229848847066" in out
         assert "\r" not in out
         assert out.endswith("\n")
+
+    def test_bools_and_non_finite_floats(self):
+        # A bool is an int, np.bool_ formats as a float, and JSON keeps the
+        # infinities, with NaN as null.
+        assert (_fmt(True), _fmt(np.bool_(False))) == ("1", "0")
+        assert _json_ready([math.inf, -math.inf, math.nan]) == [math.inf, -math.inf, None]
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -488,6 +503,7 @@ class TestSweep:
             ({"seed": None}, "missing key 'seed' in section [run-a]"),
             ({"out": None}, "missing key 'out' in section [run-a]"),
             ({"probess": 3}, "unknown key 'probess' in section [run-a]"),
+            ({"t_steps": 0}, "time grid of section [run-a] needs at least one step, got 0"),
             (
                 # (699,050 + 1) count vectors x (2 classes + 4 times) doubles.
                 {"curve": "mean", "probes": 699050},
@@ -497,7 +513,8 @@ class TestSweep:
         ],
         ids=[
             "model", "estimator", "curve", "format", "probes", "omega", "n",
-            "missing-model", "missing-seed", "missing-out", "unknown", "oversized-mean",
+            "missing-model", "missing-seed", "missing-out", "unknown", "no-steps",
+            "oversized-mean",
         ],
     )
     def test_single_fault_message(self, capsys, tmp_path, overrides, message):
@@ -545,6 +562,16 @@ class TestSweep:
         assert err.startswith("qclock: error: the exact mean curve of 699050 probes")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
 
+    @pytest.mark.parametrize(
+        "body", ["[run-a]\nseed = 1\nseed = 2\n", "seed = 1\n"], ids=["repeated-key", "no-section"]
+    )
+    def test_malformed_config_exits_two(self, capsys, tmp_path, body):
+        cfg = self.write_config(tmp_path, body)
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qclock: error: malformed config {cfg}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
+
     def test_missing_file_and_empty_config(self, capsys, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.cfg")]) == 2
         capsys.readouterr()
@@ -579,11 +606,32 @@ class TestUsageErrors:
             assert code == 2, argv
             assert not out and "finite" in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("0:1:0", "t-grid needs at least one step, got 0"),
+            ("0:1", "t-grid must be 'start:stop:steps', got '0:1'"),
+            ("a:1:3", "t-grid must be 'start:stop:steps' with numeric fields, got 'a:1:3'"),
+        ],
+        ids=["no-steps", "two-fields", "not-a-number"],
+    )
+    def test_malformed_time_grid_exits_two(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "probs", "--model", "one-qubit", "--t-grid", spec)
+        assert (code, out, err) == (2, "", f"qclock: error: {message}\n")
+
     def test_no_manifest_for_stdout_runs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(capsys, "probs", "--model", "one-qubit", "--t", "1")
         assert code == 0 and out
         assert list(tmp_path.iterdir()) == []
+
+
+def test_main_entry_reads_argv_and_exits_with_the_status(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qclock", "probs", "--model", "one-qubit", "--t", "1"])
+    with pytest.raises(SystemExit) as exc:
+        main_entry()
+    assert exc.value.code == 0
+    assert "0.229848847066" in capsys.readouterr().out
 
 
 @pytest.mark.skipif(shutil.which("qclock") is None, reason="console script not installed")

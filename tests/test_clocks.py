@@ -258,6 +258,11 @@ def test_from_eigenbasis_validation():
     with pytest.raises(ValueError):
         # Normalized columns that are not orthogonal.
         OneQubitClock.from_eigenbasis(1.0, 0.0, 1.0, 0.0, omega=1.0)
+    # A NaN coefficient is rejected where it enters, not as a NaN chi later.
+    r = math.sqrt(0.5)
+    for coeffs in ((math.nan, r, r, r), (r, r, r, math.nan), (math.nan,) * 4):
+        with pytest.raises(ValueError, match="not normalized"):
+            OneQubitClock.from_eigenbasis(*coeffs, omega=1.0)
 
 
 def test_from_mixing_angle():
@@ -643,7 +648,7 @@ def test_two_qubit_count_distribution_matches_enumeration():
 def test_count_tallies_lexicographic():
     # Oracle: every tuple of the product space that sums to n, in product's
     # order (lexicographic, the first tally slowest).
-    for n, classes in ((1, 2), (5, 2), (1, 4), (3, 4), (12, 4)):
+    for n, classes in ((1, 2), (5, 2), (1, 4), (3, 4), (12, 4), (24, 4)):
         want = [list(c) for c in product(range(n + 1), repeat=classes) if sum(c) == n]
         assert clocks.count_tallies(n, classes).tolist() == want
 

@@ -772,6 +772,9 @@ def test_public_estimators_take_the_clock_then_the_counts():
         (coarse_estimator, two, 0.5),
         (coarse_estimator_batch, ONE_QUBIT, np.array([[2, 2]])),
         (combined_estimator, GHZ_CLOCKS[0], ghz),
+        (combined_estimator, TWO_QUBIT, one),
+        (coarse_estimator, TWO_QUBIT, one),
+        (mle_two_qubit_roots, TWO_QUBIT, one),
         (combined_estimator_batch, GHZ_CLOCKS[0], np.array([[2, 2]])),
         (mle_two_qubit_roots, ONE_QUBIT, one),
         (mle_numeric, ONE_QUBIT, two),

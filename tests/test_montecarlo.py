@@ -264,6 +264,14 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError):
                 small_config(t_grid=grid)
 
+    def test_rejects_bad_frequency_by_name(self):
+        # The pair's clock is built before its estimator is chosen, so its
+        # own check names the parameter.
+        for omega, Omega, name in ((-0.5, 1.0, "omega"), (0.0, 1.0, "omega"),
+                                   (math.nan, 1.0, "omega"), (0.5, 0.0, "Omega")):
+            with pytest.raises(ValueError, match=f"^{name} must be a positive finite real"):
+                compare_resources(4, omega, Omega, (1.0,), trials=5, seed=1)
+
     def test_rejects_non_finite_times(self):
         # Every comparison with NaN is false, so the ordering and window
         # checks alone would let these through.
@@ -783,6 +791,14 @@ class TestCompareResources:
         comp = compare_resources(np.int64(4), 1.0, 2.0, (1.0,), trials=5, seed=1)
         assert type(comp.budget_qubits) is int
         assert comp == compare_resources(4, 1.0, 2.0, (1.0,), trials=5, seed=1)
+
+    def test_rejects_bad_frequency_by_name(self):
+        # The pair's clock is built before its estimator is chosen, so its
+        # own check names the parameter.
+        for omega, Omega, name in ((-0.5, 1.0, "omega"), (0.0, 1.0, "omega"),
+                                   (math.nan, 1.0, "omega"), (0.5, 0.0, "Omega")):
+            with pytest.raises(ValueError, match=f"^{name} must be a positive finite real"):
+                compare_resources(4, omega, Omega, (1.0,), trials=5, seed=1)
 
     def test_rejects_non_finite_times(self):
         # Each design keeps only the grid times inside its window; a NaN time
