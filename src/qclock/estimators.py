@@ -15,10 +15,10 @@ identify t uniquely; a clock of another design raises TypeError.
   / 2). The coarse (slow-sector) tally picks the correct branch, extending
   the usable window to the full slow period [0, pi/omega].
 
-``mle_numeric`` maximizes the log-likelihood on a grid, then refines the
-grid argmax by safeguarded Newton-Raphson on the score, whose closed form
-comes from each design's ``dprobs``; it is the reference the closed forms
-are checked against.
+``mle_numeric`` maximizes the log-likelihood on a grid, summed class by
+class in tally order, then refines the grid argmax by safeguarded
+Newton-Raphson on the score, whose closed form comes from each design's
+``dprobs``; it is the reference the closed forms are checked against.
 
 Each estimator has a ``*_batch`` kernel, ``estimator_batch(model, counts)``,
 that applies it to every row of an integer tally array (one count vector
@@ -35,7 +35,7 @@ round asin and atan differently in the last bits.
 
 ``mle_numeric_batch`` matches ``mle_numeric`` bit for bit. Its grid stage
 is one BLAS product per block of rows with the log class probabilities,
-certified against the scalar path's sum in tally order: all terms k log p
+certified against the scalar path's class-by-class sum: all terms k log p
 are <= 0, so any summation order lies within gamma_K of the exact sum in
 relative terms (Higham, Accuracy and Stability of Numerical Algorithms,
 2nd ed., section 3.1), and only the rows whose grid argmax or flat test
@@ -239,12 +239,20 @@ def combined_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> Estimate
     return EstimateReport(t_hat, branch, window, coarse_t=coarse.t_hat)
 
 
-def _tally_log_likelihood(tallies: np.ndarray, probs) -> np.ndarray:
-    # sum_j k_j log p_j over the leading (tally) axis, added in tally order,
-    # with k log p = 0 where k = 0 and -inf where p = 0 < k.
+def _tally_log_likelihood(tallies, probs) -> np.ndarray:
+    # sum_j k_j log p_j, added class by class in tally order, with k log p = 0
+    # where k = 0 and -inf where p = 0 < k. A count vector's tallies (a tuple)
+    # skip their zero classes; arrays of tallies zero them with np.where. The
+    # sum is the same to the bit: a zero class adds +0.0, and no term is -0.0,
+    # as log p <= 0 and log 1 = +0.0. All tallies zero give the grid's zeros.
+    total, scalar = None, isinstance(tallies, tuple)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = tallies * np.log(np.array(probs))
-    return np.add.reduce(np.where(tallies > 0, terms, 0.0))
+        for k, p in zip(tallies, probs):
+            if scalar and not k:
+                continue
+            term = k * np.log(p) if scalar else np.where(k > 0, k * np.log(p), 0.0)
+            total = term if total is None else total + term
+    return np.zeros(np.shape(probs[0])) if total is None else total
 
 
 def _tally_score(tallies, model: ClockModel, t):
@@ -269,16 +277,15 @@ def log_likelihood(model: ClockModel, counts: CountVector, t):
 
     Vectorized over t. Outcomes with zero tally contribute nothing even
     where their probability vanishes; a positive tally against a vanishing
-    probability gives -inf. A single time that is not finite raises
-    ValueError. Terms are added in tally order, the sum that
-    ``mle_numeric_batch`` certifies its grid product against.
+    probability gives -inf. A time that is not finite, alone or anywhere in
+    an array, raises ValueError. Terms are added class by class in tally
+    order, the sum ``mle_numeric`` maximizes on its grid.
     """
     _require(counts, model.counts_type, "log_likelihood")
     t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim == 0 and not math.isfinite(t_arr):
+    if not np.isfinite(t_arr).all():
         raise ValueError(f"time must be finite, got {t!r}")
-    tallies = np.reshape(counts.tallies, (-1,) + (1,) * t_arr.ndim)
-    total = _tally_log_likelihood(tallies, model.class_probs(t_arr))
+    total = _tally_log_likelihood(counts.tallies, model.class_probs(t_arr))
     return float(total) if t_arr.ndim == 0 else total
 
 
@@ -329,7 +336,9 @@ def mle_numeric(
 
     Counts are reduced by their common divisor first, which rescales the
     log-likelihood uniformly and makes the returned estimate exactly
-    invariant under integer rescaling of the counts. The grid argmax is
+    invariant under integer rescaling of the counts. On GRID_POINTS times
+    the grid stage takes one sine per pair and one log per nonzero tally,
+    summed class by class in tally order; its first argmax is then
     refined by safeguarded Newton-Raphson on the closed-form score, inside
     the bracket of its two grid neighbors, to REFINE_TOL * max(1, window
     top). A likelihood with no finite variation over the window (e.g. chi =
@@ -347,18 +356,19 @@ def mle_numeric(
         raise ValueError(f"empty window {window!r}")
     branch = _window_branch(model)
 
+    # The grid's values are finite or -inf, so the plain argmax is the first
+    # index of the finite maximum, and -inf there means no finite value.
     ts = np.linspace(lo, hi, GRID_POINTS)
-    ll = log_likelihood(model, counts, ts)
-    finite = np.isfinite(ll)
+    ll = _tally_log_likelihood(counts.tallies, model.class_probs(ts))
+    i = int(np.argmax(ll))
+    ll_max = float(ll[i])
     midpoint = 0.5 * (lo + hi)
-    if not finite.any():
+    if ll_max == -math.inf:
         return EstimateReport(midpoint, branch, (lo, hi), valid=False)
-    ll_max = float(ll[finite].max())
-    ll_min = float(ll[finite].min())
+    ll_min = float(ll.min(where=ll > -np.inf, initial=np.inf))
     if ll_max - ll_min <= 1e-12 * max(1.0, abs(ll_max)):
         return EstimateReport(midpoint, branch, (lo, hi), valid=False)
 
-    i = int(np.argmax(np.where(finite, ll, -np.inf)))
     t_hat = _newton_max(
         lambda x: _tally_score(counts.tallies, model, x),
         float(ts[i]),
@@ -465,7 +475,7 @@ def mle_numeric_batch(model: ClockModel, counts):
     equal ``mle_numeric``'s on the same counts bit for bit. The grid stage
     takes each block of BLOCK_ROWS rows through one BLAS product with the
     (tallies x GRID_POINTS) table of log class probabilities, then certifies
-    the product against the scalar path's sum in tally order. Every term
+    the product against ``mle_numeric``'s class-by-class sum. Every term
     k log p is <= 0, so a sum of K such terms computed in any order lies
     within gamma_K |s| of the exact sum s, gamma_K = K u / (1 - K u) with u
     the unit roundoff (Higham, Accuracy and Stability of Numerical

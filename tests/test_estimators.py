@@ -9,7 +9,9 @@ checked against the scalar estimators on whole count spaces,
 the numeric kernel's certified product against a product that rounds
 differently on purpose, the lock-step refinement against its rule written
 out for one row, and the Newton estimates against the golden-section search
-they replaced.
+they replaced. The class-by-class likelihood sum is checked byte for byte
+against the stacked sum it replaced, and mle_numeric against a pinned
+battery of its exact estimates.
 """
 
 import math
@@ -340,6 +342,156 @@ def test_mle_numeric_validation():
             mle_numeric(model, TwoQubitCounts(3, 4, 5, 6), window=window)
 
 
+PINNED_CLOCKS = {
+    "one-qubit": ONE_QUBIT,
+    "one-qubit-chi0.6": OneQubitClock(omega=1.0, chi=0.6),
+    "one-qubit-chi0": OneQubitClock(omega=1.0, chi=0.0),
+    "two-qubit": TWO_QUBIT,
+    "two-qubit-2.6": TwoQubitClock(omega=0.5, Omega=1.3),
+    "ghz2": GhzClock(omega=1.0, n_entangled=2),
+    "ghz5": GhzClock(omega=0.7, n_entangled=5),
+}
+# mle_numeric's exact output, recorded when its grid stage still stacked the
+# terms k log p and added them with np.add.reduce: (clock, tallies, valid,
+# then t_hat.hex() on the default window [0, top], on [0, top / 2] and on
+# [top / 2, top]). The rows hold n = 0, zero tallies, counts impossible at a
+# window edge ((5, 0) at t = 0, (0, 7) at the top of a chi = 1 window), flat
+# likelihoods (chi = 0), exactly tied grid maxima that the first index wins
+# ((1, 1, 0, 0) on the harmonic clock, at pi / 2 and 3 pi / 2) and rescaled
+# counts ((36, 15), (12, 28, 8, 36) and (14, 4) are multiples of earlier rows).
+PINNED_NUMERIC = [
+    ("one-qubit", (0, 0), False,
+     "0x1.921fb54442d18p+0", "0x1.921fb54442d18p-1", "0x1.2d97c7f3321d2p+1"),
+    ("one-qubit", (5, 0), True,
+     "0x1.921fb54442d18p+1", "0x1.921fb54442d18p+0", "0x1.921fb54442d18p+1"),
+    ("one-qubit", (0, 7), True,
+     "0x0.0p+0", "0x0.0p+0", "0x1.921fb54442d18p+0"),
+    ("one-qubit", (3, 7), True,
+     "0x1.28c68a40a5e8cp+0", "0x1.28c68a40a5e8bp+0", "0x1.921fb54442d18p+0"),
+    ("one-qubit", (12, 5), True,
+     "0x1.fec483136d7ecp+0", "0x1.921fb54442d18p+0", "0x1.fec483136d7ecp+0"),
+    ("one-qubit", (36, 15), True,
+     "0x1.fec483136d7ecp+0", "0x1.921fb54442d18p+0", "0x1.fec483136d7ecp+0"),
+    ("one-qubit-chi0.6", (0, 7), True,
+     "0x0.0p+0", "0x0.0p+0", "0x1.921fb54442d18p+0"),
+    ("one-qubit-chi0.6", (3, 7), True,
+     "0x1.921fb54442d19p+0", "0x1.921fb54442d18p+0", "0x1.921fb54442d19p+0"),
+    ("one-qubit-chi0.6", (7, 2), True,
+     "0x1.921fb54442d18p+1", "0x1.921fb54442d18p+0", "0x1.921fb54442d18p+1"),
+    ("one-qubit-chi0", (5, 0), False,
+     "0x1.921fb54442d18p+0", "0x1.921fb54442d18p-1", "0x1.2d97c7f3321d2p+1"),
+    ("one-qubit-chi0", (0, 7), False,
+     "0x1.921fb54442d18p+0", "0x1.921fb54442d18p-1", "0x1.2d97c7f3321d2p+1"),
+    ("two-qubit", (0, 0, 0, 0), False,
+     "0x1.921fb54442d18p+1", "0x1.921fb54442d18p+0", "0x1.2d97c7f3321d2p+2"),
+    ("two-qubit", (0, 0, 0, 12), True,
+     "0x0.0p+0", "0x0.0p+0", "0x1.921fb54442d18p+1"),
+    ("two-qubit", (0, 5, 0, 4), True,
+     "0x0.0p+0", "0x0.0p+0", "0x1.2ee62bef09ff1p+2"),
+    ("two-qubit", (1, 1, 0, 0), True,
+     "0x1.921fb54442d19p+0", "0x1.921fb54442d19p+0", "0x1.2d97c7f3321d2p+2"),
+    ("two-qubit", (1, 0, 6, 2), True,
+     "0x1.fb78e047dfba5p+1", "0x1.921fb54442d18p+1", "0x1.fb78e047dfba5p+1"),
+    ("two-qubit", (3, 4, 5, 6), True,
+     "0x1.e3a72abbabc25p+0", "0x1.e3a72abbabc24p+0", "0x1.12ff971b321d0p+2"),
+    ("two-qubit", (3, 7, 2, 9), True,
+     "0x1.4e4522420fd78p+0", "0x1.4e4522420fd79p+0", "0x1.167781a0c4593p+2"),
+    ("two-qubit", (10, 5, 17, 0), True,
+     "0x1.2821b89861cc4p+2", "0x1.4031c9c9c755bp+1", "0x1.2821b89861cc4p+2"),
+    ("two-qubit", (12, 28, 8, 36), True,
+     "0x1.4e4522420fd78p+0", "0x1.4e4522420fd79p+0", "0x1.167781a0c4593p+2"),
+    ("two-qubit-2.6", (0, 0, 0, 0), False,
+     "0x1.921fb54442d18p+1", "0x1.921fb54442d18p+0", "0x1.2d97c7f3321d2p+2"),
+    ("two-qubit-2.6", (0, 0, 0, 12), True,
+     "0x0.0p+0", "0x0.0p+0", "0x1.921fb54442d18p+1"),
+    ("two-qubit-2.6", (0, 5, 0, 4), True,
+     "0x0.0p+0", "0x0.0p+0", "0x1.06f559704b771p+2"),
+    ("two-qubit-2.6", (1, 1, 0, 0), True,
+     "0x1.82a855adf17abp+2", "0x1.355377be5ac89p+0", "0x1.82a855adf17abp+2"),
+    ("two-qubit-2.6", (1, 0, 6, 2), True,
+     "0x1.c7b467e00654cp+1", "0x1.921fb54442d18p+1", "0x1.c7b467e00654cp+1"),
+    ("two-qubit-2.6", (3, 4, 5, 6), True,
+     "0x1.cb11d60faa6a7p+1", "0x1.921fb54442d18p+1", "0x1.cb11d60faa6a7p+1"),
+    ("two-qubit-2.6", (3, 7, 2, 9), True,
+     "0x1.0bc27d0e8c68ap+0", "0x1.0bc27d0e8c68ap+0", "0x1.d181838252dddp+1"),
+    ("two-qubit-2.6", (10, 5, 17, 0), True,
+     "0x1.921fb54442d18p+2", "0x1.921fb54442d18p+1", "0x1.921fb54442d18p+2"),
+    ("two-qubit-2.6", (12, 28, 8, 36), True,
+     "0x1.0bc27d0e8c68ap+0", "0x1.0bc27d0e8c68ap+0", "0x1.d181838252dddp+1"),
+    ("ghz2", (5, 0), True,
+     "0x1.921fb54442d18p+0", "0x1.921fb54442d18p-1", "0x1.921fb54442d18p+0"),
+    ("ghz2", (0, 7), True,
+     "0x0.0p+0", "0x0.0p+0", "0x1.921fb54442d18p-1"),
+    ("ghz2", (3, 7), True,
+     "0x1.28c68a40a5e8cp-1", "0x1.28c68a40a5e8bp-1", "0x1.921fb54442d18p-1"),
+    ("ghz2", (12, 5), True,
+     "0x1.fec483136d7ecp-1", "0x1.921fb54442d18p-1", "0x1.fec483136d7ecp-1"),
+    ("ghz5", (0, 0), False,
+     "0x1.cb91f3bbba140p-2", "0x1.cb91f3bbba140p-3", "0x1.58ad76cccb8f0p-1"),
+    ("ghz5", (3, 7), True,
+     "0x1.532c0bb79909fp-2", "0x1.532c0bb79909fp-2", "0x1.cb91f3bbba140p-2"),
+    ("ghz5", (7, 2), True,
+     "0x1.3bf3ae5586bccp-1", "0x1.cb91f3bbba140p-2", "0x1.3bf3ae5586bccp-1"),
+    ("ghz5", (14, 4), True,
+     "0x1.3bf3ae5586bccp-1", "0x1.cb91f3bbba140p-2", "0x1.3bf3ae5586bccp-1"),
+]
+
+
+def test_mle_numeric_pinned_battery():
+    # Bit for bit: a change to how the likelihood is summed, maximized or
+    # refined that moves an estimate by one ulp fails here.
+    for name, tallies, valid, *pins in PINNED_NUMERIC:
+        model = PINNED_CLOCKS[name]
+        top = model.window_top
+        counts = model.counts_type.from_tallies(tallies)
+        for window, pin in zip((None, (0.0, 0.5 * top), (0.5 * top, top)), pins):
+            report = mle_numeric(model, counts, window=window)
+            assert (report.t_hat.hex(), report.valid) == (pin, valid), (name, tallies, window)
+    # The kernel reproduces the default-window pins row for row.
+    for name, model in PINNED_CLOCKS.items():
+        pinned = [(tallies, valid, pin) for n, tallies, valid, pin, *_ in PINNED_NUMERIC if n == name]
+        t_hat, valid = mle_numeric_batch(model, np.array([tallies for tallies, _, _ in pinned]))
+        got = [(t.hex(), bool(ok)) for t, ok in zip(t_hat, valid)]
+        assert got == [(pin, ok) for _, ok, pin in pinned], name
+
+
+def stacked_log_likelihood(tallies: np.ndarray, probs) -> np.ndarray:
+    """The grid sum before it went class by class, kept as an oracle: every
+    term k log p in one stacked table, zeroed where k = 0, then one
+    np.add.reduce over the tally axis.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = tallies * np.log(np.array(probs))
+    return np.add.reduce(np.where(tallies > 0, terms, 0.0))
+
+
+def test_class_by_class_sum_equals_stacked_sum_byte_for_byte():
+    # Scalar tallies, as a count vector holds them, and (K, rows, 1) arrays,
+    # as the batch kernel's fallback passes them. The spaces hold zero
+    # tallies and the all-zero row, and the grid's ends hold p = 0: at t = 0
+    # for every clock's first class, at the top for a chi = 1 clock's second.
+    clocks = [
+        (TWO_QUBIT, count_spaces(4, range(0, 5))),
+        (TwoQubitClock(omega=0.5, Omega=1.3), count_spaces(4, range(0, 5))),
+        (ONE_QUBIT, count_spaces(2, range(0, 6))),
+        (OneQubitClock(omega=1.0, chi=0.0), count_spaces(2, range(0, 6))),
+        (GhzClock(omega=0.7, n_entangled=5), count_spaces(2, range(0, 6))),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for model, rows in clocks:
+            ts = np.linspace(0.0, model.window_top, GRID_POINTS)
+            probs = model.class_probs(ts)
+            for row in rows:
+                got = _tally_log_likelihood(tuple(map(int, row)), probs)
+                expected = stacked_log_likelihood(row[:, np.newaxis], probs)
+                assert got.tobytes() == expected.tobytes(), (model, row)
+            tallies = rows.T[:, :, np.newaxis].astype(float)
+            table = np.array(probs)[:, np.newaxis]
+            got = _tally_log_likelihood(tallies, table)
+            assert got.tobytes() == stacked_log_likelihood(tallies, table).tobytes(), model
+
+
 def test_log_likelihood_vectorized_and_consistent():
     counts = TwoQubitCounts(3, 7, 2, 9)
     ts = np.linspace(0.1, 6.0, 7)
@@ -355,10 +507,14 @@ def test_log_likelihood_vectorized_and_consistent():
 
 
 def test_log_likelihood_rejects_non_finite_time():
-    counts = TwoQubitCounts(3, 7, 2, 9)
-    for t in (float("nan"), float("inf"), np.float64("nan"), np.array(float("nan"))):
+    # A time that is not finite is rejected in any shape: alone, as a 0-d
+    # array, or anywhere in an array or a list.
+    counts = TwoQubitCounts(1, 2, 3, 4)
+    nan, inf = float("nan"), float("inf")
+    for t in (nan, inf, np.float64(nan), np.array(nan), np.array([0.5, nan, inf]),
+              np.array([[0.5, 1.0], [-inf, 2.0]]), [0.5, nan]):
         with pytest.raises(ValueError, match="finite"):
-            log_likelihood(TWO_QUBIT, counts, t)
+            log_likelihood(TwoQubitClock(omega=0.5, Omega=1.3), counts, t)
 
 
 def test_two_qubit_score_accepts_arrays():
