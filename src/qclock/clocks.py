@@ -41,8 +41,9 @@ it through explicit evolution and the Born rule, independently of the
 pairs, so tests can hold the pairs to first principles.
 
 ``distribution``, count sampling and enumeration, the likelihood and Fisher
-information are written once over these members; ``recurrence_time``
-validates its arguments and caps ``first_return`` at a horizon.
+information are written once over these members. Every ``first_return``
+rejects an epsilon outside (0, 1), and ``recurrence_time`` caps it at a
+horizon.
 """
 from __future__ import annotations
 
@@ -55,6 +56,7 @@ from typing import Union
 import numpy as np
 
 from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts, is_integer
+from .counts import _positive_integer
 from .states import OutcomeDistribution, evolve
 
 # Largest GHZ register: its outcome labels and state vector hold 2**n entries
@@ -79,6 +81,13 @@ def _check_time(t: float) -> float:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     return t
+
+
+def _check_epsilon(epsilon: float) -> float:
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < 1.0:  # NaN fails the comparison
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    return epsilon
 
 
 class _Clock:
@@ -156,8 +165,10 @@ class _Clock:
         """Classical Fisher information at scalar t: ``qfi`` at every t when
         each pair has c = a (two qubits, GHZ), since the pair's classes, a
         sin^2 and a cos^2 of f t / 2, add p'^2 / p + p'^2 / (a - p) = a f^2
-        per outcome. One qubit overrides it.
+        per outcome. One qubit overrides it. A time that is not finite raises
+        ValueError.
         """
+        _check_time(t)
         return self.qfi
 
     @property
@@ -170,8 +181,10 @@ class _Clock:
     def first_return(self, epsilon: float) -> float | None:
         """For a single pair, the infidelity (a / c) sin^2(f t / 2) falls back
         below epsilon at (2 / f)(pi - asin sqrt(epsilon c / a)); None when
-        a / c <= epsilon, as it then never reaches epsilon.
+        a / c <= epsilon, as it then never reaches epsilon. An epsilon outside
+        (0, 1) raises ValueError, for every design.
         """
+        epsilon = _check_epsilon(epsilon)
         ((a, c, f),) = self._pairs
         if a / c <= epsilon:
             return None
@@ -238,6 +251,7 @@ class OneQubitClock(_Clock):
         factor sin^2(omega t / 2) cancelled: finite at every t, chi omega^2 at
         omega t = 2 pi k, omega^2 at chi = 1 and 0 at chi = 0.
         """
+        t = _check_time(t)
         half_phase = 0.5 * self.omega * t
         if not math.isfinite(half_phase):
             raise ValueError(f"phase omega t overflows: omega = {self.omega!r}, t = {t!r}")
@@ -303,6 +317,7 @@ class TwoQubitClock(_Clock):
         >= 3/4 a sector alone at full contrast is inside the ball, the balls
         merge, and this raises ValueError.
         """
+        epsilon = _check_epsilon(epsilon)
         if not epsilon < 0.75:
             raise ValueError(f"two-qubit recurrence needs epsilon < 3/4, got {epsilon!r}")
         slow, fast = sorted((self.omega, self.Omega))
@@ -482,8 +497,7 @@ def n_probe_count_distribution(
     and binomial in the parity tally for GHZ copies. A labelled view of
     ``count_tallies``: the count vectors come in its row order.
     """
-    if not is_integer(n_probes) or n_probes < 1:
-        raise ValueError(f"n_probes must be a positive integer, got {n_probes!r}")
+    n_probes = _positive_integer(n_probes, "n_probes")
     class_probs = model.class_probs(_check_time(t))
     probs = tuple(m * float(p) for m, p in zip(model.class_sizes, class_probs))
     return {
@@ -505,9 +519,6 @@ def recurrence_time(
     that time is later than t_max, or if the statistics never leave the
     epsilon-ball (e.g. a one-qubit clock with chi <= epsilon).
     """
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 1.0:  # NaN fails the comparison
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    t = model.first_return(epsilon)  # checks 0 < epsilon < 1
     t_max = _check_positive("t_max", t_max)
-    t = model.first_return(epsilon)
     return t if t is not None and t <= t_max else None

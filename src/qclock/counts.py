@@ -22,6 +22,13 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _positive_integer(value, name: str, error: type[Exception] = ValueError) -> int:
+    # value as an int, or the caller's exception when it is not an integer >= 1.
+    if not is_integer(value) or value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _check_tallies(counts, names: tuple[str, ...]) -> None:
     # Each named field must be a non-negative integer; a numpy one is stored
     # as a Python int.

@@ -40,9 +40,9 @@ are <= 0, so any summation order lies within gamma_K of the exact sum in
 relative terms (Higham, Accuracy and Stability of Numerical Algorithms,
 2nd ed., section 3.1), and only the rows whose grid argmax or flat test
 that rounding could move, within 8 K u of the maximum or of the flat
-threshold, are summed again in tally order. It runs every row's Newton
-refinement in lock step with the scalar path's step rule and score
-evaluator.
+threshold, add the product's own terms again, class by class in tally
+order. It runs every row's Newton refinement in lock step with the scalar
+path's step rule and score evaluator.
 """
 
 from __future__ import annotations
@@ -240,18 +240,16 @@ def combined_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> Estimate
 
 
 def _tally_log_likelihood(tallies, probs) -> np.ndarray:
-    # sum_j k_j log p_j, added class by class in tally order, with k log p = 0
-    # where k = 0 and -inf where p = 0 < k. A count vector's tallies (a tuple)
-    # skip their zero classes; arrays of tallies zero them with np.where. The
-    # sum is the same to the bit: a zero class adds +0.0, and no term is -0.0,
-    # as log p <= 0 and log 1 = +0.0. All tallies zero give the grid's zeros.
-    total, scalar = None, isinstance(tallies, tuple)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # sum_j k_j log p_j over a count vector's tallies, added class by class in
+    # tally order, skipping zero tallies: -inf where p = 0 < k, and the grid's
+    # zeros when every tally is zero. mle_numeric_batch's fallback adds its
+    # product's own terms in the same order.
+    total = None
+    with np.errstate(divide="ignore"):
         for k, p in zip(tallies, probs):
-            if scalar and not k:
-                continue
-            term = k * np.log(p) if scalar else np.where(k > 0, k * np.log(p), 0.0)
-            total = term if total is None else total + term
+            if k:
+                term = k * np.log(p)
+                total = term if total is None else total + term
     return np.zeros(np.shape(probs[0])) if total is None else total
 
 
@@ -489,19 +487,19 @@ def mle_numeric_batch(model: ClockModel, counts):
     * its flat test: max - min is more than 8 K u (|min| + threshold) away
       from the threshold 1e-12 max(1, |max|).
 
-    Rows with no finite value need no certificate. The others are summed
-    again by ``_tally_log_likelihood``, the scalar path's own sum. The
-    Newton refinement then moves all fitted rows in lock step, each row by
-    the scalar rule.
+    Rows with no finite value need no certificate. The others add the
+    product's own terms k log p again, class by class in tally order: the
+    scalar path's sum to the bit, as a zero tally's +-0.0 leaves the sum
+    unchanged. The Newton refinement then moves all fitted rows in lock
+    step, each row by the scalar rule.
     """
     # Float tallies multiply as the scalar path's ints do, without a cast per use.
     counts = _tally_rows(model, counts, "mle_numeric_batch").astype(float)
     rows = len(counts)
     lo, hi = 0.0, float(model.window_top)
     ts = np.linspace(lo, hi, GRID_POINTS)
-    probs = np.array(model.class_probs(ts))
     with np.errstate(divide="ignore"):
-        log_probs = np.log(probs)
+        log_probs = np.log(np.array(model.class_probs(ts)))
     # Where an outcome is impossible a positive tally gives -inf and a zero
     # tally 0: the product runs over finite logs, and these dead entries are
     # set afterwards.
@@ -523,14 +521,15 @@ def mle_numeric_batch(model: ClockModel, counts):
     live = np.flatnonzero(ll_max > -np.inf)
     top, low = ll_max[live], ll_min[live]
     threshold = 1e-12 * np.maximum(1.0, np.abs(top))
-    margin = 8 * len(probs) * (np.finfo(float).eps / 2)  # 8 K u
+    margin = 8 * len(log_probs) * (np.finfo(float).eps / 2)  # 8 K u
     sure = np.abs(top - low - threshold) > margin * (np.abs(low) + threshold)
     sure &= (top - low <= threshold) | (top - runner_up[live] > margin * np.abs(top))
     redo = live[~sure]
     for start in range(0, len(redo), BLOCK_ROWS):
         r = redo[start : start + BLOCK_ROWS]
-        ll = _tally_log_likelihood(counts[r].T[:, :, np.newaxis], probs[:, np.newaxis])
-        ll_min[r], best[r], ll_max[r] = _grid_extremes(ll, counts[r], impossible, cols)
+        block = counts[r]
+        ll = sum(k[:, np.newaxis] * log_p for k, log_p in zip(block.T, log_probs))
+        ll_min[r], best[r], ll_max[r] = _grid_extremes(ll, block, impossible, cols)
     # No finite value, or a flat likelihood: the midpoint, flagged invalid.
     valid = (ll_max > -np.inf) & ~(ll_max - ll_min <= 1e-12 * np.maximum(1.0, np.abs(ll_max)))
     t_hat = np.full(rows, 0.5 * (lo + hi))

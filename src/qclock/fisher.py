@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .clocks import WINDOW_RTOL, ClockModel, OneQubitClock, _check_time
-from .counts import is_integer
+from .counts import _positive_integer
 
 
 class FisherKind(enum.Enum):
@@ -47,8 +47,7 @@ class FisherReport:
 
     def crb(self, n_probes: int) -> float:
         """Cramer-Rao lower bound on Delta t from n independent probes."""
-        if not is_integer(n_probes) or n_probes < 1:
-            raise ValueError(f"n_probes must be a positive integer, got {n_probes!r}")
+        n_probes = _positive_integer(n_probes, "n_probes")
         if self.degenerate or self.value <= 0.0:
             why = "a window edge" if self.degenerate else "zero Fisher information"
             raise DegenerateTimeError(f"no finite Cramer-Rao bound at t = {self.t}: {why}")

@@ -39,10 +39,11 @@ from .clocks import (
     GhzClock,
     OneQubitClock,
     TwoQubitClock,
+    _check_time,
     count_tallies,
 )
 from . import estimators
-from .counts import CountVector, is_integer
+from .counts import CountVector, _positive_integer, is_integer
 from .estimators import EstimateReport
 from .fisher import DegenerateTimeError, classical_fisher
 
@@ -66,6 +67,22 @@ class ConfigError(ValueError):
     """The experiment configuration is internally inconsistent."""
 
 
+def _check_sampling(trials, seed, t_grid) -> tuple[int, int, tuple[float, ...]]:
+    # The rules of every sampled run, as ints and a tuple of floats: a positive
+    # trial count, a 64-bit seed and a non-empty increasing grid of finite times.
+    trials = _positive_integer(trials, "trials", ConfigError)
+    if not is_integer(seed) or not 0 <= int(seed) < 2**64:
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    grid = tuple(float(t) for t in t_grid)
+    if not grid:
+        raise ConfigError("t_grid must not be empty")
+    if not all(math.isfinite(t) for t in grid):
+        raise ConfigError(f"t_grid must hold finite times, got {grid!r}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("t_grid must be strictly increasing")
+    return trials, int(seed), grid
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One batch experiment: a model, probe count, time grid, and estimator."""
@@ -78,27 +95,16 @@ class ExperimentConfig:
     estimator: EstimatorKind = EstimatorKind.CLOSED_FORM
 
     def __post_init__(self):
-        if not is_integer(self.n_probes) or self.n_probes < 1:
-            raise ConfigError(f"n_probes must be a positive integer, got {self.n_probes!r}")
-        if not is_integer(self.trials) or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not is_integer(self.seed) or not 0 <= int(self.seed) < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        for name in ("n_probes", "trials", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        grid = tuple(float(t) for t in self.t_grid)
-        if not grid:
-            raise ConfigError("t_grid must not be empty")
-        if not all(math.isfinite(t) for t in grid):
-            raise ConfigError(f"t_grid must hold finite times, got {grid!r}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("t_grid must be strictly increasing")
+        n_probes = _positive_integer(self.n_probes, "n_probes", ConfigError)
+        trials, seed, grid = _check_sampling(self.trials, self.seed, self.t_grid)
         top = self.model.window_top
         if grid[0] < 0.0 or grid[-1] > top * (1.0 + WINDOW_RTOL):
             raise ConfigError(
                 f"t_grid must lie within [0, {top}] for this model, got [{grid[0]}, {grid[-1]}]"
             )
-        object.__setattr__(self, "t_grid", grid)
+        checked = {"n_probes": n_probes, "trials": trials, "seed": seed, "t_grid": grid}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         _estimators_for(self.model, self.estimator)  # raises if there is none
 
 
@@ -175,11 +181,13 @@ def sample_counts(
 
     Returns an integer array of shape (trials, k), one row per trial in the
     model's ``tallies`` order, drawn with a single multinomial call over the
-    model's classes (a binomial for the two-class designs).
+    model's classes (a binomial for the two-class designs). A time that is
+    not finite, or a probe or trial count that is not a positive integer,
+    raises ValueError.
     """
-    if not is_integer(n_probes) or n_probes < 1:
-        raise ValueError(f"n_probes must be a positive integer, got {n_probes!r}")
-    pvals = np.multiply(model.class_sizes, model.class_probs(t))
+    n_probes = _positive_integer(n_probes, "n_probes")
+    trials = _positive_integer(trials, "trials")
+    pvals = np.multiply(model.class_sizes, model.class_probs(_check_time(t)))
     return rng.multinomial(n_probes, pvals / pvals.sum(), size=trials)
 
 
@@ -352,14 +360,14 @@ def compare_resources(
     The two-qubit column uses the combined estimator when Omega = 2 omega
     and the numeric maximizer otherwise. All columns share the master seed
     (common random numbers), and each is NaN at grid times outside that
-    design's window. Columns follow the ``RESOURCE_DESIGNS`` order.
+    design's window. Columns follow the ``RESOURCE_DESIGNS`` order. Trials,
+    seed and grid are checked by ExperimentConfig's rules before any design
+    runs, so they are checked even when no grid time is in a window.
     """
     if not is_integer(budget_qubits) or budget_qubits < 2 or budget_qubits % 2:
         raise ConfigError(f"budget_qubits must be an even integer >= 2, got {budget_qubits!r}")
     budget_qubits = int(budget_qubits)
-    grid = tuple(float(t) for t in t_grid)
-    if not all(math.isfinite(t) for t in grid):
-        raise ConfigError(f"t_grid must hold finite times, got {grid!r}")
+    trials, seed, grid = _check_sampling(trials, seed, t_grid)
     pair = TwoQubitClock(omega=omega, Omega=Omega)
     pair_kind = EstimatorKind.COMBINED if pair.harmonic else EstimatorKind.NUMERIC
     # (clock, probes the budget buys, estimator), in RESOURCE_DESIGNS order.

@@ -347,6 +347,18 @@ class TestCompare:
         assert code == 2
         assert "budget" in err
 
+    def test_bad_trials_or_seed_exit_two_outside_every_window(self, capsys):
+        # No grid time lies in a design's window, and the flags still count.
+        for flags, message in (
+            (("--trials", "-5"), "trials must be a positive integer, got -5"),
+            (("--seed", "-3"), "seed must be a 64-bit unsigned integer, got -3"),
+        ):
+            code, out, err = run_cli(
+                capsys, "compare", "--budget", "4", "--t-grid", "100:200:2", *flags
+            )
+            assert (code, out) == (2, ""), flags
+            assert message in err, flags
+
 
 class TestSweep:
     def write_config(self, tmp_path, body):

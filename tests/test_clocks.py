@@ -364,6 +364,31 @@ def test_recurrence_validation():
         recurrence_time(OneQubitClock(omega=1.0, chi=0.0), t_max=inf)
 
 
+ONE_OF_EACH_DESIGN = (
+    OneQubitClock(omega=1.0),
+    TwoQubitClock(omega=0.5, Omega=1.3),
+    GhzClock(omega=1.0, n_entangled=3),
+)
+
+
+@pytest.mark.parametrize("model", ONE_OF_EACH_DESIGN, ids=repr)
+def test_first_return_rejects_epsilon_outside_the_unit_interval(model):
+    # The clock checks epsilon where it enters, so a direct call fails as
+    # recurrence_time does, not with a failed invariant (two qubits at 0), a
+    # NaN (one qubit at nan) or a math domain error (one qubit at -0.1).
+    for epsilon in (0.0, -0.1, 1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\)"):
+            model.first_return(epsilon)
+
+
+@pytest.mark.parametrize("model", ONE_OF_EACH_DESIGN, ids=repr)
+def test_cfi_rejects_non_finite_time(model):
+    # Not qfi (two qubits, GHZ) nor a phase overflow (one qubit) at NaN.
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^time must be finite"):
+            model.cfi(t)
+
+
 def _scalar_infidelity(model, base, t):
     # 1 - Bhattacharyya fidelity from the labelled distributions, one
     # outcome at a time.

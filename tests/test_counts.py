@@ -17,6 +17,8 @@ from qclock import (
     reduce_counts,
     sample_counts,
 )
+from qclock.counts import _positive_integer
+from qclock.montecarlo import ConfigError
 
 
 def test_one_qubit_counts_fields():
@@ -107,3 +109,13 @@ def test_numpy_tallies_are_validated():
         GhzCounts(np.int64(4), np.int64(5))
     with pytest.raises(ValueError):
         TwoQubitCounts(np.int64(1), np.int64(-2), 0, 0)
+
+
+def test_positive_integer_returns_an_int_or_raises_the_callers_error():
+    assert _positive_integer(np.int64(3), "trials") == 3
+    assert type(_positive_integer(np.uint8(3), "trials")) is int
+    for value in (0, -1, 2.5, True, np.bool_(True), "3"):
+        with pytest.raises(ValueError, match=f"^trials must be a positive integer, got {value!r}$"):
+            _positive_integer(value, "trials")
+        with pytest.raises(ConfigError):
+            _positive_integer(value, "trials", ConfigError)

@@ -466,10 +466,9 @@ def stacked_log_likelihood(tallies: np.ndarray, probs) -> np.ndarray:
 
 
 def test_class_by_class_sum_equals_stacked_sum_byte_for_byte():
-    # Scalar tallies, as a count vector holds them, and (K, rows, 1) arrays,
-    # as the batch kernel's fallback passes them. The spaces hold zero
-    # tallies and the all-zero row, and the grid's ends hold p = 0: at t = 0
-    # for every clock's first class, at the top for a chi = 1 clock's second.
+    # Tallies as a count vector holds them. The spaces hold zero tallies and
+    # the all-zero row, and the grid's ends hold p = 0: at t = 0 for every
+    # clock's first class, at the top for a chi = 1 clock's second.
     clocks = [
         (TWO_QUBIT, count_spaces(4, range(0, 5))),
         (TwoQubitClock(omega=0.5, Omega=1.3), count_spaces(4, range(0, 5))),
@@ -486,10 +485,6 @@ def test_class_by_class_sum_equals_stacked_sum_byte_for_byte():
                 got = _tally_log_likelihood(tuple(map(int, row)), probs)
                 expected = stacked_log_likelihood(row[:, np.newaxis], probs)
                 assert got.tobytes() == expected.tobytes(), (model, row)
-            tallies = rows.T[:, :, np.newaxis].astype(float)
-            table = np.array(probs)[:, np.newaxis]
-            got = _tally_log_likelihood(tallies, table)
-            assert got.tobytes() == stacked_log_likelihood(tallies, table).tobytes(), model
 
 
 def test_log_likelihood_vectorized_and_consistent():
@@ -766,7 +761,7 @@ def golden_section_estimates(model, rows):
     tallies = np.array([c.tallies for c in counts], dtype=float).T
 
     def f(x):
-        return _tally_log_likelihood(tallies, model.class_probs(x))
+        return stacked_log_likelihood(tallies, model.class_probs(x))
 
     invphi = 0.5 * (math.sqrt(5.0) - 1.0)
     invphi2 = 1.0 - invphi

@@ -9,6 +9,7 @@ index and time alone.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ class TestSampleCounts:
         for n_probes in (0, 2.5, True, np.bool_(True)):
             with pytest.raises(ValueError):
                 sample_counts(OneQubitClock(omega=1.0), n_probes, 1.0, np.random.default_rng(0), 3)
+
+    def test_rejects_non_finite_time_and_bad_trial_count(self):
+        # Checked before numpy sees them, which would read a NaN time as NaN
+        # probabilities, -1 trials as a negative dimension, and 0 as none.
+        model, rng = OneQubitClock(omega=1.0), np.random.default_rng(0)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^time must be finite"):
+                sample_counts(model, 5, t, rng, 3)
+        for trials in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="^trials must be a positive integer"):
+                sample_counts(model, 5, 1.0, rng, trials)
+        assert sample_counts(model, 5, 1.0, rng, np.int64(2)).shape == (2, 2)
 
 
 def _three_branch_sample_counts(model, n_probes, t, rng, trials):
@@ -806,3 +819,17 @@ class TestCompareResources:
         for grid in ((math.nan,), (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ConfigError):
                 compare_resources(4, 1.0, 2.0, grid, trials=5, seed=1)
+
+    def test_checks_trials_seed_and_grid_before_any_design(self):
+        # No time of (100, 200) lies in a window at omega = 0.5, so no design
+        # builds its ExperimentConfig; the comparison still rejects what that
+        # config would, with its message.
+        model = OneQubitClock(omega=0.5)
+        for trials, seed, grid in ((-5, 1, (100.0, 200.0)), (0, 1, (100.0,)),
+                                   (2.5, 1, (100.0,)), (5, -3, (100.0, 200.0)),
+                                   (5, 2**64, (100.0,)), (2, 1, ()),
+                                   (5, 1, (200.0, 100.0))):
+            with pytest.raises(ConfigError) as config_error:
+                ExperimentConfig(model, 4, grid, trials, seed)
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(config_error.value))}$"):
+                compare_resources(4, 0.5, 1.0, grid, trials, seed)
