@@ -12,7 +12,6 @@ from .clocks import (
     OneQubitClock,
     TwoQubitClock,
     evolved_distribution,
-    n_probe_count_distribution,
     recurrence_time,
 )
 from .counts import (
@@ -103,7 +102,6 @@ __all__ = [
     "mle_numeric",
     "mle_single_pair",
     "mle_two_qubit_roots",
-    "n_probe_count_distribution",
     "quantum_fisher",
     "recurrence_time",
     "reduce_counts",

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .clocks import ClockModel, GhzClock, OneQubitClock, TwoQubitClock, recurrence_time
 from .estimators import DegenerateCountsError
-from .fisher import DegenerateTimeError, classical_fisher, quantum_fisher
+from .fisher import classical_fisher, quantum_fisher
 from .montecarlo import (
     STREAM_LAYOUT,
     ConfigError,
@@ -40,6 +40,7 @@ from .montecarlo import (
     EstimatorKind,
     ExperimentConfig,
     _check_exact_size,
+    _crb_or_nan,
     apply_estimator,
     compare_resources,
     error_curve,
@@ -227,17 +228,13 @@ def cmd_fisher(args):
     for t in _times(args):
         report = classical_fisher(model, t)
         degenerate = report.degenerate or report.value <= 0.0
-        try:
-            bound = report.crb(args.probes)
-        except DegenerateTimeError:
-            bound = math.nan
         rows.append(
             [
                 t,
                 report.value,
                 report.value,
                 quantum_fisher(model, t).value,
-                bound,
+                _crb_or_nan(model, t, args.probes),
                 int(degenerate),
             ]
         )

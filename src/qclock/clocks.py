@@ -55,8 +55,7 @@ from typing import Union
 
 import numpy as np
 
-from .counts import CountVector, GhzCounts, OneQubitCounts, TwoQubitCounts, is_integer
-from .counts import _positive_integer
+from .counts import GhzCounts, OneQubitCounts, TwoQubitCounts, is_integer
 from .states import OutcomeDistribution, evolve
 
 # Largest GHZ register: its outcome labels and state vector hold 2**n entries
@@ -458,20 +457,6 @@ def evolved_distribution(model: ClockModel, t: float) -> OutcomeDistribution:
     return OutcomeDistribution(float(t), dict(zip(model.outcome_labels, p.tolist())))
 
 
-def _multinomial_pmf(tallies: list[int], probs: tuple[float, ...]) -> float:
-    n = sum(tallies)
-    coeff = 1
-    remaining = n
-    for k in tallies[:-1]:
-        coeff *= math.comb(remaining, k)
-        remaining -= k
-    value = float(coeff)
-    for k, p in zip(tallies, probs):
-        if k:
-            value *= p**k
-    return value
-
-
 def count_tallies(n_probes: int, classes: int) -> np.ndarray:
     """Every tally row of n_probes outcomes over `classes` classes.
 
@@ -484,26 +469,6 @@ def count_tallies(n_probes: int, classes: int) -> np.ndarray:
     sums = itertools.combinations_with_replacement(range(n_probes + 1), width)
     sums = np.fromiter(itertools.chain.from_iterable(sums), np.int64, rows * width)
     return np.diff(sums.reshape(rows, width), axis=1, prepend=0, append=n_probes)
-
-
-def n_probe_count_distribution(
-    model: ClockModel, n_probes: int, t: float
-) -> dict[CountVector, float]:
-    """Exact count-vector distribution for n independent probes at time t.
-
-    The tallies of n probes are multinomial over the model's classes, each
-    class with probability class size times ``class_probs``: binomial in the
-    |-> tally for one qubit, multinomial in the four outcome tallies for two,
-    and binomial in the parity tally for GHZ copies. A labelled view of
-    ``count_tallies``: the count vectors come in its row order.
-    """
-    n_probes = _positive_integer(n_probes, "n_probes")
-    class_probs = model.class_probs(_check_time(t))
-    probs = tuple(m * float(p) for m, p in zip(model.class_sizes, class_probs))
-    return {
-        model.counts_type.from_tallies(tallies): _multinomial_pmf(tallies, probs)
-        for tallies in count_tallies(n_probes, len(probs)).tolist()
-    }
 
 
 def recurrence_time(

@@ -1,7 +1,7 @@
 """Measurement count tallies consumed by the estimators.
 
 Each clock design has its own tally shape. Tallies are plain frozen
-dataclasses so they can key dictionaries (exact count-space enumeration).
+dataclasses: checked once when built, they cannot change afterwards.
 Each exposes ``tallies``, its counts in a fixed order: one-qubit
 (k_minus, k_plus), two-qubit (fast_minus, fast_plus, slow_minus,
 slow_plus), GHZ (k_odd, k_even), and ``from_tallies`` builds one back from
@@ -22,10 +22,12 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _positive_integer(value, name: str, error: type[Exception] = ValueError) -> int:
-    # value as an int, or the caller's exception when it is not an integer >= 1.
+def _positive_integer(value, name: str, error: type[Exception] = ValueError, top=math.inf) -> int:
+    # value as an int, or the caller's exception unless it is an integer in [1, top].
     if not is_integer(value) or value < 1:
         raise error(f"{name} must be a positive integer, got {value!r}")
+    if value > top:
+        raise error(f"{name} must be at most {top}, got {value!r}")
     return int(value)
 
 

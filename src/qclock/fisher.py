@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .clocks import WINDOW_RTOL, ClockModel, OneQubitClock, _check_time
@@ -47,11 +48,14 @@ class FisherReport:
 
     def crb(self, n_probes: int) -> float:
         """Cramer-Rao lower bound on Delta t from n independent probes."""
-        n_probes = _positive_integer(n_probes, "n_probes")
+        n_probes = _positive_integer(n_probes, "n_probes", top=sys.float_info.max)
         if self.degenerate or self.value <= 0.0:
             why = "a window edge" if self.degenerate else "zero Fisher information"
             raise DegenerateTimeError(f"no finite Cramer-Rao bound at t = {self.t}: {why}")
-        return 1.0 / math.sqrt(n_probes * self.value)
+        information = n_probes * self.value
+        if information == math.inf:
+            raise ValueError(f"n_probes * information overflows: {n_probes} * {self.value!r}")
+        return 1.0 / math.sqrt(information)
 
 
 def classical_fisher(model: ClockModel, t: float) -> FisherReport:

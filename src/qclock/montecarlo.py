@@ -55,6 +55,9 @@ STREAM_LAYOUT = "per-cell SeedSequence(seed, spawn_key=(t_index,))"
 # 108-127 MB over 15 grid times, up to 395 MB over one (numeric, 4 classes).
 MAX_EXACT_DOUBLES = 2**22
 
+# The most probes one trial draws: numpy's multinomial counts in int64.
+MAX_PROBES = 2**63 - 1
+
 
 class EstimatorKind(enum.Enum):
     CLOSED_FORM = "closed-form"
@@ -95,7 +98,7 @@ class ExperimentConfig:
     estimator: EstimatorKind = EstimatorKind.CLOSED_FORM
 
     def __post_init__(self):
-        n_probes = _positive_integer(self.n_probes, "n_probes", ConfigError)
+        n_probes = _positive_integer(self.n_probes, "n_probes", ConfigError, MAX_PROBES)
         trials, seed, grid = _check_sampling(self.trials, self.seed, self.t_grid)
         top = self.model.window_top
         if grid[0] < 0.0 or grid[-1] > top * (1.0 + WINDOW_RTOL):
@@ -182,10 +185,10 @@ def sample_counts(
     Returns an integer array of shape (trials, k), one row per trial in the
     model's ``tallies`` order, drawn with a single multinomial call over the
     model's classes (a binomial for the two-class designs). A time that is
-    not finite, or a probe or trial count that is not a positive integer,
-    raises ValueError.
+    not finite, a trial count that is not a positive integer, or a probe
+    count that is not one from 1 to MAX_PROBES raises ValueError.
     """
-    n_probes = _positive_integer(n_probes, "n_probes")
+    n_probes = _positive_integer(n_probes, "n_probes", top=MAX_PROBES)
     trials = _positive_integer(trials, "trials")
     pvals = np.multiply(model.class_sizes, model.class_probs(_check_time(t)))
     return rng.multinomial(n_probes, pvals / pvals.sum(), size=trials)
@@ -366,7 +369,7 @@ def compare_resources(
     """
     if not is_integer(budget_qubits) or budget_qubits < 2 or budget_qubits % 2:
         raise ConfigError(f"budget_qubits must be an even integer >= 2, got {budget_qubits!r}")
-    budget_qubits = int(budget_qubits)
+    budget_qubits = _positive_integer(budget_qubits, "budget_qubits", ConfigError, MAX_PROBES)
     trials, seed, grid = _check_sampling(trials, seed, t_grid)
     pair = TwoQubitClock(omega=omega, Omega=Omega)
     pair_kind = EstimatorKind.COMBINED if pair.harmonic else EstimatorKind.NUMERIC

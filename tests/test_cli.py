@@ -150,6 +150,23 @@ class TestFisher:
         assert not out
         assert "Fisher information overflows" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--probes", "1" + "0" * 400), "n_probes must be at most 1.797693134862"),
+            (("--omega", "1e150", "--t", "1e-160", "--probes", "10000000000"),
+             "n_probes * information overflows: 10000000000 * "),
+        ],
+        ids=["past-a-float", "product"],
+    )
+    def test_probe_count_that_overflows_exits_two(self, capsys, tmp_path, flags, message):
+        out = tmp_path / "fisher.csv"
+        argv = ["fisher", "--model", "one-qubit", "--t", "1", *flags, "--out", str(out)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"qclock: error: {message}")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEstimate:
     def test_one_qubit_balanced_counts(self, capsys):
@@ -359,6 +376,16 @@ class TestCompare:
             assert (code, out) == (2, ""), flags
             assert message in err, flags
 
+    def test_budget_past_int64_exits_two(self, capsys, tmp_path):
+        out = tmp_path / "compare.csv"
+        code, stdout, err = run_cli(
+            capsys, "compare", "--budget", str(2**64), "--t-grid", "0.5:1:2", "--trials", "2",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"qclock: error: budget_qubits must be at most {2**63 - 1}, got {2**64}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweep:
     def write_config(self, tmp_path, body):
@@ -560,6 +587,17 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", str(cfg))
         assert (code, out) == (2, "")
         assert err == "qclock: error: invalid value for 'curve' in section [run-b]: 'median'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
+
+    def test_probe_count_past_int64_writes_nothing(self, capsys, tmp_path):
+        # Checked with the other keys, before the first section runs.
+        body = self.basic_section(tmp_path) + self.basic_section(
+            tmp_path, name="run-b", probes=2**63, out=str(tmp_path / "b.csv")
+        )
+        cfg = self.write_config(tmp_path, body)
+        code, out, err = run_cli(capsys, "sweep", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"qclock: error: n_probes must be at most {2**63 - 1}, got {2**63}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["experiments.cfg"]
 
     def test_oversized_later_mean_curve_writes_nothing(self, capsys, tmp_path):

@@ -1,8 +1,8 @@
 """Clock models: closed-form distributions, recurrence, and invariants.
 
 Closed forms are validated against the explicit evolve+Born pipeline, and
-count distributions against brute-force product-outcome enumeration and the
-binomial parity law. The model protocol (class_probs, dprobs, class_sizes,
+the exact mean curve against brute-force enumeration of outcome strings
+weighted by that pipeline. The model protocol (class_probs, dprobs, class_sizes,
 label_classes, counts_type, probe) is checked on a battery of all three
 designs, the closed-form derivatives against central differences. The
 product readout of ``evolved_distribution`` is checked against each probe's
@@ -21,14 +21,15 @@ import pytest
 
 from qclock import clocks
 from qclock import (
+    DegenerateCountsError,
+    EstimatorKind,
+    ExperimentConfig,
     GhzClock,
-    GhzCounts,
     OneQubitClock,
-    OneQubitCounts,
     TwoQubitClock,
-    TwoQubitCounts,
+    apply_estimator,
     evolved_distribution,
-    n_probe_count_distribution,
+    mean_estimator_curve,
     recurrence_time,
 )
 
@@ -634,40 +635,55 @@ def test_two_qubit_recurrence_is_the_first_dip(ratio):
         assert minima[cell] < epsilon and t <= argmin[cell], (epsilon, t)
 
 
-def test_one_qubit_count_distribution_binomial():
-    model = OneQubitClock(omega=1.0)
-    at_pi = n_probe_count_distribution(model, 2, math.pi)
-    assert at_pi[OneQubitCounts(2, 2)] == pytest.approx(1.0, abs=1e-12)
-    assert at_pi[OneQubitCounts(2, 0)] == pytest.approx(0.0, abs=1e-12)
-    at_half = n_probe_count_distribution(model, 2, math.pi / 2)
-    assert at_half[OneQubitCounts(2, 0)] == pytest.approx(0.25, abs=1e-12)
-    assert at_half[OneQubitCounts(2, 1)] == pytest.approx(0.5, abs=1e-12)
-    assert at_half[OneQubitCounts(2, 2)] == pytest.approx(0.25, abs=1e-12)
-
-
 def test_two_qubit_count_distribution_matches_enumeration():
-    # Oracle: walk all 4^n product outcomes and accumulate tally weights.
-    model = TwoQubitClock(omega=0.5, Omega=1.0)
-    n, t = 3, 1.0
-    dist = model.distribution(t)
-    oracle: dict[TwoQubitCounts, float] = {}
-    labels = ("1-", "1+", "0-", "0+")
-    for outcome in product(range(4), repeat=n):
-        weight = 1.0
-        tally = [0, 0, 0, 0]
-        for slot in outcome:
-            weight *= dist[labels[slot]]
-            tally[slot] += 1
-        counts = TwoQubitCounts(
-            fast_minus=tally[0], fast_plus=tally[1],
-            slow_minus=tally[2], slow_plus=tally[3],
-        )
-        oracle[counts] = oracle.get(counts, 0.0) + weight
-    table = n_probe_count_distribution(model, n, t)
-    assert abs(sum(table.values()) - 1.0) < 1e-12
-    assert set(table) == set(oracle)
-    for counts, p in oracle.items():
-        assert table[counts] == pytest.approx(p, abs=1e-12)
+    # Oracle: walk every outcome string of n probes, each weighted by the
+    # product of its outcomes' probabilities from explicit evolution, map
+    # each outcome to its class through label_classes, estimate the tallies
+    # with the scalar estimator, and renormalize over the strings with a
+    # valid estimate. Nothing here goes through the count space or its pmf,
+    # so the exact curve's weights, multinomial coefficients included, are
+    # held to first principles. (A GHZ string stands for itself, not for its
+    # parity class; class_sizes scales every row alike, since the classes are
+    # equal in size and each row sums to n, so renormalizing cancels it.)
+    # The times are inside the window: at its edges the valid mass can be the
+    # ~1e-33 that a rounded sine leaves on an impossible outcome, which
+    # evolution and the closed form round differently.
+    cases = (
+        (TwoQubitClock(omega=0.5, Omega=1.0), EstimatorKind.COMBINED, 3),
+        (GhzClock(omega=0.8, n_entangled=2), EstimatorKind.CLOSED_FORM, 3),
+        (GhzClock(omega=0.8, n_entangled=3), EstimatorKind.CLOSED_FORM, 2),
+        (OneQubitClock(omega=1.0, chi=0.75), EstimatorKind.CLOSED_FORM, 6),
+    )
+    for model, kind, n in cases:
+        grid = tuple((np.linspace(0.1, 0.9, 6) * model.window_top).tolist())
+        config = ExperimentConfig(model, n, grid, trials=1, seed=0, estimator=kind)
+        strings = list(product(range(len(model.outcome_labels)), repeat=n))
+        assert len(strings) == 64
+        estimates = []
+        for outcome in strings:
+            tallies = [0] * len(model.class_sizes)
+            for i in outcome:
+                tallies[model.label_classes[i]] += 1
+            try:
+                report = apply_estimator(model, model.counts_type.from_tallies(tallies), kind)
+            except DegenerateCountsError:
+                report = None
+            estimates.append(report.t_hat if report is not None and report.valid else None)
+        for point in mean_estimator_curve(config).points:
+            dist = evolved_distribution(model, point.t)
+            probs = [dist[label] for label in model.outcome_labels]
+            total = first = second = 0.0
+            for outcome, t_hat in zip(strings, estimates):
+                if t_hat is None:
+                    continue
+                weight = math.prod(probs[i] for i in outcome)
+                total += weight
+                first += weight * t_hat
+                second += weight * t_hat * t_hat
+            mean = first / total
+            where = (model, n, point.t)
+            assert abs(point.mean_estimate - mean) <= 1e-12, where
+            assert abs(point.std_error**2 - (second / total - mean * mean)) <= 1e-12, where
 
 
 def test_count_tallies_lexicographic():
@@ -676,32 +692,6 @@ def test_count_tallies_lexicographic():
     for n, classes in ((1, 2), (5, 2), (1, 4), (3, 4), (12, 4), (24, 4)):
         want = [list(c) for c in product(range(n + 1), repeat=classes) if sum(c) == n]
         assert clocks.count_tallies(n, classes).tolist() == want
-
-
-def _ghz_binomial_parity(model, n_probes, t):
-    # The parity tally of n GHZ copies is binomial in p_odd = sin^2(n omega t / 2).
-    p_odd = min(math.sin(0.5 * model.n_entangled * model.omega * t) ** 2, 1.0)
-    for k in range(n_probes + 1):
-        weight = math.comb(n_probes, k) * p_odd**k * (1.0 - p_odd) ** (n_probes - k)
-        yield GhzCounts(n_probes, k), weight
-
-
-def test_count_distribution_ghz_parity_and_bad_n():
-    for model in (GhzClock(omega=1.0, n_entangled=2), GhzClock(omega=0.7, n_entangled=5)):
-        for n, t in ((4, 1.0), (12, 0.3), (1, 0.0)):
-            table = n_probe_count_distribution(model, n, t)
-            assert list(table.items()) == list(_ghz_binomial_parity(model, n, t))
-    with pytest.raises(ValueError):
-        n_probe_count_distribution(OneQubitClock(omega=1.0), 0, 1.0)
-    for n in (np.int64(0), np.bool_(True), True):
-        with pytest.raises(ValueError):
-            n_probe_count_distribution(OneQubitClock(omega=1.0), n, 1.0)
-    model = GhzClock(omega=0.7, n_entangled=5)
-    assert n_probe_count_distribution(model, np.int64(4), 1.0) == n_probe_count_distribution(
-        model, 4, 1.0
-    )
-    with pytest.raises(ValueError, match="finite"):
-        n_probe_count_distribution(OneQubitClock(omega=1.0), 3, float("nan"))
 
 
 PROTOCOL_BATTERY = (
@@ -743,12 +733,16 @@ def test_model_protocol(model):
         ]
         evolved = evolved_distribution(model, float(t))
         assert all(abs(dist[x] - evolved[x]) < 1e-10 for x in dist.labels)
-    # Enumerated count vectors: one per composition of n, total mass one.
+    # The enumerated count space: one tally row per composition of n over
+    # the classes, each summing to n and a count vector of n probes.
     for n in (1, 5):
-        table = n_probe_count_distribution(model, n, 0.7)
-        assert len(table) == math.comb(n + len(sizes) - 1, len(sizes) - 1)
-        assert all(type(c) is model.counts_type and c.n == n for c in table)
-        assert abs(sum(table.values()) - 1.0) < 1e-12
+        rows = clocks.count_tallies(n, len(sizes))
+        assert rows.shape == (math.comb(n + len(sizes) - 1, len(sizes) - 1), len(sizes))
+        assert np.all(rows.sum(axis=1) == n)
+        for row in rows.tolist():
+            counts = model.counts_type.from_tallies(row)
+            assert type(counts) is model.counts_type
+            assert list(counts.tallies) == row and counts.n == n
 
 
 @pytest.mark.parametrize("model", PROTOCOL_BATTERY, ids=repr)

@@ -119,3 +119,11 @@ def test_positive_integer_returns_an_int_or_raises_the_callers_error():
             _positive_integer(value, "trials")
         with pytest.raises(ConfigError):
             _positive_integer(value, "trials", ConfigError)
+    # An upper bound, where one is given, keeps the lower bound's message.
+    assert _positive_integer(2**63 - 1, "n_probes", top=2**63 - 1) == 2**63 - 1
+    with pytest.raises(ConfigError, match=r"^n_probes must be at most 7, got 8$"):
+        _positive_integer(8, "n_probes", ConfigError, 7)
+    with pytest.raises(ConfigError, match=r"^n_probes must be at most 7, got "):
+        _positive_integer(np.uint64(8), "n_probes", ConfigError, 7)
+    with pytest.raises(ValueError, match="^n_probes must be a positive integer, got 0$"):
+        _positive_integer(0, "n_probes", top=7)

@@ -404,3 +404,15 @@ def test_crb_validates_probe_count():
         with pytest.raises(ValueError):
             report.crb(n)
     assert report.crb(np.int64(7)) == report.crb(7)
+    # Past the largest float n_probes cannot be converted; below it the
+    # product n_probes * F can still overflow. Both raise a ValueError that
+    # names n_probes, not an OverflowError or a bound of 0.
+    for n in (10**400, 2**1024):
+        with pytest.raises(ValueError, match=r"^n_probes must be at most 1\.79"):
+            report.crb(n)
+    assert report.crb(10**300) == 1.0 / math.sqrt(10**300 * report.value)
+    huge = classical_fisher(OneQubitClock(omega=1e150), 1e-160)
+    assert huge.value > 1e299
+    with pytest.raises(ValueError, match=r"^n_probes \* information overflows: 10{10} \* "):
+        huge.crb(10**10)
+    assert huge.crb(10**8) > 0.0

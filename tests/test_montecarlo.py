@@ -2,8 +2,8 @@
 
 The oracles here are the binomial/multinomial laws themselves (frequency
 checks at large n), hand-enumerated expectations for the exact curves, the
-per-vector loop (labelled count distribution, scalar estimator) that the
-batched exact curves replaced, and the requirement that every result is a
+per-vector loop (a float-product pmf, scalar estimator) that the batched
+exact curves replaced, and the requirement that every result is a
 pure function of (config, seed) in which each grid cell depends on its own
 index and time alone.
 """
@@ -33,10 +33,10 @@ from qclock import (
     compare_resources,
     error_curve,
     mean_estimator_curve,
-    n_probe_count_distribution,
     sample_counts,
 )
 from qclock import estimators, montecarlo
+from qclock.clocks import count_tallies
 from qclock.montecarlo import MAX_EXACT_DOUBLES, _summarize
 
 from test_estimators import count_space, reordered_product
@@ -134,6 +134,18 @@ class TestSampleCounts:
             with pytest.raises(ValueError, match="^trials must be a positive integer"):
                 sample_counts(model, 5, 1.0, rng, trials)
         assert sample_counts(model, 5, 1.0, rng, np.int64(2)).shape == (2, 2)
+
+    def test_probe_count_past_int64_is_rejected(self):
+        # numpy's multinomial counts in int64: past it, an OverflowError.
+        model, rng = TwoQubitClock(omega=0.5, Omega=1.3), np.random.default_rng(0)
+        message = f"^n_probes must be at most {2**63 - 1}, got {2**63}$"
+        with pytest.raises(ValueError, match=message):
+            sample_counts(model, 2**63, 1.0, rng, 2)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(model, 2**63, (1.0,), 2, 1, EstimatorKind.NUMERIC)
+        rows = sample_counts(model, 2**63 - 1, 1.0, rng, 2)
+        assert rows.sum(axis=1).tolist() == [2**63 - 1] * 2
+        assert ExperimentConfig(model, 2**63 - 1, (1.0,), 2, 1, EstimatorKind.NUMERIC)
 
 
 def _three_branch_sample_counts(model, n_probes, t, rng, trials):
@@ -632,21 +644,34 @@ class TestMeanEstimatorCurve:
         assert mean_estimator_curve(cfg).points[0].n_valid == 201
 
 
+def _float_product_pmf(tallies, probs):
+    # The multinomial pmf in floats: the exact integer coefficient, a product
+    # of binomials, times p ** k for each class (p ** 0 is 1, even at p = 0).
+    coeff, remaining = 1, sum(tallies)
+    for k in tallies:
+        coeff, remaining = coeff * math.comb(remaining, k), remaining - k
+    weight = float(coeff)
+    for k, p in zip(tallies, probs):
+        weight *= p**k
+    return weight
+
+
 def _per_vector_exact_point(config, t, reports):
-    # The exact moments one count vector at a time: the labelled count
-    # distribution and the scalar estimator, renormalized over the possible
-    # vectors (no tally on a class of probability 0) with a valid estimate.
-    # A possible vector whose weight underflows to 0 still counts in n_valid.
-    # An estimate depends on the counts alone, so `reports` keeps each
-    # vector's scalar report (None where degenerate) from one t to the next.
-    # Returns (mean, var, n_valid).
+    # The exact moments one count vector at a time: a float-product pmf over
+    # the rows of count_tallies and the scalar estimator, renormalized over
+    # the possible vectors (no tally on a class of probability 0) with a
+    # valid estimate. A possible vector whose weight underflows to 0 still
+    # counts in n_valid. An estimate depends on the counts alone, so
+    # `reports` keeps each vector's scalar report (None where degenerate)
+    # from one t to the next. Returns (mean, var, n_valid).
     model = config.model
-    probs = np.multiply(model.class_sizes, model.class_probs(t))
+    probs = np.multiply(model.class_sizes, model.class_probs(t)).tolist()
     total_mass = first = second = 0.0
     n_valid = 0
-    for counts, weight in n_probe_count_distribution(model, config.n_probes, t).items():
-        if any(k and p == 0.0 for k, p in zip(counts.tallies, probs)):
+    for tallies in count_tallies(config.n_probes, len(probs)).tolist():
+        if any(k and p == 0.0 for k, p in zip(tallies, probs)):
             continue
+        counts, weight = model.counts_type.from_tallies(tallies), _float_product_pmf(tallies, probs)
         if counts not in reports:
             try:
                 reports[counts] = apply_estimator(model, counts, config.estimator)
@@ -796,7 +821,8 @@ class TestCompareResources:
         assert sum(math.isnan(row.dt_ghz) for row in comp.rows) >= 1
 
     def test_rejects_bad_budget(self):
-        for budget in (41, 0, -2, True, 2.0, np.int64(41), np.bool_(True)):
+        # 2**64 would be the one-qubit design's probe count, past numpy's int64.
+        for budget in (41, 0, -2, True, 2.0, np.int64(41), np.bool_(True), 2**64):
             with pytest.raises(ConfigError):
                 compare_resources(budget, 1.0, 2.0, (1.0,), trials=5, seed=1)
 
