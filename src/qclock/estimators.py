@@ -18,31 +18,29 @@ identify t uniquely; a clock of another design raises TypeError.
 ``mle_numeric`` maximizes the log-likelihood on a grid, summed class by
 class in tally order, then refines the grid argmax by safeguarded
 Newton-Raphson on the score, whose closed form comes from each design's
-``dprobs``; it is the reference the closed forms are checked against.
+``dprobs``; it is the reference the closed forms are checked against. Its
+one validity rule is the flat test: max - min <= 1e-12 max(1, |max|) on
+the grid, as -inf is when no value is finite, flags the midpoint invalid.
 
 Each estimator has a ``*_batch`` kernel, ``estimator_batch(model, counts)``,
 that applies it to every row of an integer tally array (one count vector
 per row, in the ``tallies`` order of counts.py), as a Monte-Carlo cell
 holds its trials; an array that is not 2-D and integer, has another width
 than the clock's classes or holds a negative tally raises a ValueError
-naming the kernel. A kernel returns ``(t_hat, valid)``: t_hat is NaN on
-the rows where the scalar estimator raises DegenerateCountsError, and
-valid is False there and wherever the scalar report is flagged invalid.
-The scalar functions stay the path for a single count vector and the
-reference the kernels are tested against: the closed-form kernels agree
-with them to 1e-12, since numpy's array loops and the math module may
-round asin and atan differently in the last bits.
+naming the kernel. Each computes in float64 on the gcd-reduced rows of
+``_tally_rows`` and returns ``(t_hat, valid)``: t_hat is NaN on the rows
+where the scalar estimator raises DegenerateCountsError, and valid is
+False there and wherever the scalar report is flagged invalid. The scalar
+functions stay the path for a single count vector and the reference the
+kernels are tested against: the closed-form kernels agree with them to
+1e-12, since numpy's array loops and the math module may round asin and
+atan differently in the last bits, and past about 2.4e7 pairs (16 n^2 >
+2^53) the quartic's discriminant rounds too.
 
-``mle_numeric_batch`` matches ``mle_numeric`` bit for bit. Its grid stage
-is one BLAS product per block of rows with the log class probabilities,
-certified against the scalar path's class-by-class sum: all terms k log p
-are <= 0, so any summation order lies within gamma_K of the exact sum in
-relative terms (Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed., section 3.1), and only the rows whose grid argmax or flat test
-that rounding could move, within 8 K u of the maximum or of the flat
-threshold, add the product's own terms again, class by class in tally
-order. It runs every row's Newton refinement in lock step with the scalar
-path's step rule and score evaluator.
+``mle_numeric_batch`` matches ``mle_numeric`` bit for bit: its grid stage,
+one BLAS product per block of rows, is certified against the scalar path's
+class-by-class sum (see its docstring), and it runs every row's Newton
+refinement in lock step with the scalar path's step rule and score.
 """
 
 from __future__ import annotations
@@ -202,7 +200,6 @@ def coarse_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> EstimateRe
     """
     _require(model, TwoQubitClock, "coarse_estimator")
     _require(counts, TwoQubitCounts, "coarse_estimator")
-    counts = reduce_counts(counts)
     omega = model.omega
     kp, km = counts.slow_plus, counts.slow_minus
     if kp + km == 0:
@@ -355,17 +352,14 @@ def mle_numeric(
     branch = _window_branch(model)
 
     # The grid's values are finite or -inf, so the plain argmax is the first
-    # index of the finite maximum, and -inf there means no finite value.
+    # index of the finite maximum; with none, max - min = -inf is flat too.
     ts = np.linspace(lo, hi, GRID_POINTS)
     ll = _tally_log_likelihood(counts.tallies, model.class_probs(ts))
     i = int(np.argmax(ll))
     ll_max = float(ll[i])
-    midpoint = 0.5 * (lo + hi)
-    if ll_max == -math.inf:
-        return EstimateReport(midpoint, branch, (lo, hi), valid=False)
     ll_min = float(ll.min(where=ll > -np.inf, initial=np.inf))
     if ll_max - ll_min <= 1e-12 * max(1.0, abs(ll_max)):
-        return EstimateReport(midpoint, branch, (lo, hi), valid=False)
+        return EstimateReport(0.5 * (lo + hi), branch, (lo, hi), valid=False)
 
     t_hat = _newton_max(
         lambda x: _tally_score(counts.tallies, model, x),
@@ -379,7 +373,8 @@ def mle_numeric(
 
 def _tally_rows(model: ClockModel, counts, name: str) -> np.ndarray:
     # The kernel `name`'s tally array, checked before any arithmetic, then
-    # reduce_counts on every row: each row divided by the gcd of its tallies.
+    # reduce_counts on every row, as float64: the one type every kernel
+    # computes in, exact for tallies up to 2**53.
     counts = np.asarray(counts)
     width = len(model.class_sizes)
     if counts.ndim != 2 or not np.issubdtype(counts.dtype, np.integer):
@@ -392,7 +387,7 @@ def _tally_rows(model: ClockModel, counts, name: str) -> np.ndarray:
         raise ValueError(f"{name} expects non-negative tallies, got {counts.min()}")
     counts = counts.astype(np.int64, copy=False)
     g = np.gcd.reduce(counts, axis=1)
-    return counts // np.maximum(g, 1)[:, np.newaxis]
+    return (counts // np.maximum(g, 1)[:, np.newaxis]).astype(float)
 
 
 def mle_single_pair_batch(model: ClockModel, counts):
@@ -436,7 +431,7 @@ def combined_estimator_batch(model: TwoQubitClock, counts):
     lead = k1 + k4
     valid &= lead > 0
     a_coef = 2 * k1 + 4 * k2 + k3 + k4
-    root = np.sqrt(((k4 - k3) ** 2 + 8 * (k4 + k3 + 2 * k1) * k2 + 16 * k2 * k2).astype(float))
+    root = np.sqrt((k4 - k3) ** 2 + 8 * (k4 + k3 + 2 * k1) * k2 + 16 * k2 * k2)
     with np.errstate(divide="ignore", invalid="ignore"):
         u_minus_sq = (a_coef - root) / (2.0 * lead)
         u_plus_sq = (a_coef + root) / (2.0 * lead)
@@ -493,8 +488,7 @@ def mle_numeric_batch(model: ClockModel, counts):
     unchanged. The Newton refinement then moves all fitted rows in lock
     step, each row by the scalar rule.
     """
-    # Float tallies multiply as the scalar path's ints do, without a cast per use.
-    counts = _tally_rows(model, counts, "mle_numeric_batch").astype(float)
+    counts = _tally_rows(model, counts, "mle_numeric_batch")
     rows = len(counts)
     lo, hi = 0.0, float(model.window_top)
     ts = np.linspace(lo, hi, GRID_POINTS)
@@ -530,18 +524,17 @@ def mle_numeric_batch(model: ClockModel, counts):
         block = counts[r]
         ll = sum(k[:, np.newaxis] * log_p for k, log_p in zip(block.T, log_probs))
         ll_min[r], best[r], ll_max[r] = _grid_extremes(ll, block, impossible, cols)
-    # No finite value, or a flat likelihood: the midpoint, flagged invalid.
-    valid = (ll_max > -np.inf) & ~(ll_max - ll_min <= 1e-12 * np.maximum(1.0, np.abs(ll_max)))
+    # A flat likelihood, or no finite value (max - min = -inf): the midpoint, invalid.
+    valid = ~(ll_max - ll_min <= 1e-12 * np.maximum(1.0, np.abs(ll_max)))
     t_hat = np.full(rows, 0.5 * (lo + hi))
     fit = np.flatnonzero(valid)
-    if fit.size:
-        tallies = counts[fit].T
-        i = best[fit]
-        t_hat[fit] = _newton_max_batch(
-            lambda x, rows: _tally_score(tallies[:, rows], model, x),
-            ts[i],
-            ts[np.maximum(i - 1, 0)],
-            ts[np.minimum(i + 1, GRID_POINTS - 1)],
-            REFINE_TOL * max(1.0, abs(hi)),
-        )
+    tallies = counts[fit].T
+    i = best[fit]
+    t_hat[fit] = _newton_max_batch(
+        lambda x, rows: _tally_score(tallies[:, rows], model, x),
+        ts[i],
+        ts[np.maximum(i - 1, 0)],
+        ts[np.minimum(i + 1, GRID_POINTS - 1)],
+        REFINE_TOL * max(1.0, abs(hi)),
+    )
     return t_hat, valid

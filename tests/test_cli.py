@@ -484,6 +484,18 @@ class TestSweep:
         _, rows = parse_csv((tmp_path / "curve.csv").read_text())
         assert [row[-1] for row in rows] == ["7", "7"]
 
+    def test_combined_sweep_at_the_largest_probe_count(self, capsys, tmp_path):
+        # 2**63 - 1 pairs per trial: the combined kernel's discriminant is far
+        # past int64, and every estimate must still be finite.
+        section = self.basic_section(
+            tmp_path, model="two-qubit", omega=0.5, estimator="combined",
+            probes=2**63 - 1, t_steps=3,
+        )
+        assert main(["sweep", str(self.write_config(tmp_path, section))]) == 0
+        _, rows = parse_csv((tmp_path / "curve.csv").read_text())
+        assert [row[-1] for row in rows] == ["20"] * 3
+        assert all(math.isfinite(float(row[1])) for row in rows)
+
     def test_repeated_calls_in_one_process_reuse_one_parser(
         self, capsys, tmp_path, monkeypatch
     ):

@@ -52,7 +52,7 @@ from qclock.estimators import (
     mle_numeric_batch,
     mle_single_pair_batch,
 )
-from qclock.montecarlo import ConfigError, _estimators_for
+from qclock.montecarlo import ConfigError, _estimators_for, sample_counts
 
 TWO_QUBIT = TwoQubitClock(omega=0.5, Omega=1.0)
 HALF_WINDOW = math.pi
@@ -293,10 +293,12 @@ def test_estimates_stay_inside_window():
 
 def test_exact_scale_invariance():
     # Scaling every tally by an integer must not move any estimator by an ulp.
+    # A factor past 2**53 holds the coarse estimator's one division of ints,
+    # taken without a gcd, and every other estimator's gcd reduction.
     base_two = TwoQubitCounts(3, 7, 2, 9)
     base_one = OneQubitCounts(12, 5)
     base_ghz = GhzCounts(9, 4)
-    for factor in (2, 3, 7, 40):
+    for factor in (2, 3, 7, 40, 2**60 + 1):
         scaled = TwoQubitCounts(3 * factor, 7 * factor, 2 * factor, 9 * factor)
         assert combined_estimator(TWO_QUBIT, scaled) == combined_estimator(TWO_QUBIT, base_two)
         assert mle_two_qubit_roots(TWO_QUBIT, scaled) == mle_two_qubit_roots(TWO_QUBIT, base_two)
@@ -609,6 +611,22 @@ def test_closed_form_kernels_match_scalar_on_count_spaces(model, kind, rows):
     # k1 = k4 = 0, and (for chi < 1) clipped fractions flagged invalid.
     scalar, kernel = _estimators_for(model, kind)
     bad = kernel_mismatches(model, rows, kernel(rows), scalar, closed_form_close)
+    assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
+
+
+@pytest.mark.parametrize("n", [2 * 10**9, 4 * 10**9, 10**10, 10**12, 2**63 - 1])
+def test_combined_kernel_matches_scalar_at_huge_probe_counts(n):
+    # Past about 2.4e7 pairs the kernel's float64 discriminant rounds, where
+    # the scalar form's int one is exact; past about 1e9 pairs an int64 one
+    # would wrap, and NaN estimates would be flagged valid.
+    rows = sample_counts(TWO_QUBIT, n, 1.0, np.random.default_rng(0), 50)
+    bad = kernel_mismatches(
+        TWO_QUBIT,
+        rows,
+        combined_estimator_batch(TWO_QUBIT, rows),
+        lambda c: combined_estimator(TWO_QUBIT, c),
+        closed_form_close,
+    )
     assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
 
 
