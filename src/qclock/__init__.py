@@ -34,7 +34,6 @@ from .estimators import (
 )
 from .fisher import (
     DegenerateTimeError,
-    FisherKind,
     FisherReport,
     classical_fisher,
     crb,
@@ -73,7 +72,6 @@ __all__ = [
     "EstimateReport",
     "EstimatorKind",
     "ExperimentConfig",
-    "FisherKind",
     "FisherReport",
     "GhzClock",
     "GhzCounts",

@@ -354,8 +354,7 @@ def cmd_recurrence(args):
     payload = {
         **_model_config(model),
         "epsilon": args.epsilon,
-        "t_max": args.t_max,
-        "recurrence_time": recurrence_time(model, epsilon=args.epsilon, t_max=args.t_max),
+        "recurrence_time": recurrence_time(model, epsilon=args.epsilon),
     }
     return _emit(args.out, _json_text(payload)), payload, None, None
 
@@ -443,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recurrence", help="first return time of the outcome statistics")
     _add_model_flags(p)
     p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--t-max", dest="t_max", type=float, default=100.0)
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_recurrence)
     return parser

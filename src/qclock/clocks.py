@@ -42,8 +42,7 @@ pairs, so tests can hold the pairs to first principles.
 
 ``distribution``, count sampling and enumeration, the likelihood and Fisher
 information are written once over these members. Every ``first_return``
-rejects an epsilon outside (0, 1), and ``recurrence_time`` caps it at a
-horizon.
+rejects an epsilon outside (0, 1) and a return that overflows a float.
 """
 from __future__ import annotations
 
@@ -103,6 +102,12 @@ class _Clock:
             if not math.isfinite(math.pi / f):
                 raise ValueError(f"the window pi / f overflows: f = {f!r} in {self!r}")
         object.__setattr__(self, "_pairs", pairs)
+
+    def _finite_return(self, t: float) -> float:
+        # pi / f is finite, but a return a cycle or more later can overflow.
+        if not math.isfinite(t):
+            raise ValueError(f"the first return overflows: {self!r}")
+        return t
 
     def distribution(self, t: float) -> OutcomeDistribution:
         """Outcome probabilities at time t, a labelled view of ``class_probs``."""
@@ -181,13 +186,14 @@ class _Clock:
         """For a single pair, the infidelity (a / c) sin^2(f t / 2) falls back
         below epsilon at (2 / f)(pi - asin sqrt(epsilon c / a)); None when
         a / c <= epsilon, as it then never reaches epsilon. An epsilon outside
-        (0, 1) raises ValueError, for every design.
+        (0, 1), or a return that overflows a float, raises ValueError, for
+        every design.
         """
         epsilon = _check_epsilon(epsilon)
         ((a, c, f),) = self._pairs
         if a / c <= epsilon:
             return None
-        return 2.0 / f * (math.pi - math.asin(math.sqrt(epsilon * c / a)))
+        return self._finite_return(2.0 / f * (math.pi - math.asin(math.sqrt(epsilon * c / a))))
 
 
 @dataclass(frozen=True)
@@ -341,7 +347,7 @@ class TwoQubitClock(_Clock):
                 peak = _bisect(lambda x: math.sin(x) + b * math.sin(d + b * x) < 0.0, lo, hi)
                 if infidelity(peak, d) < epsilon:
                     x = _bisect(lambda x: infidelity(x, d) >= epsilon, lo, peak)
-                    return 2.0 * (j * math.pi + x) / fast
+                    return self._finite_return(2.0 * (j * math.pi + x) / fast)
         raise AssertionError("the last convergent is an exact return")
 
     def probe(self):
@@ -471,19 +477,15 @@ def count_tallies(n_probes: int, classes: int) -> np.ndarray:
     return np.diff(sums.reshape(rows, width), axis=1, prepend=0, append=n_probes)
 
 
-def recurrence_time(
-    model: ClockModel, epsilon: float = 1e-6, t_max: float = 100.0
-) -> float | None:
+def recurrence_time(model: ClockModel, epsilon: float = 1e-6) -> float | None:
     """First time the outcome statistics return within epsilon of their start.
 
     The distance is the infidelity 1 - F, F the classical (Bhattacharyya)
     fidelity between the outcome statistics at time t and at time 0, which
     no global or per-sector phase changes. The answer is the model's
     ``first_return(epsilon)``: the first time, after the infidelity has
-    reached epsilon, at which it falls below epsilon again. Returns None if
-    that time is later than t_max, or if the statistics never leave the
-    epsilon-ball (e.g. a one-qubit clock with chi <= epsilon).
+    reached epsilon, at which it falls below epsilon again, however late.
+    Returns None if the statistics never leave the epsilon-ball (e.g. a
+    one-qubit clock with chi <= epsilon).
     """
-    t = model.first_return(epsilon)  # checks 0 < epsilon < 1
-    t_max = _check_positive("t_max", t_max)
-    return t if t is not None and t <= t_max else None
+    return model.first_return(epsilon)

@@ -373,7 +373,8 @@ def mle_numeric(
 
 def _tally_rows(model: ClockModel, counts, name: str) -> np.ndarray:
     # The kernel `name`'s tally array, checked before any arithmetic, then
-    # reduce_counts on every row, as float64: the one type every kernel
+    # reduce_counts on every row in the input's own integer type (a cast
+    # could wrap a checked tally), as float64: the one type every kernel
     # computes in, exact for tallies up to 2**53.
     counts = np.asarray(counts)
     width = len(model.class_sizes)
@@ -385,7 +386,6 @@ def _tally_rows(model: ClockModel, counts, name: str) -> np.ndarray:
         raise ValueError(f"{name} expects {width} tallies per row, got {counts.shape[1]}")
     if (counts < 0).any():
         raise ValueError(f"{name} expects non-negative tallies, got {counts.min()}")
-    counts = counts.astype(np.int64, copy=False)
     g = np.gcd.reduce(counts, axis=1)
     return (counts // np.maximum(g, 1)[:, np.newaxis]).astype(float)
 

@@ -14,18 +14,12 @@ multiple of the window top (see ``classical_fisher``).
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
 
 from .clocks import WINDOW_RTOL, ClockModel, OneQubitClock, _check_time
 from .counts import _positive_integer
-
-
-class FisherKind(enum.Enum):
-    CLASSICAL = "classical"
-    QUANTUM = "quantum"
 
 
 class DegenerateTimeError(ValueError):
@@ -35,14 +29,13 @@ class DegenerateTimeError(ValueError):
 
 @dataclass(frozen=True)
 class FisherReport:
-    """Fisher information at a single time, with its provenance.
+    """Fisher information at a single time t.
 
     value is always the exact, finite Fisher information; degenerate marks a
     window edge, where ``crb`` raises all the same.
     """
 
     value: float
-    kind: FisherKind
     t: float
     degenerate: bool = False
 
@@ -74,7 +67,7 @@ def classical_fisher(model: ClockModel, t: float) -> FisherReport:
     # The nearest whole multiple of the top; t / window_top may overflow.
     multiple = abs(t) - math.remainder(abs(t), model.window_top)
     edge = multiple * (1.0 - WINDOW_RTOL) <= abs(t) <= multiple * (1.0 + WINDOW_RTOL)
-    return FisherReport(model.cfi(t), FisherKind.CLASSICAL, t, degenerate=edge)
+    return FisherReport(model.cfi(t), t, degenerate=edge)
 
 
 def fisher_one_qubit_analytic(chi: float, omega: float, t: float) -> FisherReport:
@@ -86,7 +79,7 @@ def fisher_one_qubit_analytic(chi: float, omega: float, t: float) -> FisherRepor
     """
     clock = OneQubitClock(omega=omega, chi=chi)  # validates parameters
     t = _check_time(t)
-    return FisherReport(clock.cfi(t), FisherKind.CLASSICAL, t)
+    return FisherReport(clock.cfi(t), t)
 
 
 def quantum_fisher(model: ClockModel, t: float) -> FisherReport:
@@ -96,7 +89,7 @@ def quantum_fisher(model: ClockModel, t: float) -> FisherReport:
     constant in t: evolution under a diagonal Hamiltonian only changes the
     phases of the amplitudes. Each design gives it in closed form (``qfi``).
     """
-    return FisherReport(model.qfi, FisherKind.QUANTUM, _check_time(t))
+    return FisherReport(model.qfi, _check_time(t))
 
 
 def crb(model: ClockModel, t: float, n_probes: int) -> float:

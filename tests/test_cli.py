@@ -269,18 +269,43 @@ class TestRecurrence:
         assert payload["recurrence_time"] == pytest.approx(math.pi, abs=5e-3)
 
     def test_never_returns_is_null(self, capsys):
-        # chi = 0 never leaves the epsilon-ball, however long the horizon.
-        for t_max in ("30", "1e9"):
-            code, out, _ = run_cli(
-                capsys, "recurrence", "--model", "one-qubit", "--chi", "0", "--t-max", t_max
-            )
-            assert code == 0
-            assert json.loads(out)["recurrence_time"] is None
+        # chi = 0 never leaves the epsilon-ball.
+        code, out, _ = run_cli(capsys, "recurrence", "--model", "one-qubit", "--chi", "0")
+        assert code == 0
+        assert json.loads(out)["recurrence_time"] is None
+
+    def test_late_return_is_reported(self, capsys):
+        # The golden-ratio pair returns at t = 4737.5, with no horizon to hide it.
+        code, out, _ = run_cli(
+            capsys, "recurrence", "--model", "two-qubit", "--omega", "0.5",
+            "--Omega", "1.3090169943749475",
+        )
+        assert code == 0
+        assert '"recurrence_time": 4737.52600346' in out
+        assert "t_max" not in json.loads(out)
+        with pytest.raises(SystemExit) as exc:
+            main(["recurrence", "--model", "one-qubit", "--t-max", "100"])
+        assert exc.value.code == 2
+        assert "--t-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        (
+            ("--model", "one-qubit", "--omega", "3e-308"),
+            ("--model", "ghz", "--n", "2", "--omega", "8.75e-309"),
+            ("--model", "two-qubit", "--omega", "1.75e-308", "--Omega", "3.5e-308"),
+        ),
+        ids=("one-qubit", "ghz", "two-qubit"),
+    )
+    def test_overflowing_return_exits_two(self, capsys, flags):
+        code, out, err = run_cli(capsys, "recurrence", *flags)
+        assert (code, out) == (2, "")
+        assert "the first return overflows" in err
 
     def test_one_qubit_chi_just_above_epsilon(self, capsys):
         code, out, _ = run_cli(
             capsys, "recurrence", "--model", "one-qubit", "--chi", "0.600000000001",
-            "--epsilon", "0.6", "--t-max", "1e9",
+            "--epsilon", "0.6",
         )
         assert code == 0
         assert json.loads(out)["recurrence_time"] == pytest.approx(math.pi + 2.6e-6, abs=1e-7)
@@ -289,7 +314,7 @@ class TestRecurrence:
         for epsilon in ("0.75", "0.95"):
             code, out, err = run_cli(
                 capsys, "recurrence", "--model", "two-qubit", "--omega", "0.5",
-                "--epsilon", epsilon, "--t-max", "1e9",
+                "--epsilon", epsilon,
             )
             assert code == 2, epsilon
             assert not out and "3/4" in err
@@ -302,22 +327,16 @@ class TestRecurrence:
         started = time.perf_counter()
         code, out, _ = run_cli(
             capsys, "recurrence", "--model", "two-qubit", "--omega", "0.5",
-            "--Omega", repr(0.5 * ratio), "--epsilon", epsilon, "--t-max", "1e9",
+            "--Omega", repr(0.5 * ratio), "--epsilon", epsilon,
         )
         assert time.perf_counter() - started < 1.0
         assert code == 0
         assert json.loads(out)["recurrence_time"] == pytest.approx(expected, abs=2e-3)
 
     def test_non_finite_arguments_exit_two(self, capsys):
-        for flags in (
-            ("--t-max", "nan"),
-            ("--t-max", "inf", "--chi", "0"),
-            ("--t-max=-inf",),
-            ("--epsilon", "nan"),
-        ):
-            code, out, err = run_cli(capsys, "recurrence", "--model", "one-qubit", *flags)
-            assert code == 2, flags
-            assert not out and err
+        code, out, err = run_cli(capsys, "recurrence", "--model", "one-qubit", "--epsilon", "nan")
+        assert code == 2
+        assert not out and err
 
     def test_overflowing_ghz_frequency_exits_two(self, capsys):
         # An infinite n omega would make window_top 0: a recurrence time of 0

@@ -11,6 +11,7 @@ bit for bit to its per-design expression, written out from the paper.
 """
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -219,7 +220,7 @@ def test_distributions_reject_non_finite_time():
 
 def test_normalization_over_doubled_recurrence_window():
     for model in ALL_MODELS:
-        rt = recurrence_time(model, epsilon=1e-6, t_max=100.0)
+        rt = recurrence_time(model, epsilon=1e-6)
         if rt is None:  # a one-qubit clock with chi <= epsilon never leaves the ball
             rt = 2.0 * math.pi / model.omega
         for t in np.linspace(0.0, 2.0 * rt, 1000):
@@ -321,28 +322,26 @@ def test_recurrence_anchor_values():
         (GhzClock(omega=1.0, n_entangled=2), math.pi),
     )
     for model, expected in cases:
-        rt = recurrence_time(model, epsilon=1e-6, t_max=20.0)
+        rt = recurrence_time(model, epsilon=1e-6)
         assert rt is not None
         assert rt <= expected
         assert abs(rt - expected) < 5e-3
 
 
 def test_recurrence_ghz_window_scaling():
-    base = recurrence_time(GhzClock(omega=1.0, n_entangled=2), epsilon=1e-6, t_max=10.0)
+    base = recurrence_time(GhzClock(omega=1.0, n_entangled=2), epsilon=1e-6)
     for n in (3, 4):
-        rt = recurrence_time(GhzClock(omega=1.0, n_entangled=n), epsilon=1e-6, t_max=10.0)
+        rt = recurrence_time(GhzClock(omega=1.0, n_entangled=n), epsilon=1e-6)
         assert rt == pytest.approx(base * 2.0 / n, abs=5e-3)
 
 
 def test_recurrence_unreachable_cases():
     # chi = 0 statistics never leave the ball, so no revival is reported.
-    assert recurrence_time(OneQubitClock(omega=1.0, chi=0.0), t_max=20.0) is None
-    # Horizon shorter than the revival.
-    assert recurrence_time(OneQubitClock(omega=1.0), t_max=5.0) is None
+    assert recurrence_time(OneQubitClock(omega=1.0, chi=0.0)) is None
     # The infidelity chi sin^2(omega t / 2) never reaches epsilon > chi: the
     # answer comes without scanning 1e14 grid steps.
     for chi in (0.0, 0.5):
-        assert recurrence_time(OneQubitClock(omega=1.0, chi=chi), epsilon=0.6, t_max=1e12) is None
+        assert recurrence_time(OneQubitClock(omega=1.0, chi=chi), epsilon=0.6) is None
 
 
 def test_recurrence_validation():
@@ -351,18 +350,34 @@ def test_recurrence_validation():
         recurrence_time(model, epsilon=0.0)
     with pytest.raises(ValueError):
         recurrence_time(model, epsilon=1.0)
-    nan, inf = float("nan"), float("inf")
-    for kwargs in (
-        {"epsilon": nan},
-        {"epsilon": inf},
-        {"t_max": nan},
-        {"t_max": inf},
-        {"t_max": -inf},
-    ):
+    for epsilon in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            recurrence_time(model, **kwargs)
-    with pytest.raises(ValueError, match="finite"):
-        recurrence_time(OneQubitClock(omega=1.0, chi=0.0), t_max=inf)
+            recurrence_time(model, epsilon=epsilon)
+
+
+def test_recurrence_reports_a_late_return():
+    # Omega / omega = phi + 1, the golden ratio's square: the pair's first
+    # return comes long after the slow pair's 4 pi.
+    model = TwoQubitClock(omega=0.5, Omega=1.3090169943749475)
+    assert recurrence_time(model) == pytest.approx(4737.526, abs=1e-3)
+
+
+OVERFLOWING_RETURNS = (
+    OneQubitClock(omega=3e-308),
+    GhzClock(omega=8.75e-309, n_entangled=2),
+    TwoQubitClock(omega=1.75e-308, Omega=3.5e-308),
+)
+
+
+@pytest.mark.parametrize("model", OVERFLOWING_RETURNS, ids=repr)
+def test_overflowing_first_return_raises(model):
+    # The window pi / f is finite, but the first return, about 2 pi / f,
+    # is not: a time that JSON cannot hold is an error, not a return.
+    assert math.isfinite(model.window_top)
+    message = f"^the first return overflows: {re.escape(repr(model))}$"
+    for first_return in (model.first_return, lambda e: recurrence_time(model, e)):
+        with pytest.raises(ValueError, match=message):
+            first_return(1e-6)
 
 
 ONE_OF_EACH_DESIGN = (
@@ -521,18 +536,14 @@ def test_block_scan_matches_scalar_scan(recurrence_oracle, scale):
     assert any(case[-1] is not None for case in recurrence_oracle)
     for model, epsilon, t_max, scanned in recurrence_oracle:
         if scale is None:
-            got = recurrence_time(model, epsilon=epsilon, t_max=t_max)
+            got = recurrence_time(model, epsilon=epsilon)
         else:
-            got = recurrence_time(_scaled(model, scale), epsilon=epsilon, t_max=t_max / scale)
+            got = recurrence_time(_scaled(model, scale), epsilon=epsilon)
             got = None if got is None else scale * got
-        assert (got is None) == (scanned is None), (model, epsilon, t_max)
-        if got is not None:
+        # The scan stops at its horizon t_max; recurrence_time has none.
+        assert (scanned is None) == (got is None or got > t_max), (model, epsilon, t_max, got)
+        if scanned is not None:
             assert 0.0 <= scanned - got <= 1e-4, (model, epsilon, t_max, scanned, got)
-
-
-def test_recurrence_horizon_only_caps_the_answer():
-    model = OneQubitClock(omega=1.0)
-    assert recurrence_time(model, t_max=1e12) == recurrence_time(model, t_max=100.0)
 
 
 def test_recurrence_closed_forms_and_their_edges():
@@ -540,7 +551,7 @@ def test_recurrence_closed_forms_and_their_edges():
     # t = pi, and the first return follows at once.
     model = OneQubitClock(omega=1.0, chi=0.600000000001)
     expected = 2.0 * (math.pi - math.asin(math.sqrt(0.6 / model.chi)))
-    got = recurrence_time(model, epsilon=0.6, t_max=1e9)
+    got = recurrence_time(model, epsilon=0.6)
     assert got == pytest.approx(expected, rel=1e-15)
     assert got - math.pi == pytest.approx(2.6e-6, rel=0.05)
     for n, omega, epsilon in ((2, 1.0, 1e-6), (5, 0.7, 0.3)):
@@ -555,7 +566,7 @@ def test_two_qubit_recurrence_rejects_merged_balls():
     model = TwoQubitClock(omega=0.5, Omega=1.0)
     for epsilon in (0.75, 0.95):
         with pytest.raises(ValueError, match="3/4"):
-            recurrence_time(model, epsilon=epsilon, t_max=1e9)
+            recurrence_time(model, epsilon=epsilon)
     assert recurrence_time(model, epsilon=0.7499) is not None
 
 
@@ -565,7 +576,7 @@ def test_two_qubit_recurrence_resolves_tiny_epsilon():
     # of the float ratio omega / Omega is close enough.
     model = TwoQubitClock(omega=0.5, Omega=0.5 * math.sqrt(2.0))
     q = (Fraction(model.omega) / Fraction(model.Omega)).denominator
-    got = recurrence_time(model, epsilon=1e-300, t_max=1e20)
+    got = recurrence_time(model, epsilon=1e-300)
     assert got == pytest.approx(2.0 * math.pi * q / model.Omega, rel=1e-15)
 
 
@@ -625,7 +636,7 @@ def test_two_qubit_recurrence_is_the_first_dip(ratio):
     # entry into the ball on its cell's falling side.
     model = TwoQubitClock(omega=0.5, Omega=0.5 * ratio)
     epsilons = [10.0**-k for k in range(2, 9)]
-    answers = [recurrence_time(model, epsilon, t_max=1e9) for epsilon in epsilons]
+    answers = [recurrence_time(model, epsilon) for epsilon in epsilons]
     lo, hi, argmin, minima = _cell_infidelity_minima(model, max(answers) + 20.0 * math.pi)
     for epsilon, t in zip(epsilons, answers):
         cell = np.flatnonzero((lo < t) & (t < hi))

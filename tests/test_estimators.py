@@ -630,6 +630,24 @@ def test_combined_kernel_matches_scalar_at_huge_probe_counts(n):
     assert not bad, f"{len(bad)} of {len(rows)} rows differ, e.g. {bad[:3]}"
 
 
+def test_kernels_read_uint64_tallies_past_int64():
+    # A uint64 tally past 2**63 - 1 passes the non-negative check; a cast to
+    # int64 after it would wrap it negative.
+    pair = np.array([[2**63 + 2, 2**62]], dtype=np.uint64)
+    four = np.array([[2**63 + 6, 2**62 + 2, 2**63 - 4, 2**61]], dtype=np.uint64)
+    two_qubit = TwoQubitClock(omega=0.5, Omega=1.3)
+    cases = [
+        (ONE_QUBIT, pair, mle_single_pair_batch, mle_single_pair, closed_form_close),
+        (ONE_QUBIT, pair, mle_numeric_batch, mle_numeric, numeric_close),
+        (two_qubit, four, mle_numeric_batch, mle_numeric, numeric_close),
+    ]
+    for model, rows, kernel, scalar, close in cases:
+        batch = kernel(model, rows)
+        assert batch[1].all(), (kernel, model)
+        bad = kernel_mismatches(model, rows, batch, lambda c: scalar(model, c), close)
+        assert not bad, (kernel, model, bad)
+
+
 NUMERIC_BATTERY = pytest.mark.parametrize(
     "model, rows",
     [

@@ -13,7 +13,6 @@ import pytest
 
 from qclock import (
     DegenerateTimeError,
-    FisherKind,
     GhzClock,
     OneQubitClock,
     TwoQubitClock,
@@ -75,9 +74,7 @@ def test_one_qubit_chi_one_fisher_is_constant():
     for omega in (0.5, 1.0, 2.0):
         model = OneQubitClock(omega=omega)
         for t in (0.3, 1.0, 2.4, 5.1):
-            report = classical_fisher(model, t)
-            assert report.kind is FisherKind.CLASSICAL
-            assert report.value == pytest.approx(omega**2, rel=1e-9)
+            assert classical_fisher(model, t).value == pytest.approx(omega**2, rel=1e-9)
 
 
 def test_two_qubit_fisher_is_constant():
@@ -159,7 +156,6 @@ def test_quantum_fisher_values():
     assert quantum_fisher(OneQubitClock(omega=2.0, chi=0.36), 0.0).value == pytest.approx(1.44)
     two = quantum_fisher(TwoQubitClock(omega=0.5, Omega=1.0), 1.7)
     assert two.value == pytest.approx(0.625)
-    assert two.kind is FisherKind.QUANTUM
     for n in (2, 3, 5):
         ghz = quantum_fisher(GhzClock(omega=1.0, n_entangled=n), 0.4)
         assert ghz.value == pytest.approx(float(n * n))
