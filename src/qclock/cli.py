@@ -6,6 +6,9 @@ drops a JSON run manifest next to its first output (``<out>.manifest.json``)
 recording the resolved configuration, seed, tool version, timestamps, and
 output paths; sweep and compare manifests also name the RNG stream layout.
 Re-running the manifest's argv reproduces the data files byte for byte.
+An existing output or manifest is written over in place and then cut to the
+new length, so it keeps its inode, mode, symlink and hard links; a reader
+that opens it mid-write may see the new text followed by the old tail.
 ``main`` may be called repeatedly in one process and reuses one parser.
 
 Exit status: 0 on success, 2 on usage or configuration errors, 3 when a
@@ -23,6 +26,8 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -103,12 +108,22 @@ def _json_text(payload) -> str:
     return json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    # Writes over the file and then cuts it to length, encoded as
+    # Path.write_text would. No O_TRUNC: on ext4, truncating a file that
+    # holds data makes close() start writeback. FIFOs reject truncation.
+    with open(path, "w", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _emit(out: str | None, text: str) -> list[str]:
     """Write text to stdout, or to the file `out`; returns the files written."""
     if out is None:
         sys.stdout.write(text)
         return []
-    Path(out).write_text(text)
+    _write(out, text)
     return [out]
 
 
@@ -467,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             if stream_layout is not None:
                 manifest["stream_layout"] = stream_layout
-            Path(outputs[0] + ".manifest.json").write_text(_json_text(manifest))
+            _write(outputs[0] + ".manifest.json", _json_text(manifest))
         return 0
     except DegenerateCountsError as exc:
         print(f"qclock: degenerate input: {exc}", file=sys.stderr)

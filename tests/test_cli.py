@@ -7,9 +7,12 @@ rather than duplicating the math suites.
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 
 from qclock import TwoQubitClock, TwoQubitCounts, __version__, combined_estimator
-from qclock.cli import _fmt, _json_ready, build_parser, main, main_entry
+from qclock.cli import _fmt, _json_ready, _write, build_parser, main, main_entry
 from qclock.montecarlo import STREAM_LAYOUT
 
 
@@ -471,7 +474,55 @@ class TestSweep:
             manifest_path.unlink()
             assert main(manifest["argv"]) == 0, argv
             assert out.read_bytes() == first, argv
+            # A replay over longer stale files cuts them to the new length.
+            for path in (out, manifest_path):
+                path.write_text("junk\n" * (len(path.read_bytes()) + 1))
+            assert main(manifest["argv"]) == 0, argv
+            assert out.read_bytes() == first, argv
+            assert json.loads(manifest_path.read_text())["argv"] == argv
         assert capsys.readouterr().out == ""
+
+    def test_rerun_keeps_the_file_its_mode_and_its_links(self, capsys, tmp_path):
+        out, hard, link = (tmp_path / name for name in ("probs.csv", "hard.csv", "link.csv"))
+        probs = ["probs", "--model", "one-qubit", "--t-grid"]
+        assert main([*probs, "0:6:25", "--out", str(out)]) == 0
+        out.chmod(0o640)
+        inode = out.stat().st_ino
+        hard.hardlink_to(out)
+        link.symlink_to(out)
+        # Each rerun writes fewer rows than the file holds: first through the
+        # file's own path, then through the symlink.
+        for target, steps in ((out, 5), (link, 3)):
+            assert main([*probs, f"0:6:{steps}", "--out", str(target)]) == 0
+            assert out.read_bytes().count(b"\n") == steps + 1
+            assert out.stat().st_ino == inode
+            assert stat.S_IMODE(out.stat().st_mode) == 0o640
+            assert hard.read_bytes() == out.read_bytes()
+        assert link.is_symlink()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_fifo_is_written_without_a_truncate(self, tmp_path):
+        # A FIFO, like a device, rejects truncation, so only a regular file
+        # is cut. The open reader lets the write-only open return at once.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            _write(str(fifo), "x\n")
+            assert os.read(reader, 16) == b"x\n"
+        finally:
+            os.close(reader)
+
+    @pytest.mark.parametrize(
+        "out, code", [("dir", errno.EISDIR), ("missing/probs.csv", errno.ENOENT)],
+        ids=["directory", "missing-parent"],
+    )
+    def test_unwritable_out_exits_two_without_a_manifest(self, capsys, tmp_path, out, code):
+        (tmp_path / "dir").mkdir()
+        path = str(tmp_path / out)
+        result = run_cli(capsys, "probs", "--model", "one-qubit", "--t", "1", "--out", path)
+        assert result == (2, "", f"qclock: error: [Errno {code}] {os.strerror(code)}: {path!r}\n")
+        assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
     def test_two_qubit_defaults_and_multi_section(self, capsys, tmp_path):
         body = self.basic_section(tmp_path) + self.basic_section(
