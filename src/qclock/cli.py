@@ -8,7 +8,11 @@ output paths; sweep and compare manifests also name the RNG stream layout.
 Re-running the manifest's argv reproduces the data files byte for byte.
 An existing output or manifest is written over in place and then cut to the
 new length, so it keeps its inode, mode, symlink and hard links; a reader
-that opens it mid-write may see the new text followed by the old tail.
+that opens it mid-write may see the new text followed by the old tail. A
+rerun's output is not crash-consistent either: after a crash or power loss
+soon after the run, the file may hold the new length with old blocks, or the
+new text followed by the old tail, and still look valid. Remove the old
+outputs first where a rerun must survive a crash.
 ``main`` may be called repeatedly in one process and reuses one parser.
 
 Exit status: 0 on success, 2 on usage or configuration errors, 3 when a
@@ -109,9 +113,9 @@ def _json_text(payload) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    # Writes over the file and then cuts it to length, encoded as
-    # Path.write_text would. No O_TRUNC: on ext4, truncating a file that
-    # holds data makes close() start writeback. FIFOs reject truncation.
+    # Writes over the file and then cuts it to length, with text mode's
+    # default encoding and newlines. No O_TRUNC: on ext4, truncating a file
+    # that holds data makes close() start writeback. FIFOs reject truncation.
     with open(path, "w", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
         fh.write(text)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
