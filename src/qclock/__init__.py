@@ -19,7 +19,6 @@ from .counts import (
     GhzCounts,
     OneQubitCounts,
     TwoQubitCounts,
-    reduce_counts,
 )
 from .estimators import (
     Branch,
@@ -102,6 +101,5 @@ __all__ = [
     "mle_two_qubit_roots",
     "quantum_fisher",
     "recurrence_time",
-    "reduce_counts",
     "sample_counts",
 ]

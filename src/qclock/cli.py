@@ -223,8 +223,8 @@ def _parse_counts(args, model: ClockModel):
     return model.counts_type.from_tallies(tallies[::-1])
 
 
-# Each cmd_* function returns the files it wrote, the resolved configuration,
-# the seed and the RNG stream layout, for the run manifest.
+# Each cmd_* function returns the files it wrote, the resolved configuration
+# and the seed (None for a command that draws no random numbers), for the manifest.
 
 
 def cmd_probs(args):
@@ -236,7 +236,7 @@ def cmd_probs(args):
         dist = model.distribution(t)
         values = [dist[label] for label in labels]
         rows.append([t, *values, sum(values)])
-    return _emit_table(args.out, args.format, header, rows), _model_config(model), None, None
+    return _emit_table(args.out, args.format, header, rows), _model_config(model), None
 
 
 def cmd_fisher(args):
@@ -258,7 +258,7 @@ def cmd_fisher(args):
             ]
         )
     outputs = _emit_table(args.out, args.format, header, rows)
-    return outputs, {**_model_config(model), "probes": args.probes}, None, None
+    return outputs, {**_model_config(model), "probes": args.probes}, None
 
 
 def cmd_estimate(args):
@@ -275,7 +275,7 @@ def cmd_estimate(args):
         "coarse_t": report.coarse_t,
         "valid": report.valid,
     }
-    return _emit(args.out, _json_text(payload)), payload, None, None
+    return _emit(args.out, _json_text(payload)), payload, None
 
 
 def _config_value(section, key: str, cast, default=_REQUIRED, choices=None):
@@ -343,7 +343,7 @@ def cmd_sweep(args):
         "config_file": args.config,
         "sections": {name: resolved for name, (_, resolved) in sections.items()},
     }
-    return outputs, config, seeds[0] if len(seeds) == 1 else seeds, STREAM_LAYOUT
+    return outputs, config, seeds[0] if len(seeds) == 1 else seeds
 
 
 def cmd_compare(args):
@@ -365,7 +365,7 @@ def cmd_compare(args):
         "t_grid": args.t_grid,
         "trials": args.trials,
     }
-    return outputs, config, args.seed, STREAM_LAYOUT
+    return outputs, config, args.seed
 
 
 def cmd_recurrence(args):
@@ -375,7 +375,7 @@ def cmd_recurrence(args):
         "epsilon": args.epsilon,
         "recurrence_time": recurrence_time(model, epsilon=args.epsilon),
     }
-    return _emit(args.out, _json_text(payload)), payload, None, None
+    return _emit(args.out, _json_text(payload)), payload, None
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -472,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         started = datetime.now(timezone.utc).isoformat()
-        outputs, config, seed, stream_layout = args.func(args)
+        outputs, config, seed = args.func(args)
         if outputs:
             manifest = {
                 "command": args.command,
@@ -484,8 +484,8 @@ def main(argv: list[str] | None = None) -> int:
                 "finished": datetime.now(timezone.utc).isoformat(),
                 "outputs": outputs,
             }
-            if stream_layout is not None:
-                manifest["stream_layout"] = stream_layout
+            if seed is not None:
+                manifest["stream_layout"] = STREAM_LAYOUT
             _write(outputs[0] + ".manifest.json", _json_text(manifest))
         return 0
     except DegenerateCountsError as exc:

@@ -133,19 +133,3 @@ class GhzCounts:
 
 CountVector = Union[OneQubitCounts, TwoQubitCounts, GhzCounts]
 
-
-def reduce_counts(counts: CountVector) -> CountVector:
-    """Divide every tally by the common GCD.
-
-    Likelihood maximizers depend only on tally ratios, and reducing first
-    makes estimates *exactly* invariant under integer rescaling of the
-    counts (bare floating arithmetic would drift by an ulp through terms
-    like sqrt(c^2 * r) vs c * sqrt(r)).
-    """
-    tallies = getattr(counts, "tallies", None)
-    if tallies is None:
-        raise ValueError(f"unsupported count vector type: {type(counts).__name__}")
-    g = math.gcd(*tallies)
-    if g > 1:
-        return counts.from_tallies([k // g for k in tallies])
-    return counts

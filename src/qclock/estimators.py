@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocks import ClockModel, TwoQubitClock
-from .counts import CountVector, TwoQubitCounts, reduce_counts
+from .counts import CountVector, TwoQubitCounts
 
 # Grid resolution and convergence target for the numeric maximizer.
 GRID_POINTS = 2001
@@ -96,6 +96,16 @@ def _require(value, kind, name: str):
         raise TypeError(f"{name} expects {kind.__name__}, got {type(value).__name__}")
 
 
+def _tallies(model: ClockModel, counts: CountVector, name: str) -> tuple[int, ...]:
+    # The estimator `name`'s tallies in class order, as Python ints divided by
+    # their gcd, so that estimates are exactly invariant under integer rescaling
+    # (floats would drift by an ulp through sqrt(c^2 r) against c sqrt(r)).
+    _require(counts, model.counts_type, name)
+    tallies = counts.tallies
+    g = math.gcd(*tallies)
+    return tuple(k // g for k in tallies) if g > 1 else tallies
+
+
 def _window_branch(model: ClockModel) -> Branch:
     # The branch of an estimate over the model's whole window.
     return Branch.GHZ_WINDOW if model.kind == "ghz" else Branch.SINGLE_WINDOW
@@ -126,8 +136,7 @@ def mle_single_pair(model: ClockModel, counts: CountVector) -> EstimateReport:
     only for chi < 1). chi = 0 leaves t unidentifiable and raises.
     """
     scale, f = _single_pair(model, "mle_single_pair")
-    _require(counts, model.counts_type, "mle_single_pair")
-    k0, k1 = reduce_counts(counts).tallies
+    k0, k1 = _tallies(model, counts, "mle_single_pair")
     if k0 + k1 == 0:
         raise DegenerateCountsError("no probes recorded")
     ratio = k0 / ((k0 + k1) * scale)
@@ -154,7 +163,7 @@ def mle_two_qubit_roots(
 
         (k1 + k4) u^4 - (2 k1 + 4 k2 + k3 + k4) u^2 + (k1 + k3) = 0,
 
-    k1..k4 being the (fast-, fast+, slow-, slow+) tallies. Both squared
+    k1..k4 being tallies 0..3: fast-, fast+, slow-, slow+. Both squared
     roots are real and non-negative, and u_-^2 <= 1 <= u_+^2 always (the
     quartic is <= 0 at u = 1), so the first root lies at or below the
     half-window pi/(2 omega) and the third at or above it. Returned as
@@ -167,12 +176,9 @@ def mle_two_qubit_roots(
     and raises.
     """
     _require(model, TwoQubitClock, "mle_two_qubit_roots")
-    _require(counts, TwoQubitCounts, "mle_two_qubit_roots")
+    k1, k2, k3, k4 = _tallies(model, counts, "mle_two_qubit_roots")
     _require_harmonic(model)
-    counts = reduce_counts(counts)
     omega = model.omega
-    k1, k2 = counts.fast_minus, counts.fast_plus
-    k3, k4 = counts.slow_minus, counts.slow_plus
     lead = k1 + k4
     if lead == 0:
         raise DegenerateCountsError(
@@ -201,7 +207,7 @@ def coarse_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> EstimateRe
     _require(model, TwoQubitClock, "coarse_estimator")
     _require(counts, TwoQubitCounts, "coarse_estimator")
     omega = model.omega
-    kp, km = counts.slow_plus, counts.slow_minus
+    _, _, km, kp = counts.tallies
     if kp + km == 0:
         raise DegenerateCountsError("no slow-sector events recorded")
     if kp == 0:
@@ -340,8 +346,7 @@ def mle_numeric(
     0, or counts that are impossible at every t) yields the window midpoint
     flagged invalid. A window bound that is not finite raises ValueError.
     """
-    _require(counts, model.counts_type, "mle_numeric")
-    counts = reduce_counts(counts)
+    tallies = _tallies(model, counts, "mle_numeric")
     if window is None:
         window = (0.0, model.window_top)
     lo, hi = float(window[0]), float(window[1])
@@ -354,7 +359,7 @@ def mle_numeric(
     # The grid's values are finite or -inf, so the plain argmax is the first
     # index of the finite maximum; with none, max - min = -inf is flat too.
     ts = np.linspace(lo, hi, GRID_POINTS)
-    ll = _tally_log_likelihood(counts.tallies, model.class_probs(ts))
+    ll = _tally_log_likelihood(tallies, model.class_probs(ts))
     i = int(np.argmax(ll))
     ll_max = float(ll[i])
     ll_min = float(ll.min(where=ll > -np.inf, initial=np.inf))
@@ -362,7 +367,7 @@ def mle_numeric(
         return EstimateReport(0.5 * (lo + hi), branch, (lo, hi), valid=False)
 
     t_hat = _newton_max(
-        lambda x: _tally_score(counts.tallies, model, x),
+        lambda x: _tally_score(tallies, model, x),
         float(ts[i]),
         float(ts[max(i - 1, 0)]),
         float(ts[min(i + 1, GRID_POINTS - 1)]),
@@ -373,9 +378,10 @@ def mle_numeric(
 
 def _tally_rows(model: ClockModel, counts, name: str) -> np.ndarray:
     # The kernel `name`'s tally array, checked before any arithmetic, then
-    # reduce_counts on every row in the input's own integer type (a cast
-    # could wrap a checked tally), as float64: the one type every kernel
-    # computes in, exact for tallies up to 2**53.
+    # each row divided by its gcd, as _tallies does for one count vector, in
+    # the input's own integer type (a cast could wrap a checked tally), as
+    # float64: the one type every kernel computes in, exact for tallies up
+    # to 2**53.
     counts = np.asarray(counts)
     width = len(model.class_sizes)
     if counts.ndim != 2 or not np.issubdtype(counts.dtype, np.integer):

@@ -470,6 +470,11 @@ class TestSweep:
             manifest = json.loads(manifest_path.read_text())
             assert manifest["argv"] == argv
             assert manifest["outputs"] == [str(out)]
+            # Only the commands that draw random numbers record a seed and
+            # the RNG stream layout.
+            draws = argv[0] in ("sweep", "compare")
+            assert (manifest["seed"] is not None) == draws, argv
+            assert ("stream_layout" in manifest) == draws, argv
             out.unlink()
             manifest_path.unlink()
             assert main(manifest["argv"]) == 0, argv

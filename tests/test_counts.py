@@ -1,4 +1,4 @@
-"""Count tallies: validation, derived fields, GCD reduction, numpy integers."""
+"""Count tallies: validation, derived fields, numpy integers."""
 
 import dataclasses
 
@@ -14,7 +14,6 @@ from qclock import (
     TwoQubitClock,
     TwoQubitCounts,
     apply_estimator,
-    reduce_counts,
     sample_counts,
 )
 from qclock.counts import _positive_integer
@@ -52,28 +51,6 @@ def test_counts_are_hashable():
     # Exact enumeration keys dictionaries with tallies.
     table = {OneQubitCounts(4, 1): 0.5, OneQubitCounts(4, 3): 0.5}
     assert table[OneQubitCounts(4, 1)] == 0.5
-
-
-def test_reduce_counts_divides_by_gcd():
-    assert reduce_counts(OneQubitCounts(12, 9)) == OneQubitCounts(4, 3)
-    assert reduce_counts(OneQubitCounts(7, 3)) == OneQubitCounts(7, 3)
-    assert reduce_counts(
-        TwoQubitCounts(fast_minus=4, fast_plus=6, slow_minus=2, slow_plus=8)
-    ) == TwoQubitCounts(fast_minus=2, fast_plus=3, slow_minus=1, slow_plus=4)
-    assert reduce_counts(GhzCounts(100, 50)) == GhzCounts(2, 1)
-
-
-def test_reduce_counts_handles_zero_tallies():
-    # gcd(0, k) = k: an all-plus record reduces to a single probe.
-    assert reduce_counts(OneQubitCounts(6, 0)) == OneQubitCounts(1, 0)
-    assert reduce_counts(OneQubitCounts(6, 6)) == OneQubitCounts(1, 1)
-    # All-zero vectors have gcd 0 and pass through unchanged.
-    assert reduce_counts(OneQubitCounts(0, 0)) == OneQubitCounts(0, 0)
-
-
-def test_reduce_counts_rejects_foreign_types():
-    with pytest.raises(ValueError):
-        reduce_counts((3, 4))
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,6 @@ from qclock import (
     mle_two_qubit_roots,
 )
 from qclock import estimators
-from qclock.counts import reduce_counts
 from qclock.estimators import (
     GRID_POINTS,
     REFINE_TOL,
@@ -310,9 +309,42 @@ def test_exact_scale_invariance():
         )
         one_scaled = OneQubitCounts(12 * factor, 5 * factor)
         assert mle_single_pair(ONE_QUBIT, one_scaled) == mle_single_pair(ONE_QUBIT, base_one)
+        assert mle_numeric(ONE_QUBIT, one_scaled) == mle_numeric(ONE_QUBIT, base_one)
         ghz_scaled = GhzCounts(9 * factor, 4 * factor)
         ghz = GhzClock(omega=1.0, n_entangled=2)
         assert mle_single_pair(ghz, ghz_scaled) == mle_single_pair(ghz, base_ghz)
+        assert mle_numeric(ghz, ghz_scaled) == mle_numeric(ghz, base_ghz)
+    # A zero tally: gcd(0, k) = k, so an all-plus record is one probe's.
+    scaled, base = OneQubitCounts(6, 0), OneQubitCounts(1, 0)
+    assert mle_single_pair(ONE_QUBIT, scaled) == mle_single_pair(ONE_QUBIT, base)
+    assert mle_numeric(ONE_QUBIT, scaled) == mle_numeric(ONE_QUBIT, base)
+    scaled, base = TwoQubitCounts(0, 4, 0, 6), TwoQubitCounts(0, 2, 0, 3)
+    assert combined_estimator(TWO_QUBIT, scaled) == combined_estimator(TWO_QUBIT, base)
+    assert mle_two_qubit_roots(TWO_QUBIT, scaled) == mle_two_qubit_roots(TWO_QUBIT, base)
+    assert coarse_estimator(TWO_QUBIT, scaled) == coarse_estimator(TWO_QUBIT, base)
+    assert mle_numeric(TWO_QUBIT, scaled) == mle_numeric(TWO_QUBIT, base)
+
+
+@pytest.mark.parametrize(
+    "model, base",
+    [
+        (ONE_QUBIT, OneQubitCounts(12, 5)),
+        (TWO_QUBIT, TwoQubitCounts(3, 7, 2, 9)),
+        (GhzClock(omega=1.0, n_entangled=2), GhzCounts(9, 4)),
+    ],
+    ids=["one-qubit", "two-qubit", "ghz"],
+)
+def test_log_likelihood_is_not_reduced(model, base):
+    # The log-likelihood is defined up to count-only constants, but its
+    # tallies are the counts as given: scaling them scales it.
+    ts = np.linspace(0.1, model.window_top - 0.1, 9)
+    for factor in (2, 3):
+        scaled = type(base).from_tallies([factor * k for k in base.tallies])
+        expected = factor * log_likelihood(model, base, ts)
+        np.testing.assert_allclose(log_likelihood(model, scaled, ts), expected, rtol=1e-12)
+        assert log_likelihood(model, scaled, 1.0) == pytest.approx(
+            factor * log_likelihood(model, base, 1.0), rel=1e-12
+        )
 
 
 def test_mle_numeric_anchor_points():
@@ -749,7 +781,7 @@ def test_lock_step_newton_matches_scalar_rule_row_for_row():
     )
     paths = {}
     for model, rows in cases:
-        counts = [reduce_counts(as_counts(model, row)) for row in rows]
+        counts = [as_counts(model, row // np.gcd.reduce(row)) for row in rows]
         ts = np.linspace(0.0, model.window_top, GRID_POINTS)
         i = np.array([np.argmax(log_likelihood(model, c, ts)) for c in counts])
         start, lo, hi = ts[i], ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, GRID_POINTS - 1)]
@@ -791,7 +823,7 @@ def golden_section_estimates(model, rows):
     neighbours of each row's grid argmax, to the same tolerance, every row
     in lock step (each takes exactly the scalar search's steps).
     """
-    counts = [reduce_counts(as_counts(model, row)) for row in rows]
+    counts = [as_counts(model, row // np.gcd.reduce(row)) for row in rows]
     ts = np.linspace(0.0, model.window_top, GRID_POINTS)
     i = np.array([np.argmax(log_likelihood(model, c, ts)) for c in counts])
     tallies = np.array([c.tallies for c in counts], dtype=float).T
@@ -843,7 +875,7 @@ def test_newton_estimates_match_golden_section_search(model, rows):
     old = golden_section_estimates(model, rows)
     bad = []
     for row, new, prev in zip(rows, t_hat, old):
-        counts = reduce_counts(as_counts(model, row))
+        counts = as_counts(model, row // np.gcd.reduce(row))
         ll_new = log_likelihood(model, counts, float(new))
         ll_old = log_likelihood(model, counts, float(prev))
         likely = ll_new >= ll_old - 1e-14 * max(1.0, abs(ll_old))
@@ -948,8 +980,8 @@ def test_public_estimators_take_the_clock_then_the_counts():
     ]
     for model, kind, estimator, counts in cases:
         assert estimator(model, counts) == apply_estimator(model, counts, kind), (model, kind)
-    # A clock of a design the estimator does not serve, or the counts where
-    # the clock belongs, raise a TypeError that names the estimator.
+    # A clock of a design the estimator does not serve, or counts of another
+    # type than the clock's, raise a TypeError that names the estimator.
     one, ghz, two = OneQubitCounts(4, 2), GhzCounts(4, 2), TwoQubitCounts(1, 2, 3, 4)
     wrong = [
         (mle_single_pair, TWO_QUBIT, two),
@@ -966,6 +998,10 @@ def test_public_estimators_take_the_clock_then_the_counts():
         (mle_two_qubit_roots, ONE_QUBIT, one),
         (mle_numeric, ONE_QUBIT, two),
         (mle_numeric, GHZ_CLOCKS[0], one),
+        # A bare tally tuple is not a count vector.
+        (mle_single_pair, ONE_QUBIT, (3, 4)),
+        (mle_two_qubit_roots, TWO_QUBIT, (1, 2, 3, 4)),
+        (mle_numeric, ONE_QUBIT, (3, 4)),
     ]
     for estimator, model, counts in wrong:
         with pytest.raises(TypeError, match=f"^{estimator.__name__} expects"):
