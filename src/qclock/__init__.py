@@ -49,7 +49,7 @@ from .montecarlo import (
     ResourceRow,
     apply_estimator,
     apply_estimator_batch,
-    cell_rng,
+    cell_rngs,
     compare_resources,
     error_curve,
     mean_estimator_curve,
@@ -84,7 +84,7 @@ __all__ = [
     "__version__",
     "apply_estimator",
     "apply_estimator_batch",
-    "cell_rng",
+    "cell_rngs",
     "classical_fisher",
     "coarse_estimator",
     "combined_estimator",

@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -134,11 +132,10 @@ def _emit(out: str | None, text: str) -> list[str]:
 def _emit_table(out: str | None, fmt: str, header, rows) -> list[str]:
     if fmt == "json":
         return _emit(out, _json_text({"columns": header, "rows": rows}))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return _emit(out, buf.getvalue())
+    # Joined directly: no header, label or _fmt field holds a comma, quote
+    # or newline, so no field would be quoted.
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+    return _emit(out, "\n".join(lines) + "\n")
 
 
 def _model(kind: str, value) -> ClockModel:

@@ -6,9 +6,11 @@ count sampling at each grid time, estimation, and summary statistics
 trials produced a usable estimate). Each grid cell draws all of its trials
 from its own RNG stream, derived from (master seed, grid index) by spawn
 key (``STREAM_LAYOUT``), in one generator call, and estimates them as one
-tally array with the batched kernels of estimators.py. Results are a pure
-function of the configuration and seed, and a cell's numbers do not depend
-on the other grid times.
+tally array with the batched kernels of estimators.py. A curve's streams
+are seeded in one vectorized pass (``cell_rngs``) and its cells' outcome
+probabilities come from one table, with the layout unchanged. Results are
+a pure function of the configuration and seed, and a cell's numbers do not
+depend on the other grid times.
 
 ``mean_estimator_curve`` is the exact counterpart, with no sampling noise:
 it estimates the whole count space once as a tally array and weights it at
@@ -74,8 +76,7 @@ def _check_sampling(trials, seed, t_grid) -> tuple[int, int, tuple[float, ...]]:
     # The rules of every sampled run, as ints and a tuple of floats: a positive
     # trial count, a 64-bit seed and a non-empty increasing grid of finite times.
     trials = _positive_integer(trials, "trials", ConfigError)
-    if not is_integer(seed) or not 0 <= int(seed) < 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    seed = _check_seed(seed, ConfigError)
     grid = tuple(float(t) for t in t_grid)
     if not grid:
         raise ConfigError("t_grid must not be empty")
@@ -83,7 +84,13 @@ def _check_sampling(trials, seed, t_grid) -> tuple[int, int, tuple[float, ...]]:
         raise ConfigError(f"t_grid must hold finite times, got {grid!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("t_grid must be strictly increasing")
-    return trials, int(seed), grid
+    return trials, seed, grid
+
+
+def _check_seed(seed, error: type[Exception] = ValueError) -> int:
+    if not is_integer(seed) or not 0 <= int(seed) < 2**64:
+        raise error(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -168,13 +175,90 @@ class ResourceComparison:
     COLUMNS = ResourceRow._fields
 
 
-def cell_rng(seed: int, t_index: int) -> np.random.Generator:
-    """The RNG stream of one grid cell, which all of the cell's trials share.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), for cell_rngs.
+# Its n-th hashmix call XORs a word with the n-th constant of its chain,
+# multiplies it by the next one, and XORs in its own top half; mix() joins
+# two words. Chain A mixes entropy into the pool, chain B hashes the pool out.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-    Streams are derived by spawn key rather than by sequential draws, so a
-    cell gives the same numbers whichever other cells are computed.
+
+def _hash_chain(init: int, mult: int, first: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    # The XOR and the multiply constants of hashmix calls first + 1 .. first + calls.
+    chain = [init]
+    for _ in range(first + calls):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain[first:-1], np.uint32), np.array(chain[first + 1 :], np.uint32)
+
+
+# A child's spawn word follows the 16 calls that mix a pool of 4 words; the
+# pool is then hashed out to the 8 words of generate_state(4, uint64).
+_SPAWN_HASH = _hash_chain(_INIT_A, _MULT_A, 16, 4)
+_STATE_HASH = _hash_chain(_INIT_B, _MULT_B, 0, 8)
+
+
+def _hashmix(words: np.ndarray, chain: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    words = (words ^ chain[0]) * chain[1]
+    return words ^ (words >> 16)
+
+
+class _StateWords:
+    """A seed sequence that holds the state PCG64 asks it for, already hashed."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("holds only PCG64's seed words, generate_state(4, np.uint64)")
+        return self.words
+
+
+@lru_cache(maxsize=1)
+def _register_state_words() -> None:
+    # On first use, so that importing qclock does not import numpy.random.
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+
+
+def cell_rngs(seed: int, cells: int) -> list[np.random.Generator]:
+    """The RNG streams of grid cells 0 .. cells - 1, one per cell for all of its trials.
+
+    Stream i is numpy's ``default_rng(SeedSequence(seed, spawn_key=(i,)))``
+    (``STREAM_LAYOUT``), state for state: streams are derived by spawn key
+    rather than by sequential draws, so a cell gives the same numbers
+    whichever other cells are computed. All cells are seeded in one
+    vectorized pass. The pool of ``SeedSequence(seed)`` is each child's pool
+    before its spawn word is mixed in, as numpy hashes missing entropy words
+    as zeros; the spawn words are mixed into it as mix_entropy's last stage
+    does, and hashed out as generate_state(4, uint64) does, for all cells at
+    once. Each PCG64 then seeds itself from its row; as its seed sequence
+    holds only those words, a generator here cannot ``spawn``. Two bounds
+    keep this exact: a seed below 2**64 (at most two entropy words;
+    ValueError otherwise) and cells <= 2**32 (a spawn key of one word),
+    which is checked before any array is allocated.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t_index,)))
+    seed = _check_seed(seed)
+    cells = _positive_integer(cells, "cells", top=2**32)
+    _register_state_words()
+    spawn = np.arange(cells, dtype=np.uint32)[:, np.newaxis]
+    pool = np.random.SeedSequence(seed).pool
+    pool = _MIX_MULT_L * pool - _MIX_MULT_R * _hashmix(spawn, _SPAWN_HASH)
+    pool ^= pool >> 16
+    state = _hashmix(np.tile(pool, 2), _STATE_HASH)
+    # generate_state's uint64 words: pairs of uint32 words, little-endian.
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return [generator(pcg64(_StateWords(row))) for row in words]
+
+
+def _class_table(model: ClockModel, times) -> np.ndarray:
+    # The (times x classes) probabilities that one probe falls in each class,
+    # a row per time normalized to sum to 1: the pvals of every sample drawn.
+    probs = np.column_stack(model.class_probs(times)) * model.class_sizes
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def sample_counts(
@@ -190,8 +274,8 @@ def sample_counts(
     """
     n_probes = _positive_integer(n_probes, "n_probes", top=MAX_PROBES)
     trials = _positive_integer(trials, "trials")
-    pvals = np.multiply(model.class_sizes, model.class_probs(_check_time(t)))
-    return rng.multinomial(n_probes, pvals / pvals.sum(), size=trials)
+    (pvals,) = _class_table(model, _check_time(t))
+    return rng.multinomial(n_probes, pvals, size=trials)
 
 
 # The estimator of each (model kind, estimator kind) pair, by the name of
@@ -265,24 +349,26 @@ def _summarize(t: float, estimates: np.ndarray, crb: float) -> ErrorCurvePoint:
 def error_curve(config: ExperimentConfig) -> ErrorCurve:
     """Sampled estimator statistics over the configured time grid.
 
-    Each cell draws its trials from its own stream (``cell_rng``); the
-    trials of all cells are then estimated as one tally array, since the
+    Each cell draws its trials from its own stream (``cell_rngs``), with
+    the pvals of ``sample_counts`` from one probability table of the grid;
+    the trials of all cells are then estimated as one tally array, since the
     estimate of a row depends on that row alone. Trials whose estimator
     raised on degenerate counts or returned an invalid report are excluded
     from the moments and from n_valid.
     """
-    model, grid = config.model, config.t_grid
+    model, grid, n, trials = config.model, config.t_grid, config.n_probes, config.trials
+    table = _class_table(model, np.array(grid))
     counts = np.concatenate(
         [
-            sample_counts(model, config.n_probes, t, cell_rng(config.seed, i), config.trials)
-            for i, t in enumerate(grid)
+            rng.multinomial(n, pvals, size=trials)
+            for rng, pvals in zip(cell_rngs(config.seed, len(grid)), table)
         ]
     )
     t_hat, valid = apply_estimator_batch(model, counts, config.estimator)
-    shape = (len(grid), config.trials)
+    shape = (len(grid), trials)
     return ErrorCurve(
         points=tuple(
-            _summarize(t, estimates[ok], _crb_or_nan(model, t, config.n_probes))
+            _summarize(t, estimates[ok], _crb_or_nan(model, t, n))
             for t, estimates, ok in zip(grid, t_hat.reshape(shape), valid.reshape(shape))
         )
     )

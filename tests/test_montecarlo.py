@@ -9,7 +9,11 @@ index and time alone.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,12 +33,13 @@ from qclock import (
     TwoQubitCounts,
     apply_estimator,
     apply_estimator_batch,
-    cell_rng,
+    cell_rngs,
     compare_resources,
     error_curve,
     mean_estimator_curve,
     sample_counts,
 )
+import qclock
 from qclock import estimators, montecarlo
 from qclock.clocks import count_tallies
 from qclock.montecarlo import MAX_EXACT_DOUBLES, _summarize
@@ -56,16 +61,124 @@ def small_config(**overrides) -> ExperimentConfig:
 
 class TestCellRng:
     def test_reproducible_per_cell(self):
-        a = cell_rng(5, 2).integers(10**9)
-        b = cell_rng(5, 2).integers(10**9)
+        a = cell_rngs(5, 3)[2].integers(10**9)
+        b = cell_rngs(5, 3)[2].integers(10**9)
         assert a == b
 
     def test_cells_are_distinct_streams(self):
-        draws = {cell_rng(5, i).integers(10**12) for i in range(16)}
+        draws = {rng.integers(10**12) for rng in cell_rngs(5, 16)}
         assert len(draws) == 16
 
     def test_seed_changes_stream(self):
-        assert cell_rng(1, 0).integers(10**12) != cell_rng(2, 0).integers(10**12)
+        assert cell_rngs(1, 1)[0].integers(10**12) != cell_rngs(2, 1)[0].integers(10**12)
+
+
+def numpy_stream(seed: int, t_index: int) -> np.random.Generator:
+    # A cell's stream as numpy itself derives it (STREAM_LAYOUT): the oracle
+    # of cell_rngs, which seeds all cells in one pass of its own.
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t_index,)))
+
+
+def run_python(code: str) -> str:
+    # Runs code in a fresh interpreter that imports this qclock; its stdout.
+    src = Path(qclock.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1)
+
+
+def test_cell_rngs_equal_numpy_seed_sequence_streams():
+    # Seeds of one and of two entropy words, at their edges, and two drawn at random.
+    drawn = np.random.default_rng(20261021).integers(2**64, size=2, dtype=np.uint64)
+    for seed in (*SEED_EDGES, *map(int, drawn)):
+        rngs = cell_rngs(seed, 64)
+        assert len(rngs) == 64
+        for i, rng in enumerate(rngs):
+            oracle = numpy_stream(seed, i)
+            assert rng.bit_generator.state == oracle.bit_generator.state, (seed, i)
+            assert rng.integers(2**63, size=4).tolist() == oracle.integers(2**63, size=4).tolist()
+            assert rng.random() == oracle.random()
+
+
+def test_cell_rngs_reject_what_the_one_pass_cannot_seed():
+    for seed in (-1, 2**64, 1.0, True):
+        with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer"):
+            cell_rngs(seed, 3)
+    for cells in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="^cells must be a positive integer"):
+            cell_rngs(3, cells)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
+def test_cell_count_past_one_spawn_word_is_rejected_before_allocating():
+    # Under an address-space limit 1 GiB above the process's size, far below
+    # the 16 GiB the spawn words of 2**32 + 1 cells would take, the bound must
+    # raise ValueError rather than a MemoryError.
+    stdout = run_python(
+        "import resource\n"
+        "import qclock\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + 2**30, hard))\n"
+        "try:\n"
+        "    qclock.cell_rngs(3, 2**32 + 1)\n"
+        "except ValueError as error:\n"
+        "    print(error)\n"
+    )
+    assert stdout == f"cells must be at most {2**32}, got {2**32 + 1}\n"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # cell_rngs registers its seed sequence with numpy.random on first use;
+    # importing qclock loads numpy.random only where numpy itself does.
+    stdout = run_python(
+        "import sys\n"
+        "import numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import qclock\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    before, after = stdout.split()
+    assert after == before
+
+
+def test_sweep_tallies_equal_sample_counts_on_numpy_streams(monkeypatch):
+    # The tally array error_curve estimates is, cell for cell, what
+    # sample_counts draws at that time from numpy's own stream of the cell.
+    estimated = []
+
+    def record(model, counts, kind):
+        estimated.append(counts)
+        return np.zeros(len(counts)), np.ones(len(counts), dtype=bool)
+
+    monkeypatch.setattr(montecarlo, "apply_estimator_batch", record)
+    models = (
+        *(OneQubitClock(omega=1.3, chi=chi) for chi in (0.0, 0.36, 1.0)),
+        *(TwoQubitClock(omega=0.5, Omega=ratio * 0.5) for ratio in (2.0, 2.6)),
+        *(GhzClock(omega=0.8, n_entangled=n) for n in (2, 3, 4, 5)),
+    )
+    trials = 30
+    for model in models:
+        kind = EstimatorKind.CLOSED_FORM
+        if isinstance(model, TwoQubitClock) and not model.harmonic:
+            kind = EstimatorKind.NUMERIC
+        grid = tuple(np.linspace(0.0, model.window_top, 9).tolist())
+        for n_probes in (1, 7, 32, 128):
+            for seed in (3, 2**64 - 1):
+                estimated.clear()
+                for cells in (grid, grid[:4]):
+                    error_curve(ExperimentConfig(model, n_probes, cells, trials, seed, kind))
+                full, prefix = estimated
+                assert full.shape == (len(grid) * trials, len(model.class_sizes))
+                for i, t in enumerate(grid):
+                    want = sample_counts(model, n_probes, t, numpy_stream(seed, i), trials)
+                    assert full[i * trials : (i + 1) * trials].tolist() == want.tolist()
+                assert prefix.tolist() == full[: 4 * trials].tolist()
 
 
 class TestSampleCounts:
@@ -176,9 +289,9 @@ def test_sampler_matches_three_branch_sampler():
         for t in np.linspace(0.0, model.window_top, 9):
             for n_probes in (1, 7, 32, 128):
                 for seed in (3, 20260819):
-                    got = sample_counts(model, n_probes, float(t), cell_rng(seed, 0), 40)
+                    got = sample_counts(model, n_probes, float(t), cell_rngs(seed, 1)[0], 40)
                     want = _three_branch_sample_counts(
-                        model, n_probes, float(t), cell_rng(seed, 0), 40
+                        model, n_probes, float(t), cell_rngs(seed, 1)[0], 40
                     )
                     assert got.tolist() == want.tolist(), (model, t, n_probes, seed)
                     cells += 1
@@ -392,13 +505,17 @@ class TestDeterminism:
 
                 return counted
 
-        real = np.random.default_rng
+        def counting(make):
+            def counting_make(*args, **kwargs):
+                made.append(CountingRng(make(*args, **kwargs)))
+                return made[-1]
 
-        def counting_default_rng(*args, **kwargs):
-            made.append(CountingRng(real(*args, **kwargs)))
-            return made[-1]
+            return counting_make
 
-        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        # Every generator, whether numpy's default_rng builds it or it is
+        # built from a bit generator, is counted along with its calls.
+        for name in ("default_rng", "Generator"):
+            monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
         for model, grid in (
             (OneQubitClock(omega=1.0), (0.8, 1.4, 2.0)),
             (TwoQubitClock(omega=0.5, Omega=1.0), (0.8, 1.4, 2.0)),
