@@ -234,11 +234,16 @@ def cell_rngs(seed: int, cells: int) -> list[np.random.Generator]:
     before its spawn word is mixed in, as numpy hashes missing entropy words
     as zeros; the spawn words are mixed into it as mix_entropy's last stage
     does, and hashed out as generate_state(4, uint64) does, for all cells at
-    once. Each PCG64 then seeds itself from its row; as its seed sequence
-    holds only those words, a generator here cannot ``spawn``. Two bounds
-    keep this exact: a seed below 2**64 (at most two entropy words;
-    ValueError otherwise) and cells <= 2**32 (a spawn key of one word),
-    which is checked before any array is allocated.
+    once. Each PCG64 then seeds itself from its row. Two bounds keep this
+    exact: a seed below 2**64 (at most two entropy words; ValueError
+    otherwise) and cells <= 2**32 (a spawn key of one word), which is
+    checked before any array is allocated.
+
+    Each generator's ``bit_generator.seed_seq`` is a private stand-in that
+    holds only its four state words, not a ``SeedSequence``: ``spawn()``
+    and reading ``entropy`` or ``spawn_key`` from it fail. Cell i alone,
+    at a cost that does not grow with i, is numpy's
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, which keeps both.
     """
     seed = _check_seed(seed)
     cells = _positive_integer(cells, "cells", top=2**32)
