@@ -15,9 +15,9 @@ from .clocks import (
     recurrence_time,
 )
 from .counts import (
-    CountVector,
     GhzCounts,
     OneQubitCounts,
+    Tallies,
     TwoQubitCounts,
 )
 from .estimators import (
@@ -63,7 +63,6 @@ __all__ = [
     "Branch",
     "ClockModel",
     "ConfigError",
-    "CountVector",
     "DegenerateCountsError",
     "DegenerateTimeError",
     "ErrorCurve",
@@ -79,6 +78,7 @@ __all__ = [
     "OutcomeDistribution",
     "ResourceComparison",
     "ResourceRow",
+    "Tallies",
     "TwoQubitClock",
     "TwoQubitCounts",
     "__version__",

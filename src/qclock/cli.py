@@ -15,9 +15,10 @@ new text followed by the old tail, and still look valid. Remove the old
 outputs first where a rerun must survive a crash.
 ``main`` may be called repeatedly in one process and reuses one parser.
 
-Exit status: 0 on success, 2 on usage or configuration errors, 3 when a
-computation aborts on degenerate counts. ``fisher`` marks a time with no
-Cramer-Rao bound by degenerate = 1 and crb = nan instead.
+Exit status: 0 on success, 2 on usage or configuration errors and on a
+request too large to allocate (MemoryError), 3 when a computation aborts on
+degenerate counts. ``fisher`` marks a time with no Cramer-Rao bound by
+degenerate = 1 and crb = nan instead.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .clocks import ClockModel, GhzClock, OneQubitClock, TwoQubitClock, recurrence_time
+from .counts import Tallies
 from .estimators import DegenerateCountsError
 from .fisher import classical_fisher, quantum_fisher
 from .montecarlo import (
@@ -217,7 +219,7 @@ def _parse_counts(args, model: ClockModel):
             f"{model.kind} counts are {len(model.class_sizes)} tallies, got {args.counts!r}"
         )
     # The flag lists the tallies in the reverse of their tally order.
-    return model.counts_type.from_tallies(tallies[::-1])
+    return Tallies(tallies[::-1])
 
 
 # Each cmd_* function returns the files it wrote, the resolved configuration
@@ -488,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateCountsError as exc:
         print(f"qclock: degenerate input: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, TypeError, OSError) as exc:
+    except (ConfigError, ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"qclock: error: {exc}", file=sys.stderr)
         return 2
 

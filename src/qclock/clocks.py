@@ -17,7 +17,7 @@ eigenbasis, and a fixed projective readout. Three designs are covered:
   amplified frequency n*omega.
 
 Each design groups its outcomes into classes of equally likely outcomes, in
-the order of its count vector's ``tallies`` (counts.py), and the classes
+the order of its count vector (``Tallies``, counts.py), and the classes
 come in oscillating pairs: one outcome of a pair's classes has probability
 a sin^2(f t / 2) and c - a sin^2(f t / 2). A design is its pairs (a, c, f)
 in tally order: (chi, 1, omega) for one qubit; (1/2, 1/2, Omega), then
@@ -26,8 +26,7 @@ in tally order: (chi, 1, omega) for one qubit; (1/2, 1/2, Omega), then
 quantum Fisher information ``qfi`` (4 Var(H)), the classical ``cfi(t)``,
 ``window_top`` and a single pair's ``first_return(epsilon)`` are written
 once over the pairs. A design adds ``class_sizes`` (the outcomes per class),
-``label_classes`` (the class of each outcome label), ``counts_type`` (the
-count vector class whose tallies follow the classes), the one-qubit
+``label_classes`` (the class of each outcome label), the one-qubit
 ``cfi``, and the two-qubit ``first_return``, from the continued fraction
 of the frequency ratio (epsilon < 3/4), and ``harmonic``: whether Omega =
 2 omega, the condition of the closed-form two-qubit estimators.
@@ -54,7 +53,7 @@ from typing import Union
 
 import numpy as np
 
-from .counts import GhzCounts, OneQubitCounts, TwoQubitCounts, is_integer
+from .counts import is_integer
 from .states import OutcomeDistribution, evolve
 
 # Largest GHZ register: its outcome labels and state vector hold 2**n entries
@@ -208,7 +207,6 @@ class OneQubitClock(_Clock):
     # Classes in tally order (k_minus, k_plus).
     label_classes = (1, 0)
     class_sizes = (1, 1)
-    counts_type = OneQubitCounts
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
@@ -289,7 +287,6 @@ class TwoQubitClock(_Clock):
     # Classes in tally order (fast_minus, fast_plus, slow_minus, slow_plus).
     label_classes = (3, 2, 1, 0)
     class_sizes = (1, 1, 1, 1)
-    counts_type = TwoQubitCounts
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))
@@ -366,7 +363,6 @@ class GhzClock(_Clock):
     n_entangled: int = 2
 
     kind = "ghz"
-    counts_type = GhzCounts
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _check_positive("omega", self.omega))

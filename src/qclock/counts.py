@@ -1,20 +1,18 @@
 """Measurement count tallies consumed by the estimators.
 
-Each clock design has its own tally shape. Tallies are plain frozen
-dataclasses: checked once when built, they cannot change afterwards.
-Each exposes ``tallies``, its counts in a fixed order: one-qubit
-(k_minus, k_plus), two-qubit (fast_minus, fast_plus, slow_minus,
-slow_plus), GHZ (k_odd, k_even), and ``from_tallies`` builds one back from
-them. A Monte-Carlo cell stores its trials as rows of an integer array in
-the same order.
+A count vector is a ``Tallies``: non-negative Python ints, checked once when
+built, in its clock's class order (clocks.py): one-qubit (k_minus, k_plus);
+two-qubit (fast_minus, fast_plus, slow_minus, slow_plus), the fast pair the
+first-qubit |1> sector; GHZ (k_odd, k_even), k_odd the copies with an odd
+number of '-' outcomes. It equals and hashes like the plain tuple, so the
+clock, not the counts, says what each tally counts. A Monte-Carlo cell
+stores its trials as rows of an integer array in the same order.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Union
 
 
 def is_integer(value) -> bool:
@@ -31,105 +29,45 @@ def _positive_integer(value, name: str, error: type[Exception] = ValueError, top
     return int(value)
 
 
-def _check_tallies(counts, names: tuple[str, ...]) -> None:
-    # Each named field must be a non-negative integer; a numpy one is stored
-    # as a Python int.
-    for name in names:
-        value = getattr(counts, name)
-        if type(value) is not int:
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            value = int(value)
-            object.__setattr__(counts, name, value)
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+def _tally(value, name: str) -> int:
+    # value as a Python int, so that sums, gcds and divisions stay exact past
+    # 2**53, or ValueError unless it is a non-negative integer.
+    if type(value) is not int:
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
 
 
-@dataclass(frozen=True)
-class OneQubitCounts:
-    """n single-qubit probes, k_minus of which landed in the |-> outcome."""
+class Tallies(tuple):
+    """A count vector: non-negative Python ints in its clock's class order."""
 
-    n: int
-    k_minus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_tallies(self, ("n", "k_minus"))
-        if self.k_minus > self.n:
-            raise ValueError(f"k_minus = {self.k_minus} exceeds n = {self.n}")
-
-    @property
-    def k_plus(self) -> int:
-        return self.n - self.k_minus
-
-    @property
-    def tallies(self) -> tuple[int, int]:
-        return (self.k_minus, self.k_plus)
-
-    @classmethod
-    def from_tallies(cls, tallies) -> "OneQubitCounts":
-        k_minus, k_plus = tallies
-        return cls(k_minus + k_plus, k_minus)
+    def __new__(cls, tallies):
+        return super().__new__(cls, [_tally(k, "a tally") for k in tallies])
 
 
-@dataclass(frozen=True)
-class TwoQubitCounts:
-    """Outcome tallies of the four-projector two-qubit measurement.
-
-    fast_* count the first-qubit |1> sector, whose pair oscillates at the
-    fast frequency; slow_* count the first-qubit |0> sector at the slow
-    frequency. The coarse estimator consumes only the slow pair.
-    """
-
-    fast_minus: int
-    fast_plus: int
-    slow_minus: int
-    slow_plus: int
-
-    def __post_init__(self):
-        _check_tallies(self, ("fast_minus", "fast_plus", "slow_minus", "slow_plus"))
-
-    @property
-    def n(self) -> int:
-        return self.fast_minus + self.fast_plus + self.slow_minus + self.slow_plus
-
-    @property
-    def tallies(self) -> tuple[int, int, int, int]:
-        return (self.fast_minus, self.fast_plus, self.slow_minus, self.slow_plus)
-
-    @classmethod
-    def from_tallies(cls, tallies) -> "TwoQubitCounts":
-        return cls(*tallies)
+def _pair(n, k, name: str) -> Tallies:
+    # The tallies (k, n - k) of n probes, k of them in the pair's first class.
+    n, k = _tally(n, "n"), _tally(k, name)
+    if k > n:
+        raise ValueError(f"{name} = {k} exceeds n = {n}")
+    return Tallies((k, n - k))
 
 
-@dataclass(frozen=True)
-class GhzCounts:
-    """n GHZ copies measured in the product |+/-> basis, reduced to parity.
-
-    k_odd counts the copies whose outcome string held an odd number of '-'
-    signs; only this tally is informative about time.
-    """
-
-    n: int
-    k_odd: int
-
-    def __post_init__(self):
-        _check_tallies(self, ("n", "k_odd"))
-        if self.k_odd > self.n:
-            raise ValueError(f"k_odd = {self.k_odd} exceeds n = {self.n}")
-
-    @property
-    def k_even(self) -> int:
-        return self.n - self.k_odd
-
-    @property
-    def tallies(self) -> tuple[int, int]:
-        return (self.k_odd, self.k_even)
-
-    @classmethod
-    def from_tallies(cls, tallies) -> "GhzCounts":
-        k_odd, k_even = tallies
-        return cls(k_odd + k_even, k_odd)
+def OneQubitCounts(n, k_minus) -> Tallies:
+    """n single-qubit probes, k_minus of which landed in |->: (k_minus, k_plus)."""
+    return _pair(n, k_minus, "k_minus")
 
 
-CountVector = Union[OneQubitCounts, TwoQubitCounts, GhzCounts]
+def TwoQubitCounts(fast_minus, fast_plus, slow_minus, slow_plus) -> Tallies:
+    """The four-projector two-qubit tallies; the coarse estimator reads the slow pair."""
+    return Tallies((fast_minus, fast_plus, slow_minus, slow_plus))
 
+
+def GhzCounts(n, k_odd) -> Tallies:
+    """n GHZ copies reduced to parity, k_odd of them odd: (k_odd, k_even)."""
+    return _pair(n, k_odd, "k_odd")

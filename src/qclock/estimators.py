@@ -1,8 +1,10 @@
 """Maximum-likelihood time estimators for the clock readouts.
 
 Every estimator, ``estimator(model, counts)``, maps the counts observed on
-a clock to a time estimate inside the window where the clock's statistics
-identify t uniquely; a clock of another design raises TypeError.
+a clock, a ``Tallies`` in the clock's class order (counts.py), to a time
+estimate inside the window where the clock's statistics identify t
+uniquely; a clock of another design, or counts that are not ``Tallies`` of
+the clock's width, raise TypeError.
 
 * one oscillating pair (a, c, f) (clocks.py): the one-qubit clock (chi, 1,
   omega) and the GHZ clock, whose parity oscillates at n omega. With m =
@@ -24,7 +26,7 @@ the grid, as -inf is when no value is finite, flags the midpoint invalid.
 
 Each estimator has a ``*_batch`` kernel, ``estimator_batch(model, counts)``,
 that applies it to every row of an integer tally array (one count vector
-per row, in the ``tallies`` order of counts.py), as a Monte-Carlo cell
+per row, in the class order of counts.py), as a Monte-Carlo cell
 holds its trials; an array that is not 2-D and integer, has another width
 than the clock's classes or holds a negative tally raises a ValueError
 naming the kernel. Each computes in float64 on the gcd-reduced rows of
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clocks import ClockModel, TwoQubitClock
-from .counts import CountVector, TwoQubitCounts
+from .counts import Tallies
 
 # Grid resolution and convergence target for the numeric maximizer.
 GRID_POINTS = 2001
@@ -96,12 +98,21 @@ def _require(value, kind, name: str):
         raise TypeError(f"{name} expects {kind.__name__}, got {type(value).__name__}")
 
 
-def _tallies(model: ClockModel, counts: CountVector, name: str) -> tuple[int, ...]:
-    # The estimator `name`'s tallies in class order, as Python ints divided by
-    # their gcd, so that estimates are exactly invariant under integer rescaling
-    # (floats would drift by an ulp through sqrt(c^2 r) against c sqrt(r)).
-    _require(counts, model.counts_type, name)
-    tallies = counts.tallies
+def _counts(model: ClockModel, counts: Tallies, name: str) -> Tallies:
+    # The estimator `name`'s counts: Tallies as wide as the clock's classes.
+    width = len(model.class_sizes)
+    if not isinstance(counts, Tallies) or len(counts) != width:
+        raise TypeError(
+            f"{name} expects Tallies of {width} counts, got {type(counts).__name__} {counts!r}"
+        )
+    return counts
+
+
+def _tallies(model: ClockModel, counts: Tallies, name: str) -> tuple[int, ...]:
+    # The estimator `name`'s tallies divided by their gcd, so that estimates
+    # are exactly invariant under integer rescaling (floats would drift by an
+    # ulp through sqrt(c^2 r) against c sqrt(r)).
+    tallies = _counts(model, counts, name)
     g = math.gcd(*tallies)
     return tuple(k // g for k in tallies) if g > 1 else tallies
 
@@ -125,7 +136,7 @@ def _single_pair(model: ClockModel, name: str) -> tuple[float, float]:
     return model.class_sizes[0] * a, f
 
 
-def mle_single_pair(model: ClockModel, counts: CountVector) -> EstimateReport:
+def mle_single_pair(model: ClockModel, counts: Tallies) -> EstimateReport:
     """Closed-form MLE for a clock with one oscillating pair (a, c, f).
 
     The first class's tally k_0 of n probes is binomial with p = m a
@@ -155,7 +166,7 @@ def _require_harmonic(model: TwoQubitClock) -> None:
 
 
 def mle_two_qubit_roots(
-    model: TwoQubitClock, counts: TwoQubitCounts
+    model: TwoQubitClock, counts: Tallies
 ) -> tuple[float, float, float, float]:
     """Stationary points of the two-qubit log-likelihood, in closed form.
 
@@ -196,7 +207,7 @@ def mle_two_qubit_roots(
     return (t1, -t1, t3, -t3)
 
 
-def coarse_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> EstimateReport:
+def coarse_estimator(model: TwoQubitClock, counts: Tallies) -> EstimateReport:
     """MLE from the slow sector alone, resolving the full window [0, pi/omega].
 
     Conditioned on landing in the slow sector the '-' tally is binomial with
@@ -205,9 +216,8 @@ def coarse_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> EstimateRe
     events at all leave t unidentified and raise.
     """
     _require(model, TwoQubitClock, "coarse_estimator")
-    _require(counts, TwoQubitCounts, "coarse_estimator")
     omega = model.omega
-    _, _, km, kp = counts.tallies
+    _, _, km, kp = _counts(model, counts, "coarse_estimator")
     if kp + km == 0:
         raise DegenerateCountsError("no slow-sector events recorded")
     if kp == 0:
@@ -217,7 +227,7 @@ def coarse_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> EstimateRe
     return EstimateReport(t_hat, Branch.COARSE_ONLY, (0.0, math.pi / omega))
 
 
-def combined_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> EstimateReport:
+def combined_estimator(model: TwoQubitClock, counts: Tallies) -> EstimateReport:
     """Two-qubit MLE on the half of the slow period picked by the coarse tally.
 
     The quartic yields one stationary maximum in each half of the window
@@ -229,7 +239,7 @@ def combined_estimator(model: TwoQubitClock, counts: TwoQubitCounts) -> Estimate
     full slow period.
     """
     _require(model, TwoQubitClock, "combined_estimator")
-    _require(counts, TwoQubitCounts, "combined_estimator")
+    _counts(model, counts, "combined_estimator")
     roots = mle_two_qubit_roots(model, counts)  # checks Omega = 2 omega
     coarse = coarse_estimator(model, counts)
     omega = model.omega
@@ -273,7 +283,7 @@ def _tally_score(tallies, model: ClockModel, t):
     return score, curvature
 
 
-def log_likelihood(model: ClockModel, counts: CountVector, t):
+def log_likelihood(model: ClockModel, counts: Tallies, t):
     """Log-likelihood of the counts at time(s) t, up to count-only constants.
 
     Vectorized over t. Outcomes with zero tally contribute nothing even
@@ -282,11 +292,11 @@ def log_likelihood(model: ClockModel, counts: CountVector, t):
     an array, raises ValueError. Terms are added class by class in tally
     order, the sum ``mle_numeric`` maximizes on its grid.
     """
-    _require(counts, model.counts_type, "log_likelihood")
+    _counts(model, counts, "log_likelihood")
     t_arr = np.asarray(t, dtype=float)
     if not np.isfinite(t_arr).all():
         raise ValueError(f"time must be finite, got {t!r}")
-    total = _tally_log_likelihood(counts.tallies, model.class_probs(t_arr))
+    total = _tally_log_likelihood(counts, model.class_probs(t_arr))
     return float(total) if t_arr.ndim == 0 else total
 
 
@@ -330,7 +340,7 @@ def _newton_max_batch(score, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol:
 
 def mle_numeric(
     model: ClockModel,
-    counts: CountVector,
+    counts: Tallies,
     window: tuple[float, float] | None = None,
 ) -> EstimateReport:
     """Grid-plus-Newton maximizer of the log-likelihood over a window.

@@ -45,7 +45,7 @@ from .clocks import (
     count_tallies,
 )
 from . import estimators
-from .counts import CountVector, _positive_integer, is_integer
+from .counts import Tallies, _positive_integer, is_integer
 from .estimators import EstimateReport
 from .fisher import DegenerateTimeError, classical_fisher
 
@@ -272,7 +272,7 @@ def sample_counts(
     """Outcome tallies of `trials` runs of n_probes independent probes at time t.
 
     Returns an integer array of shape (trials, k), one row per trial in the
-    model's ``tallies`` order, drawn with a single multinomial call over the
+    model's class order (``Tallies``), drawn with a single multinomial call over the
     model's classes (a binomial for the two-class designs). A time that is
     not finite, a trial count that is not a positive integer, or a probe
     count that is not one from 1 to MAX_PROBES raises ValueError.
@@ -317,7 +317,7 @@ def _estimators_for(model: ClockModel, kind: EstimatorKind):
 
 
 def apply_estimator(
-    model: ClockModel, counts: CountVector, kind: EstimatorKind
+    model: ClockModel, counts: Tallies, kind: EstimatorKind
 ) -> EstimateReport:
     return _estimators_for(model, kind)[0](counts)
 

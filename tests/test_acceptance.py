@@ -278,14 +278,15 @@ def test_criterion_5_root_stationarity(capsys):
     matched = 0
     for _ in range(1000):
         counts = random_pair_counts(rng)
-        if counts.fast_minus + counts.slow_plus == 0:
+        fast_minus, _, slow_minus, slow_plus = counts
+        if fast_minus + slow_plus == 0:
             continue
         for root in mle_two_qubit_roots(TwoQubitClock(0.5, 1.0), counts):
             if abs(math.sin(0.5 * root)) < 1e-9 or abs(math.cos(0.5 * root)) < 1e-9:
                 continue
-            ok &= abs(_tally_score(counts.tallies, TwoQubitClock(0.5, 1.0), root)[0]) < 1e-8
+            ok &= abs(_tally_score(counts, TwoQubitClock(0.5, 1.0), root)[0]) < 1e-8
             roots_checked += 1
-        if counts.slow_minus + counts.slow_plus == 0:
+        if slow_minus + slow_plus == 0:
             continue
         report = combined_estimator(TwoQubitClock(omega=0.5, Omega=1.0), counts)
         window = (

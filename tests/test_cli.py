@@ -763,6 +763,35 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+# 10**17 float64 or int64 elements are 0.8 EB or more, past any process's
+# address space, so numpy's allocation fails at once and nothing is touched.
+TOO_LARGE = str(10**17)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["fisher", "--model", "one-qubit", "--t-grid", f"0:1:{TOO_LARGE}"], None),
+        (["compare", "--budget", "4", "--t-grid", "0.5:2.5:3", "--trials", TOO_LARGE], None),
+        (["sweep"], f"[big]\nmodel = one-qubit\nomega = 1.0\nprobes = 10\ntrials = {TOO_LARGE}\n"
+                    "seed = 1\nt_start = 0.5\nt_stop = 2.6\nt_steps = 3\n"),
+    ],
+    ids=["fisher-grid", "compare-trials", "sweep-trials"],
+)
+def test_request_too_large_to_allocate_exits_two(capsys, tmp_path, argv, config):
+    out = tmp_path / "out.csv"
+    if config is None:
+        argv = [*argv, "--out", str(out)]
+    else:
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(config + f"out = {out}\n")
+        argv = [*argv, str(cfg)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("qclock: error: Unable to allocate ")
+    assert [p.name for p in tmp_path.iterdir()] == (["big.cfg"] if config else [])
+
+
 def test_main_entry_reads_argv_and_exits_with_the_status(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["qclock", "probs", "--model", "one-qubit", "--t", "1"])
     with pytest.raises(SystemExit) as exc:

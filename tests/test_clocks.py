@@ -3,7 +3,7 @@
 Closed forms are validated against the explicit evolve+Born pipeline, and
 the exact mean curve against brute-force enumeration of outcome strings
 weighted by that pipeline. The model protocol (class_probs, dprobs, class_sizes,
-label_classes, counts_type, probe) is checked on a battery of all three
+label_classes, probe) is checked on a battery of all three
 designs, the closed-form derivatives against central differences. The
 product readout of ``evolved_distribution`` is checked against each probe's
 dense readout, written out entry by entry. Every statistic is also pinned
@@ -27,6 +27,7 @@ from qclock import (
     ExperimentConfig,
     GhzClock,
     OneQubitClock,
+    Tallies,
     TwoQubitClock,
     apply_estimator,
     evolved_distribution,
@@ -676,7 +677,7 @@ def test_two_qubit_count_distribution_matches_enumeration():
             for i in outcome:
                 tallies[model.label_classes[i]] += 1
             try:
-                report = apply_estimator(model, model.counts_type.from_tallies(tallies), kind)
+                report = apply_estimator(model, Tallies(tallies), kind)
             except DegenerateCountsError:
                 report = None
             estimates.append(report.t_hat if report is not None and report.valid else None)
@@ -720,8 +721,8 @@ def test_model_protocol(model):
     assert len(model.label_classes) == len(model.outcome_labels) == sum(sizes)
     assert [model.label_classes.count(c) for c in range(len(sizes))] == list(sizes)
     tallies = tuple(range(3, 3 + len(sizes)))
-    counts = model.counts_type.from_tallies(tallies)
-    assert counts.tallies == tallies and counts.n == sum(tallies)
+    counts = Tallies(tallies)
+    assert counts == tallies and sum(counts) == sum(tallies)
     # The probe: a normalized state over 2^q basis states, one orthogonal
     # readout per qubit.
     amplitudes, energies, readouts = model.probe()
@@ -751,9 +752,9 @@ def test_model_protocol(model):
         assert rows.shape == (math.comb(n + len(sizes) - 1, len(sizes) - 1), len(sizes))
         assert np.all(rows.sum(axis=1) == n)
         for row in rows.tolist():
-            counts = model.counts_type.from_tallies(row)
-            assert type(counts) is model.counts_type
-            assert list(counts.tallies) == row and counts.n == n
+            counts = Tallies(row)
+            assert type(counts) is Tallies
+            assert list(counts) == row and sum(counts) == n
 
 
 @pytest.mark.parametrize("model", PROTOCOL_BATTERY, ids=repr)

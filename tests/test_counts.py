@@ -1,6 +1,7 @@
-"""Count tallies: validation, derived fields, numpy integers."""
+"""Count tallies: the one Tallies rule, its builders, numpy integers."""
 
-import dataclasses
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qclock import (
     GhzCounts,
     OneQubitClock,
     OneQubitCounts,
+    Tallies,
     TwoQubitClock,
     TwoQubitCounts,
     apply_estimator,
@@ -22,7 +24,7 @@ from qclock.montecarlo import ConfigError
 
 def test_one_qubit_counts_fields():
     counts = OneQubitCounts(n=10, k_minus=3)
-    assert counts.k_plus == 7
+    assert counts == (3, 7) and type(counts) is Tallies
     with pytest.raises(ValueError):
         OneQubitCounts(n=5, k_minus=6)
     with pytest.raises(ValueError):
@@ -35,14 +37,14 @@ def test_one_qubit_counts_fields():
 
 def test_two_qubit_counts_fields():
     counts = TwoQubitCounts(fast_minus=1, fast_plus=2, slow_minus=3, slow_plus=4)
-    assert counts.n == 10
+    assert counts == (1, 2, 3, 4) and sum(counts) == 10
     with pytest.raises(ValueError):
         TwoQubitCounts(fast_minus=-1, fast_plus=0, slow_minus=0, slow_plus=0)
 
 
 def test_ghz_counts_fields():
     counts = GhzCounts(n=8, k_odd=5)
-    assert counts.k_even == 3
+    assert counts == (5, 3)
     with pytest.raises(ValueError):
         GhzCounts(n=4, k_odd=5)
 
@@ -51,6 +53,43 @@ def test_counts_are_hashable():
     # Exact enumeration keys dictionaries with tallies.
     table = {OneQubitCounts(4, 1): 0.5, OneQubitCounts(4, 3): 0.5}
     assert table[OneQubitCounts(4, 1)] == 0.5
+
+
+def test_tallies_are_plain_tuples_to_compare_hash_and_copy():
+    counts = Tallies([3, 0, 2, 9])
+    assert counts == (3, 0, 2, 9) and hash(counts) == hash((3, 0, 2, 9))
+    assert {(3, 0, 2, 9): "plain"}[counts] == "plain"
+    for copied in (pickle.loads(pickle.dumps(counts)), copy.deepcopy(counts), copy.copy(counts)):
+        assert type(copied) is Tallies and copied == counts
+    assert not hasattr(counts, "__dict__")
+    # Counts carry no design: builders of two designs with the same values
+    # give equal Tallies.
+    assert OneQubitCounts(4, 2) == GhzCounts(4, 2) == Tallies((2, 2))
+
+
+def test_tallies_rule():
+    # Integers only, none negative; a numpy integer is stored as a Python int.
+    counts = Tallies((np.uint8(3), np.int64(2**62), np.uint64(2**64 - 1), 0))
+    assert counts == (3, 2**62, 2**64 - 1, 0)
+    assert all(type(k) is int for k in counts)
+    assert Tallies(np.array([4, 1])) == (4, 1)
+    bad = (True, np.bool_(False), 1.0, np.float64(2), "3", None, -1, np.int64(-2))
+    for value in bad:
+        with pytest.raises(ValueError, match="^a tally must be"):
+            Tallies((1, value))
+
+
+def test_builders_check_n_and_k_as_python_ints():
+    # An np.uint64 n less an np.int64 k is a float in numpy 2: the builders
+    # convert both first, so the tallies stay exact ints.
+    counts = OneQubitCounts(np.uint64(2**60 + 1), np.int64(2**60))
+    assert counts == (2**60, 1) and all(type(k) is int for k in counts)
+    assert GhzCounts(np.uint64(9), np.int64(4)) == (4, 5)
+    assert all(type(k) is int for k in TwoQubitCounts(np.int32(1), np.uint16(2), 3, np.int8(4)))
+    for builder in (OneQubitCounts, GhzCounts):
+        for n, k in ((True, 0), (5.0, 1), (4, 2.0), (-1, 0), (4, -1), (4, 5), (4, False)):
+            with pytest.raises(ValueError):
+                builder(n, k)
 
 
 @pytest.mark.parametrize(
@@ -69,11 +108,11 @@ def test_sampled_rows_round_trip(model, kind):
     # estimate.
     rows = sample_counts(model, 10, 0.6 * model.window_top, np.random.default_rng(5), 20)
     for row in rows:
-        counts = model.counts_type.from_tallies(row)
-        plain = model.counts_type.from_tallies(row.tolist())
+        counts = Tallies(row)
+        plain = Tallies(row.tolist())
         assert counts == plain and hash(counts) == hash(plain)
-        assert counts.tallies == tuple(row.tolist())
-        assert all(type(getattr(counts, f.name)) is int for f in dataclasses.fields(counts))
+        assert counts == tuple(row.tolist())
+        assert all(type(k) is int for k in counts)
         assert apply_estimator(model, counts, kind) == apply_estimator(model, plain, kind)
 
 

@@ -29,6 +29,7 @@ from qclock import (
     OneQubitClock,
     OneQubitCounts,
     ResourceComparison,
+    Tallies,
     TwoQubitClock,
     TwoQubitCounts,
     apply_estimator,
@@ -113,6 +114,19 @@ def test_cell_rngs_reject_what_the_one_pass_cannot_seed():
             cell_rngs(3, cells)
 
 
+def test_cell_rng_seed_seq_holds_only_the_pcg64_state_words():
+    # The stand-in seed sequence answers PCG64's one request and no other,
+    # and has no spawn() or entropy, as its docstring declares.
+    (rng,) = cell_rngs(7, 1)
+    seed_seq = rng.bit_generator.seed_seq
+    words = seed_seq.generate_state(4, np.uint64)
+    assert words.dtype == np.uint64 and words.shape == (4,)
+    for args in ((8,), (4, np.uint32), (8, np.uint64)):
+        with pytest.raises(ValueError, match="^holds only PCG64's seed words"):
+            seed_seq.generate_state(*args)
+    assert not hasattr(seed_seq, "spawn") and not hasattr(seed_seq, "entropy")
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/statm")
 def test_cell_count_past_one_spawn_word_is_rejected_before_allocating():
     # Under an address-space limit 1 GiB above the process's size, far below
@@ -186,9 +200,9 @@ class TestSampleCounts:
         model = OneQubitClock(omega=1.0)
         rng = np.random.default_rng(0)
         zero = sample_counts(model, 40, 0.0, rng, 5)
-        assert zero.tolist() == [[*OneQubitCounts(40, 0).tallies]] * 5
+        assert zero.tolist() == [[*OneQubitCounts(40, 0)]] * 5
         full = sample_counts(model, 40, math.pi, rng, 5)
-        assert full.tolist() == [[*OneQubitCounts(40, 40).tallies]] * 5
+        assert full.tolist() == [[*OneQubitCounts(40, 40)]] * 5
 
     def test_one_qubit_frequency(self):
         model = OneQubitClock(omega=1.0)
@@ -206,13 +220,14 @@ class TestSampleCounts:
         t = 1.3
         (row,) = sample_counts(model, n, t, np.random.default_rng(4), 1)
         counts = TwoQubitCounts(*map(int, row))
+        fast_minus, fast_plus, slow_minus, slow_plus = counts
         expected = {
-            counts.slow_plus: 0.5 * math.cos(0.25 * t) ** 2,
-            counts.slow_minus: 0.5 * math.sin(0.25 * t) ** 2,
-            counts.fast_plus: 0.5 * math.cos(0.5 * t) ** 2,
-            counts.fast_minus: 0.5 * math.sin(0.5 * t) ** 2,
+            slow_plus: 0.5 * math.cos(0.25 * t) ** 2,
+            slow_minus: 0.5 * math.sin(0.25 * t) ** 2,
+            fast_plus: 0.5 * math.cos(0.5 * t) ** 2,
+            fast_minus: 0.5 * math.sin(0.5 * t) ** 2,
         }
-        assert counts.n == n
+        assert sum(counts) == n
         for tally, p in expected.items():
             sigma = math.sqrt(p * (1.0 - p) / n)
             assert abs(tally / n - p) < 4.0 * sigma
@@ -221,7 +236,7 @@ class TestSampleCounts:
         model = GhzClock(omega=1.0, n_entangled=2)
         rng = np.random.default_rng(5)
         peak = sample_counts(model, 30, math.pi / 2.0, rng, 5)
-        assert peak.tolist() == [[*GhzCounts(30, 30).tallies]] * 5
+        assert peak.tolist() == [[*GhzCounts(30, 30)]] * 5
         n = 100_000
         (k_odd, k_even), = sample_counts(model, n, 0.6, np.random.default_rng(6), 1)
         p = math.sin(0.6) ** 2
@@ -341,7 +356,7 @@ def test_dispatch_rejects_pairs_without_an_estimator():
         with pytest.raises(ConfigError):
             apply_estimator(model, counts, kind)
         with pytest.raises(ConfigError):
-            apply_estimator_batch(model, np.array([counts.tallies]), kind)
+            apply_estimator_batch(model, np.array([counts]), kind)
 
 
 def test_batch_dispatch_rejects_malformed_tallies():
@@ -788,7 +803,7 @@ def _per_vector_exact_point(config, t, reports):
     for tallies in count_tallies(config.n_probes, len(probs)).tolist():
         if any(k and p == 0.0 for k, p in zip(tallies, probs)):
             continue
-        counts, weight = model.counts_type.from_tallies(tallies), _float_product_pmf(tallies, probs)
+        counts, weight = Tallies(tallies), _float_product_pmf(tallies, probs)
         if counts not in reports:
             try:
                 reports[counts] = apply_estimator(model, counts, config.estimator)
